@@ -18,6 +18,12 @@
 // degraded — the expected failure of an infeasible world — never as
 // violations.
 //
+// With -json, everything outside the "diagnostics" object is a function of
+// the flags alone — identical for every -workers value and every run. The
+// "diagnostics" object holds what is not: trial_pool_hits and
+// adversary_reuses count sync.Pool hits, which depend on what earlier
+// trials (and the garbage collector) left in the pools.
+//
 // Usage:
 //
 //	lbcmc -graph figure1a -f 1 -trials 50 -seed 7
@@ -103,16 +109,23 @@ type mcJSON struct {
 	// to the taint frontier (or abandoned).
 	ChurnEvents       int64 `json:"churn_events,omitempty"`
 	PlanInvalidations int64 `json:"plan_invalidations,omitempty"`
-	// TrialPoolHits / AdversaryReuses are the trial-scaffolding deltas
-	// over the sweep: scratch-pool hits (recycled RNG + input slab +
-	// fault-list bundles) and adversary instances re-armed through the
-	// strategy pools instead of constructed.
-	TrialPoolHits   int64 `json:"trial_pool_hits,omitempty"`
-	AdversaryReuses int64 `json:"adversary_reuses,omitempty"`
 	// Canceled marks a sweep interrupted by SIGINT/SIGTERM: OK and
 	// Violations cover only the trials that completed before the signal.
 	Canceled   bool              `json:"canceled,omitempty"`
 	Violations []mcViolationJSON `json:"violations,omitempty"`
+	// Diagnostics is kept apart from the result block above: its counters
+	// depend on sync.Pool contents, hence on worker count, scheduling and
+	// garbage collection, and nothing above it does.
+	Diagnostics mcDiagnosticsJSON `json:"diagnostics"`
+}
+
+// mcDiagnosticsJSON holds the trial-scaffolding deltas over the sweep:
+// scratch-pool hits (recycled RNG + input slab + fault-list bundles) and
+// adversary instances re-armed through the strategy pools instead of
+// constructed.
+type mcDiagnosticsJSON struct {
+	TrialPoolHits   int64 `json:"trial_pool_hits"`
+	AdversaryReuses int64 `json:"adversary_reuses"`
 }
 
 type mcViolationJSON struct {
@@ -139,7 +152,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	churnStart := fs.Int("churnstart", 0, "first round injection events may land on")
 	churnSpan := fs.Int("churnspan", 0, "injection window length in rounds (default one phase; burst: 0 = no recovery)")
 	strategies := fs.String("strategies", "", "comma-separated adversary strategies to draw from (default silent,tamper,equivocate,forge; adaptive is opt-in)")
-	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of text; all but its \"diagnostics\" object (pool-dependent counters) is identical for every -workers value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -218,9 +231,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			PlanDynamicSessions: planAfter.DynamicSessions - planBefore.DynamicSessions,
 			ChurnEvents:         int64(churnEvtAfter - churnEvtBefore),
 			PlanInvalidations:   int64(invalAfter - invalBefore),
-			TrialPoolHits:       int64(trialHitsAfter - trialHitsBefore),
-			AdversaryReuses:     int64(reusesAfter - reusesBefore),
 			Canceled:            canceled,
+			Diagnostics: mcDiagnosticsJSON{
+				TrialPoolHits:   int64(trialHitsAfter - trialHitsBefore),
+				AdversaryReuses: int64(reusesAfter - reusesBefore),
+			},
 		}
 		served := out.PlanReplaySessions + out.PlanDeltaReplays
 		if total := served + out.PlanDynamicSessions; total > 0 {

@@ -26,27 +26,38 @@ func TestRunMCAlgorithm2(t *testing.T) {
 	}
 }
 
+// resultBlock decodes a -json summary and drops its "diagnostics" object:
+// what remains is promised to depend on the flags alone.
+func resultBlock(t *testing.T, out []byte) map[string]interface{} {
+	t.Helper()
+	var decoded map[string]interface{}
+	if err := json.Unmarshal(out, &decoded); err != nil {
+		t.Fatalf("json: %v\n%s", err, out)
+	}
+	if _, ok := decoded["diagnostics"].(map[string]interface{}); !ok {
+		t.Fatalf("summary has no diagnostics object:\n%s", out)
+	}
+	delete(decoded, "diagnostics")
+	return decoded
+}
+
 func TestRunMCJSONDeterministicAcrossWorkers(t *testing.T) {
-	outputs := make([]string, 0, 3)
+	var results []map[string]interface{}
 	for _, workers := range []string{"1", "2", "6"} {
 		var buf bytes.Buffer
 		if err := run(context.Background(), []string{"-graph", "figure1a", "-f", "1", "-trials", "12",
 			"-seed", "9", "-workers", workers, "-json"}, &buf); err != nil {
 			t.Fatal(err)
 		}
-		outputs = append(outputs, buf.String())
+		results = append(results, resultBlock(t, buf.Bytes()))
 	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Fatalf("worker count changed the results:\n%s\nvs\n%s", outputs[0], outputs[i])
+	for i := 1; i < len(results); i++ {
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Fatalf("worker count changed the results:\n%v\nvs\n%v", results[0], results[i])
 		}
 	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal([]byte(outputs[0]), &decoded); err != nil {
-		t.Fatalf("json: %v\n%s", err, outputs[0])
-	}
-	if decoded["ok"] != float64(12) {
-		t.Fatalf("decoded = %v", decoded)
+	if results[0]["ok"] != float64(12) {
+		t.Fatalf("decoded = %v", results[0])
 	}
 }
 
@@ -108,6 +119,17 @@ func TestRunMCJSONPlanCounters(t *testing.T) {
 	if rate, ok := decoded["replay_hit_rate"].(float64); !ok || rate < 0.95 {
 		t.Errorf("replay_hit_rate = %v, want >= 0.95", decoded["replay_hit_rate"])
 	}
+	// The pool-dependent counters live in the diagnostics object and
+	// nowhere else.
+	diag, _ := decoded["diagnostics"].(map[string]interface{})
+	for _, key := range []string{"trial_pool_hits", "adversary_reuses"} {
+		if _, ok := diag[key]; !ok {
+			t.Errorf("diagnostics missing %q:\n%s", key, buf.String())
+		}
+		if _, ok := decoded[key]; ok {
+			t.Errorf("%q is in the result block:\n%s", key, buf.String())
+		}
+	}
 }
 
 // TestRunMCJSONChurnSchema pins the fault-injection sweep schema: the
@@ -153,9 +175,8 @@ func TestRunMCJSONChurnSchema(t *testing.T) {
 
 // TestRunMCChurnDeterministicAcrossWorkers: the injected sweep's verdict
 // stream — and every churn field derived from it — must be identical for
-// every worker count. The pool-warmth counters (trial_pool_hits,
-// adversary_reuses) are process-global and run-order dependent by design,
-// so they are excluded from the comparison.
+// every worker count (the pool-warmth counters sit in the diagnostics
+// object, outside the compared result block).
 func TestRunMCChurnDeterministicAcrossWorkers(t *testing.T) {
 	outputs := make([]map[string]interface{}, 0, 2)
 	for _, workers := range []string{"1", "4"} {
@@ -165,13 +186,7 @@ func TestRunMCChurnDeterministicAcrossWorkers(t *testing.T) {
 			"-workers", workers, "-json"}, &buf); err != nil {
 			t.Fatal(err)
 		}
-		var decoded map[string]interface{}
-		if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-			t.Fatalf("json: %v\n%s", err, buf.String())
-		}
-		delete(decoded, "trial_pool_hits")
-		delete(decoded, "adversary_reuses")
-		outputs = append(outputs, decoded)
+		outputs = append(outputs, resultBlock(t, buf.Bytes()))
 	}
 	if !reflect.DeepEqual(outputs[0], outputs[1]) {
 		t.Fatalf("worker count changed the injected sweep:\n%v\nvs\n%v", outputs[0], outputs[1])

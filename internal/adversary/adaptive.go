@@ -21,9 +21,8 @@ type AdaptiveNode struct {
 	Me       graph.NodeID
 	PhaseLen int
 
+	relay
 	rng *rand.Rand
-	// out is the reusable transmission buffer (see TamperNode.out).
-	out []sim.Outgoing
 	// valueSeen tallies observed initiation-value occurrences this phase;
 	// originSeen tallies observed flood messages per origin vertex.
 	valueSeen  [2]int
@@ -73,22 +72,21 @@ func (n *AdaptiveNode) Reset(seed int64) {
 // the round's inbox with the victim's floods corrupted.
 func (n *AdaptiveNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 	out := n.out[:0]
+	plan := n.over(n.G)
 	if n.PhaseLen > 0 && round%n.PhaseLen == 0 {
 		n.adapt()
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{
-			Body: flood.ValueBody{Value: n.counterValue()},
-		}})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: initiation(plan, n.Me, n.counterValue())})
 	}
 	for _, d := range inbox {
 		m, ok := d.Payload.(flood.Msg)
 		if !ok {
 			continue
 		}
-		full := m.Pi.Append(d.From)
-		if !full.ValidIn(n.G) || !full.IsSimple() || full.Contains(n.Me) {
+		ext := relayed(plan.Arena(), n.Me, d.From, m)
+		if ext == graph.NoPath {
 			continue // rule (i) would reject the relayed provenance anyway
 		}
-		origin := full[0]
+		origin := plan.Arena().Origin(ext)
 		n.observe(origin, m.Body)
 		body := m.Body
 		if origin == n.victim {
@@ -96,10 +94,9 @@ func (n *AdaptiveNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 				body = flood.ValueBody{Value: 1 - vb.Value}
 			}
 		}
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{Body: body, Pi: full}})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: plan.Box(body, ext)})
 	}
-	n.out = out
-	return out
+	return n.emit(out)
 }
 
 // observe tallies one heard flood message into the phase's transcript

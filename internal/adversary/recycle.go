@@ -14,9 +14,11 @@ import (
 // indistinguishable from a freshly built one — Reset re-derives the seeded
 // random stream with exactly the constructor's seed transform, and the
 // scratch buffers it keeps (transmission buffers, walk state) carry only
-// capacity, never values, across trials. The pools are process-wide:
-// adversary state is graph-independent (nodes hold a *graph.Graph field
-// that Acquire re-points), so one pool serves every topology.
+// capacity, never values, across trials; a plan handed to the node
+// (SetPlan) is dropped, as a constructor would leave it. The pools are
+// process-wide: adversary state is graph-independent (nodes hold a
+// *graph.Graph field that Acquire re-points), so one pool serves every
+// topology.
 
 // Resettable is the trial-lifecycle contract of a poolable adversary:
 // Reset(seed) must restore exactly the observable state the node's
@@ -67,6 +69,7 @@ func AcquireTamper(g *graph.Graph, me graph.NodeID, phaseLen int, seed int64) *T
 		n := v.(*TamperNode)
 		n.G, n.Me, n.PhaseLen = g, me, phaseLen
 		n.FlipProb, n.DropProb = 0.75, 0.2
+		n.SetPlan(nil)
 		n.Reset(seed)
 		return n
 	}
@@ -80,6 +83,7 @@ func AcquireEquivocator(g *graph.Graph, me graph.NodeID, phaseLen int) *Equivoca
 		adversaryReuses.Add(1)
 		n := v.(*EquivocatorNode)
 		n.G, n.Me, n.PhaseLen = g, me, phaseLen
+		n.SetPlan(nil)
 		return n
 	}
 	return &EquivocatorNode{G: g, Me: me, PhaseLen: phaseLen}
@@ -94,6 +98,7 @@ func AcquireForger(g *graph.Graph, me graph.NodeID, phaseLen int, seed int64) *F
 		n := v.(*ForgerNode)
 		n.G, n.Me, n.PhaseLen = g, me, phaseLen
 		n.PerRound = 3
+		n.SetPlan(nil)
 		n.Reset(seed)
 		return n
 	}
@@ -108,6 +113,7 @@ func AcquireAdaptive(g *graph.Graph, me graph.NodeID, phaseLen int, seed int64) 
 		adversaryReuses.Add(1)
 		n := v.(*AdaptiveNode)
 		n.G, n.Me, n.PhaseLen = g, me, phaseLen
+		n.SetPlan(nil)
 		n.Reset(seed)
 		return n
 	}

@@ -70,6 +70,78 @@ func (n *MuteAfter) Reset(seed int64) {
 	}
 }
 
+// relay is the flooding-relay core every strategy below embeds. A relaying
+// adversary does what an honest forwarder does to a heard (body, Π) from
+// neighbor u — name Π·u, make sure rules (i) and (iii) would let its own
+// neighbors accept it, send (body', Π·u) — and it does so the way an honest
+// flooder on a compiled plan does: by walking the plan's frozen arena, which
+// holds every simple path of the graph. Π·u comes from the message's
+// verified hint or from a lookup walk, "Π·u is a path I can extend" is one
+// Extend by me, and the emitted message is the arena's canonical slice,
+// pre-boxed in the plan's table for the two value bodies (flood.Plan.Box),
+// so a relay step builds no path, validates no slice and, for value floods,
+// allocates nothing.
+//
+// eval hands the adversaries of a run whose honest nodes flood on a plan's
+// arena that same plan (SetPlan), which makes every hint the adversary
+// reads and writes verifiable in O(1). A node nobody handed a plan uses the
+// benign plan of its graph's shared analysis — compiled once per graph,
+// like every other user of it.
+type relay struct {
+	plan *flood.Plan
+	// out is the reusable transmission buffer. The engine consumes the
+	// returned slice within the round and never retains it, so each Step
+	// rebuilds into the same backing array at its high-water capacity.
+	// Beyond its length the array is kept zeroed (emit): the node outlives
+	// its runs, and stale payloads there would pin every body it relayed
+	// in its busiest round.
+	out []sim.Outgoing
+}
+
+// emit publishes out, built over r.out[:0], as the step's transmissions.
+func (r *relay) emit(out []sim.Outgoing) []sim.Outgoing {
+	if len(out) < len(r.out) {
+		clear(r.out[len(out):])
+	}
+	r.out = out
+	return out
+}
+
+// SetPlan makes the node relay over p's arena and box from p's table; nil
+// returns it to its graph's shared plan. p must be a benign plan of the
+// node's graph: its arena is complete, so a path it does not hold is not a
+// simple path of the graph (a masked plan's arena is not, and would make
+// the node drop valid relays).
+func (r *relay) SetPlan(p *flood.Plan) { r.plan = p }
+
+// over returns the plan the node relays over on graph g, replacing one left
+// over from another graph (pooled nodes are re-pointed).
+func (r *relay) over(g *graph.Graph) *flood.Plan {
+	if r.plan == nil || r.plan.Graph() != g {
+		r.plan = flood.PlanFor(g.SharedAnalysis())
+	}
+	return r.plan
+}
+
+// initiation is the node's flood initiation of value v: an empty Π, hinted
+// with its own single-node path.
+func initiation(p *flood.Plan, me graph.NodeID, v sim.Value) sim.Payload {
+	return p.Box(flood.ValueBody{Value: v}, p.Arena().Root(me))
+}
+
+// relayed names the transmission by which node me relays message m heard
+// from neighbor from: the interned Π·from·me — its prefix is the relay's Π,
+// and it is the relay's hint — or NoPath when me cannot relay it: Π·from is
+// not a simple path of the graph (rule (i)) or already contains me (rule
+// (iii)), so every neighbor would discard the relay.
+func relayed(a *graph.PathArena, me, from graph.NodeID, m flood.Msg) graph.PathID {
+	full := m.ProvenanceIn(a, from)
+	if full == graph.NoPath {
+		return graph.NoPath
+	}
+	return a.Extend(full, me)
+}
+
 // TamperNode is a protocol-aware Byzantine node for the flooding-based
 // algorithms: at the start of every phase (every PhaseLen rounds) it
 // initiates flooding with a value chosen by its seeded RNG, and it relays
@@ -85,11 +157,8 @@ type TamperNode struct {
 	FlipProb float64
 	DropProb float64
 
+	relay
 	rng *rand.Rand
-	// out is the reusable transmission buffer. The engine consumes the
-	// returned slice within the round and never retains it, so each Step
-	// rebuilds into the same backing array at its high-water capacity.
-	out []sim.Outgoing
 }
 
 var (
@@ -128,11 +197,10 @@ func (n *TamperNode) Reset(seed int64) {
 // messages otherwise.
 func (n *TamperNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 	out := n.out[:0]
+	plan := n.over(n.G)
 	if n.PhaseLen > 0 && round%n.PhaseLen == 0 {
 		v := sim.Value(n.rng.Intn(2))
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{
-			Body: flood.ValueBody{Value: v},
-		}})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: initiation(plan, n.Me, v)})
 	}
 	for _, d := range inbox {
 		m, ok := d.Payload.(flood.Msg)
@@ -142,15 +210,13 @@ func (n *TamperNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 		if n.rng.Float64() < n.DropProb {
 			continue
 		}
-		full := m.Pi.Append(d.From)
-		if !full.ValidIn(n.G) || !full.IsSimple() || full.Contains(n.Me) {
+		ext := relayed(plan.Arena(), n.Me, d.From, m)
+		if ext == graph.NoPath {
 			continue // cannot forge an invalid provenance past rule (i)
 		}
-		body := n.corrupt(m.Body)
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{Body: body, Pi: full}})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: plan.Box(n.corrupt(m.Body), ext)})
 	}
-	n.out = out
-	return out
+	return n.emit(out)
 }
 
 func (n *TamperNode) corrupt(b flood.Body) flood.Body {
@@ -177,8 +243,7 @@ type EquivocatorNode struct {
 	Me       graph.NodeID
 	PhaseLen int
 
-	// out is the reusable transmission buffer (see TamperNode.out).
-	out []sim.Outgoing
+	relay
 }
 
 var (
@@ -196,6 +261,7 @@ func (n *EquivocatorNode) Reset(int64) {}
 // other rounds.
 func (n *EquivocatorNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 	out := n.out[:0]
+	plan := n.over(n.G)
 	if n.PhaseLen > 0 && round%n.PhaseLen == 0 {
 		nbrs := n.G.AdjList(n.Me) // read-only iteration: no copy needed
 		for i, nb := range nbrs {
@@ -203,26 +269,22 @@ func (n *EquivocatorNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 			if i >= len(nbrs)/2 {
 				v = sim.One
 			}
-			out = append(out, sim.Outgoing{To: nb, Payload: flood.Msg{
-				Body: flood.ValueBody{Value: v},
-			}})
+			out = append(out, sim.Outgoing{To: nb, Payload: initiation(plan, n.Me, v)})
 		}
-		n.out = out
-		return out
+		return n.emit(out)
 	}
 	for _, d := range inbox {
 		m, ok := d.Payload.(flood.Msg)
 		if !ok {
 			continue
 		}
-		full := m.Pi.Append(d.From)
-		if !full.ValidIn(n.G) || !full.IsSimple() || full.Contains(n.Me) {
+		ext := relayed(plan.Arena(), n.Me, d.From, m)
+		if ext == graph.NoPath {
 			continue
 		}
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{Body: m.Body, Pi: full}})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: plan.Box(m.Body, ext)})
 	}
-	n.out = out
-	return out
+	return n.emit(out)
 }
 
 // ForgerNode exploits the full forgery surface rule (i) leaves open: every
@@ -238,14 +300,12 @@ type ForgerNode struct {
 	// PerRound is the number of forged messages per round (default 3).
 	PerRound int
 
+	relay
 	rng *rand.Rand
 	// Walk scratch, reused across rounds and (via Reset) across trials:
-	// out is the transmission buffer (see TamperNode.out), walk holds the
-	// in-progress random walk, used marks its vertices, and nbrs is the
-	// shuffle copy of the current vertex's adjacency row. Only the emitted
-	// path is freshly allocated — it outlives the Step via the message
-	// payload (and the flood layer's path interning).
-	out  []sim.Outgoing
+	// walk holds the in-progress random walk, used marks its vertices, and
+	// nbrs is the shuffle copy of the current vertex's adjacency row. The
+	// emitted path is the arena's slice of the interned walk.
 	walk []graph.NodeID
 	used []bool
 	nbrs []graph.NodeID
@@ -284,34 +344,32 @@ func (n *ForgerNode) Reset(seed int64) {
 // Step emits the forged traffic for this round.
 func (n *ForgerNode) Step(round int, _ []sim.Delivery) []sim.Outgoing {
 	out := n.out[:0]
+	plan := n.over(n.G)
 	if n.PhaseLen > 0 && round%n.PhaseLen == 0 {
 		// Two conflicting initiations: rule (ii) keeps the first.
-		out = append(out,
-			sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{Body: flood.ValueBody{Value: sim.Value(n.rng.Intn(2))}}},
-			sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{Body: flood.ValueBody{Value: sim.Value(n.rng.Intn(2))}}},
-		)
+		for i := 0; i < 2; i++ {
+			v := sim.Value(n.rng.Intn(2))
+			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: initiation(plan, n.Me, v)})
+		}
 	}
 	per := n.PerRound
 	if per == 0 {
 		per = 3
 	}
 	for i := 0; i < per; i++ {
-		if p := n.randomPathToSelf(); p != nil {
-			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: flood.Msg{
-				Body: flood.ValueBody{Value: sim.Value(n.rng.Intn(2))},
-				Pi:   p,
-			}})
+		if ext := n.randomPathToSelf(plan.Arena()); ext != graph.NoPath {
+			v := sim.Value(n.rng.Intn(2))
+			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: plan.Box(flood.ValueBody{Value: v}, ext)})
 		}
 	}
-	n.out = out
-	return out
+	return n.emit(out)
 }
 
-// randomPathToSelf builds a random simple path whose final transmission
-// (Π·me) is valid: a random walk into me along unvisited vertices. The
-// walk runs in the node's scratch buffers; the returned path is a fresh
-// allocation because it escapes into the emitted message.
-func (n *ForgerNode) randomPathToSelf() graph.Path {
+// randomPathToSelf picks a random simple path Π whose final transmission
+// (Π·me) is valid — a random walk into me along unvisited vertices, run in
+// the node's scratch buffers — and returns Π·me interned in a, NoPath when
+// the walk could not leave me.
+func (n *ForgerNode) randomPathToSelf(a *graph.PathArena) graph.PathID {
 	// Walk backwards from me.
 	length := 1 + n.rng.Intn(n.G.N()-1)
 	if cap(n.used) < n.G.N() {
@@ -346,15 +404,18 @@ func (n *ForgerNode) randomPathToSelf() graph.Path {
 		used[u] = false
 	}
 	if len(path) < 2 {
-		return nil
+		return graph.NoPath
 	}
-	// Reverse so the path ends at me, then strip me (Π excludes the
-	// sender).
-	out := make(graph.Path, 0, len(path)-1)
-	for i := len(path) - 1; i >= 1; i-- {
-		out = append(out, path[i])
+	// Reverse so the path ends at me. Every hop is an edge onto an
+	// unvisited vertex, so each Extend finds or interns a simple path of
+	// the graph.
+	ext := graph.NoPath
+	for i := len(path) - 1; i >= 0; i-- {
+		if ext = a.Extend(ext, path[i]); ext == graph.NoPath {
+			break
+		}
 	}
-	return out
+	return ext
 }
 
 // ReplayNode broadcasts a fixed per-round script, ignoring its inbox. It is

@@ -349,7 +349,14 @@ func (nd *PhaseNode) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
 			nd.ident = flood.NewIdent()
 		}
 		if nd.flooder == nil {
-			nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
+			switch {
+			case nd.delta != nil:
+				nd.flooder = flood.NewOnPlan(nd.delta.Base(), nd.me, nd.ident)
+			case nd.replay != nil: // past the taint frontier
+				nd.flooder = flood.NewOnPlan(nd.replay.plan, nd.me, nd.ident)
+			default:
+				nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
+			}
 			nd.flooder.Expect(nd.expectHint)
 		} else {
 			nd.flooder.Recycle()

@@ -421,7 +421,11 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 		sc.pn.Reset(s.slabs[sc.inst][sc.u])
 	}
 	for _, bz := range st.byz {
-		if err := st.batchNodes[bz.u].SetInstance(bz.grp, s.spec.Instances[bz.inst].Byzantine[bz.u]); err != nil {
+		nd := s.spec.Instances[bz.inst].Byzantine[bz.u]
+		if dp := st.scalarDP[bz.grp]; dp != nil {
+			handPlan(nd, dp.Base())
+		}
+		if err := st.batchNodes[bz.u].SetInstance(bz.grp, nd); err != nil {
 			return fmt.Errorf("eval: %w", err)
 		}
 	}
@@ -521,6 +525,7 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 				scalarRS[grp] = rs
 			default:
 				scalarDP[grp] = flood.DeltaPlanFor(s.topo, byzSet(inst.Byzantine))
+				sharePlan(inst.Byzantine, scalarDP[grp].Base())
 			}
 		}
 	}

@@ -186,7 +186,10 @@ type sessionRun struct {
 	eng *sim.Engine
 	// rs is the shared replay blackboard of full and masked runs; nil for
 	// delta runs, whose honest nodes flood dynamically.
-	rs           *core.ReplayShared
+	rs *core.ReplayShared
+	// dp is the delta fragment of delta runs; its base plan is handed to
+	// the run's arena-walking adversaries (see sharePlan). nil otherwise.
+	dp           *flood.DeltaPlan
 	honest       graph.Set
 	honestInputs map[graph.NodeID]sim.Value
 	// masked and churn carry the fault-injection wiring of churn runs
@@ -195,6 +198,27 @@ type sessionRun struct {
 	// pooled runs of the same shape may carry different schedules.
 	masked *sim.MaskedTopology
 	churn  *churnRun
+}
+
+// planSetter is the optional adversary capability a delta run engages: the
+// honest nodes of such a run flood on the benign plan's frozen arena, and an
+// adversary relaying over the same plan reads and writes path hints they
+// verify in O(1). adversary's relaying strategies implement it; anything
+// else keeps establishing paths on its own.
+type planSetter interface{ SetPlan(*flood.Plan) }
+
+// handPlan hands p to override nd if it can use it.
+func handPlan(nd sim.Node, p *flood.Plan) {
+	if ps, ok := nd.(planSetter); ok {
+		ps.SetPlan(p)
+	}
+}
+
+// sharePlan hands p to every override that can use it.
+func sharePlan(byz map[graph.NodeID]sim.Node, p *flood.Plan) {
+	for _, nd := range byz {
+		handPlan(nd, p)
+	}
 }
 
 // sessionPhantomOK decides the phantom-transmission toggle of a pooled
@@ -226,12 +250,12 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		honest:       graph.NewSet(),
 		honestInputs: make(map[graph.NodeID]sim.Value, g.N()),
 	}
-	var dp *flood.DeltaPlan
 	switch mode {
 	case replayMasked:
 		run.rs = core.NewReplayShared(flood.MaskedPlanFor(topo, byzSet(spec.Byzantine)))
 	case replayDelta:
-		dp = flood.DeltaPlanFor(topo, byzSet(spec.Byzantine))
+		run.dp = flood.DeltaPlanFor(topo, byzSet(spec.Byzantine))
+		sharePlan(spec.Byzantine, run.dp.Base())
 	default:
 		// Benign and churn runs share the benign compiled plan; a churn
 		// run replays it only up to the taint frontier (set below).
@@ -259,7 +283,7 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		if run.rs != nil {
 			pn.UseReplay(run.rs)
 		} else {
-			pn.UseDeltaReplay(dp)
+			pn.UseDeltaReplay(run.dp)
 		}
 		if mode == replayChurn {
 			pn.SetReplayFrontier(frontier)
@@ -318,6 +342,9 @@ func (r *sessionRun) reset(spec Spec) error {
 			pn.SetReplayFrontier(frontier)
 		}
 		r.honestInputs[graph.NodeID(u)] = in
+	}
+	if r.dp != nil {
+		sharePlan(spec.Byzantine, r.dp.Base())
 	}
 	for _, u := range r.byz {
 		if err := r.eng.SetNode(u, spec.Byzantine[u]); err != nil {

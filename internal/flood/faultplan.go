@@ -163,23 +163,7 @@ func CompileMaskedPlan(g *graph.Graph, silent graph.Set) *Plan {
 			record(v, r)
 		}
 	}
-	arena.Freeze()
-	p.tmpl = make([]*ReceiptStore, n)
-	for v := 0; v < n; v++ {
-		if flooders[v] != nil {
-			p.tmpl[v] = flooders[v].Store()
-		}
-	}
-	for v := range p.sched {
-		s := &p.sched[v]
-		for val := 0; val < 2; val++ {
-			s.payload[val] = make([]sim.Payload, len(s.parents))
-			b := CanonValueBody(sim.Value(val))
-			for i, parent := range s.parents {
-				s.payload[val][i] = Msg{Body: b, Pi: arena.Path(parent)}
-			}
-		}
-	}
+	p.seal(flooders)
 	planMaskedCompiles.Add(1)
 	return p
 }
@@ -209,17 +193,13 @@ type DeltaPlan struct {
 	sched  []deltaSchedule // per receiving node
 }
 
-// deltaSchedule is one node's untainted receipt subsequence. All slices
-// are indexed by delta entry; idx maps back into the base plan's schedule.
+// deltaSchedule is one node's untainted receipt subsequence.
 type deltaSchedule struct {
-	// idx[i] is the base-schedule index of untainted entry i.
+	// idx[i] is the base-schedule index of untainted entry i. The delivery
+	// that produces it is the one whose provenance Π·u is the base
+	// schedule's parents[idx[i]] — that path fixes both the wire path Π and
+	// the direct sender u.
 	idx []int32
-	// from[i] is the direct sender that delivers entry i (the last node of
-	// the base parent path).
-	from []graph.NodeID
-	// pi[i] is the interned wire path Π of entry i — the base parent path
-	// without its last node (graph.NoPath for initiations).
-	pi []graph.PathID
 	// roundOff[r] .. roundOff[r+1] bound the entries expected in session
 	// round r; round 0 (the node's own Start) is always empty — delta
 	// nodes run Start dynamically.
@@ -236,19 +216,15 @@ type deltaSchedule struct {
 func CompileDelta(base *Plan, faulty graph.Set) *DeltaPlan {
 	fm := graph.SetMask(faulty)
 	dp := &DeltaPlan{base: base, faulty: faulty.Clone(), sched: make([]deltaSchedule, len(base.sched))}
-	arena := base.arena
 	for v := range base.sched {
 		bs := &base.sched[v]
 		ds := &dp.sched[v]
 		ds.roundOff = make([]int32, len(bs.roundOff))
 		for r := 1; r+1 < len(bs.roundOff); r++ {
 			for i := bs.roundOff[r]; i < bs.roundOff[r+1]; i++ {
-				if arena.Mask(bs.pids[i])&fm != 0 {
-					continue
+				if base.arena.Mask(bs.pids[i])&fm == 0 {
+					ds.idx = append(ds.idx, i)
 				}
-				ds.idx = append(ds.idx, i)
-				ds.from = append(ds.from, arena.Last(bs.parents[i]))
-				ds.pi = append(ds.pi, arena.Parent(bs.parents[i]))
 			}
 			ds.roundOff[r+1] = int32(len(ds.idx))
 		}
@@ -276,19 +252,24 @@ func (dp *DeltaPlan) Faulty() graph.Set { return dp.faulty }
 // schedule (diagnostic; the base plan's NodeReceipts bounds the store).
 func (dp *DeltaPlan) NodeEntries(v graph.NodeID) int { return len(dp.sched[v].idx) }
 
-// DeliverDelta is Deliver with the delta fast path: each delivery is first
-// checked against the cursor over this round's untainted compiled entries
-// — same direct sender, canonical value body, and the exact interned wire
-// path the compiler recorded — and on a match is installed and forwarded
-// straight from the base plan's records (rule-(ii) key insertion included,
-// so the flooder's state stays bit-identical to the dynamic machine's).
-// Everything else, and everything after a cursor desync, takes deliverOne
+// DeliverDelta is Deliver with the delta fast path: each delivery whose
+// provenance Π·u — resolved once, through the hint or by interning — is the
+// one the cursor over this round's untainted compiled entries expects, and
+// whose body is a canonical value body, is installed and forwarded straight
+// from the base plan's records (rule-(ii) key insertion included, so the
+// flooder's state stays bit-identical to the dynamic machine's). Everything
+// else, and everything after a cursor desync, takes the dynamic rules
 // verbatim. The fast path can only fire on deliveries the dynamic rules
 // would accept: the compiled entry pins sender, body, and path, faulty
 // influence always taints the engine-trusted provenance (so a forgery can
 // never match an untainted entry), and honest senders emit each compiled
-// message exactly once in compiled order.
+// message exactly once in compiled order. The compiled records name paths
+// by the base plan's PathIDs, so only a flooder on that plan's arena can
+// match them; on any other arena every delivery takes the dynamic rules.
 func (f *Flooder) DeliverDelta(dp *DeltaPlan, r int, inbox []sim.Delivery) []sim.Outgoing {
+	if f.arena != dp.base.arena {
+		return f.Deliver(inbox)
+	}
 	bs := &dp.base.sched[f.me]
 	ds := &dp.sched[f.me]
 	var cur, end int32
@@ -301,45 +282,28 @@ func (f *Flooder) DeliverDelta(dp *DeltaPlan, r int, inbox []sim.Delivery) []sim
 		if !ok {
 			continue
 		}
-		if cur < end && f.deltaMatch(ds, cur, d.From, m) {
+		full := f.provenance(d.From, &m)
+		if full == graph.NoPath {
+			continue
+		}
+		// One of the two canonical value bodies (anything else — including
+		// a forged non-canonical spelling — takes the dynamic path) along
+		// exactly the provenance the compiler recorded.
+		if cur < end && full == bs.parents[ds.idx[cur]] && (m.Body == canonValueBodies[0] || m.Body == canonValueBodies[1]) {
 			idx := ds.idx[cur]
 			cur++
-			f.accepted[acceptKey(int32(f.ident.BodySlotID(m.Body)), bs.parents[idx])] = struct{}{}
+			f.take(EmptySlot, full)
 			if len(m.Pi) == 0 {
 				f.initiatedBy[d.From] = true
 			}
 			f.store.Add(Receipt{Origin: bs.origins[idx], PathID: bs.pids[idx], Body: m.Body})
-			vb := m.Body.(ValueBody)
-			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: bs.payload[vb.Value][idx]})
+			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: dp.base.Box(m.Body, bs.pids[idx])})
 			continue
 		}
-		if fwd, accepted := f.deliverOne(d.From, m); accepted {
+		if fwd, accepted := f.accept(&m, full); accepted {
 			out = append(out, fwd)
 		}
 	}
 	f.fwdBuf = out
 	return out
-}
-
-// deltaMatch reports whether delivery (from, m) is exactly the next
-// untainted compiled entry: the engine-trusted sender, one of the two
-// canonical value-body boxes (anything else — including a forged
-// equal-valued body — takes the dynamic path), and the identical interned
-// wire path. A non-canonical path spelling falls through to deliverOne,
-// which accepts it dynamically; only exact matches may ride the bulk
-// install.
-func (f *Flooder) deltaMatch(ds *deltaSchedule, cur int32, from graph.NodeID, m Msg) bool {
-	if from != ds.from[cur] {
-		return false
-	}
-	if m.Body != canonValueBodies[0] && m.Body != canonValueBodies[1] {
-		return false
-	}
-	if len(m.Pi) == 0 {
-		return ds.pi[cur] == graph.NoPath
-	}
-	if ds.pi[cur] == graph.NoPath {
-		return false
-	}
-	return f.arena.InternCached(m.Pi) == ds.pi[cur]
 }

@@ -24,11 +24,13 @@
 // Message identity is integer end to end: incoming paths are interned into
 // a graph.PathArena (validating rules (i) and (iii) in the same walk), body
 // and slot identities are interned into an Ident table (see ident.go), the
-// rule-(ii) dedup map is keyed by one packed integer, and receipts are held
-// in an indexed ReceiptStore keyed by BodyID and PathID. Canonical key
-// strings survive only at the trace boundary and on the wire — a Byzantine
-// sender may forge any path, so identity must be established by the
-// receiver, not trusted from the wire.
+// rule-(ii) dedup state is indexed by PathID (value slot) or keyed by one
+// packed integer (every other slot), and receipts are held in an indexed
+// ReceiptStore keyed by BodyID and PathID. Canonical key strings survive
+// only at the trace boundary and on the wire — a Byzantine sender may forge
+// any path, so identity must be established by the receiver, not trusted
+// from the wire; the hint a message carries is a claim the receiver checks,
+// never one it believes (see wire.go).
 package flood
 
 import (
@@ -80,10 +82,13 @@ func CanonValueBody(v sim.Value) Body {
 	return canonValueBodies[1]
 }
 
-// Msg is the wire payload: (body, Π). Π excludes the direct sender.
+// Msg is the wire payload: (body, Π). Π excludes the direct sender. Hint is
+// the sender's untrusted claim of the PathID of Π extended by itself (see
+// wire.go); it is not part of the message's identity.
 type Msg struct {
 	Body Body
 	Pi   graph.Path
+	Hint graph.PathID
 }
 
 var _ sim.Payload = Msg{}
@@ -118,8 +123,9 @@ func (r Receipt) Value() (sim.Value, bool) {
 // determines both Π (its parent) and the sender u (its last node), the
 // pair (slot, Π·u) is an equivalent key, and both components are small
 // integers — the slot identity is interned in the run's Ident table and
-// the path is its arena PathID. A single 8-byte key keeps the hottest map
-// in the system on the fast hash path.
+// the path is its arena PathID. The value slot never reaches the map (see
+// Flooder.seen); for every other slot a single 8-byte key keeps it on the
+// fast hash path.
 func acceptKey(slot int32, full graph.PathID) uint64 {
 	return uint64(uint32(slot))<<32 | uint64(uint32(full))
 }
@@ -134,24 +140,39 @@ type Flooder struct {
 	me graph.NodeID
 
 	arena *graph.PathArena
+	// plan is set on a flooder that runs on a compiled plan's arena
+	// (NewOnPlan): its value-body transmissions come pre-boxed from the
+	// plan's shared table (Plan.Box).
+	plan *Plan
 	// ident interns body and slot identities for the integer dedup key and
 	// the receipt store's body index.
 	ident *Ident
-	// accepted holds the rule-(ii) keys already taken.
+	// seen and gen hold the rule-(ii) keys taken in the value slot — all of
+	// step-(a) flooding: (EmptySlot, Π·u) is taken this session iff
+	// seen[Π·u] == gen. Indexing by PathID costs no hashing, and Recycle
+	// bumps gen instead of clearing anything. On a frozen arena the table
+	// is sized once; on a growing one it grows with the arena.
+	seen []uint32
+	gen  uint32
+	// accepted holds the rule-(ii) keys taken in every other slot
+	// (Algorithm 2's reports); nil until one is.
 	accepted map[uint64]struct{}
 	// initiatedBy[u] is true once an initiation (empty Π) was accepted
 	// from neighbor u, used by the default-message rule.
 	initiatedBy []bool
-	store       *ReceiptStore
+	// neighbor is the last sender provenance vouched for as adjacent (-1
+	// before the first).
+	neighbor graph.NodeID
+	store    *ReceiptStore
 	// fwdBuf is the reused Deliver output buffer; its contents are valid
 	// until the next Deliver call.
 	fwdBuf []sim.Outgoing
-	// fwdCache caches boxed forward payloads by (body identity, accepted
-	// path): forwarding a body along a path always produces the same
-	// immutable Msg value, so the interface box is built once and reused
-	// across rounds, phases, and recycled sessions. Like the arena, the
-	// cache is pure value-deterministic identity state and survives
-	// Recycle.
+	// fwdCache caches the boxed transmissions a plan's table does not
+	// provide, by (body identity, own extended path): transmitting a body
+	// along a path always produces the same immutable Msg value, so the
+	// interface box is built once and reused across rounds, phases, and
+	// recycled sessions. Like the arena, the cache is pure
+	// value-deterministic identity state and survives Recycle.
 	fwdCache map[uint64]sim.Payload
 }
 
@@ -179,42 +200,96 @@ func NewWithState(g *graph.Graph, me graph.NodeID, arena *graph.PathArena, ident
 		me:          me,
 		arena:       arena,
 		ident:       ident,
-		accepted:    make(map[uint64]struct{}),
+		gen:         1,
 		initiatedBy: make([]bool, g.N()),
+		neighbor:    -1,
 		store:       NewReceiptStore(arena, ident),
-		fwdCache:    make(map[uint64]sim.Payload),
 	}
 }
 
-// boxedMsg returns the shared boxed Msg forwarding body along the interned
-// path full — or the initiation Msg with a nil Π when full is
-// graph.NoPath — building and caching it on first use. The cache key
-// reuses the acceptKey packing with the body's key identity (not its
-// slot): two bodies with equal key identity are equal values, so the
-// first-boxed Msg represents both.
-func (f *Flooder) boxedMsg(body Body, full graph.PathID) sim.Payload {
-	ck := acceptKey(int32(f.ident.BodyKeyID(body)), full)
+// NewOnPlan creates a flooder for node me that runs the dynamic rules on
+// plan p's frozen arena — a delta-replay node, a churn node past its taint
+// frontier — and boxes its value-body transmissions from p's shared table.
+// The arena holds every path the plan's world can carry and is safe for
+// any number of such flooders at once.
+func NewOnPlan(p *Plan, me graph.NodeID, ident *Ident) *Flooder {
+	f := NewWithState(p.g, me, p.arena, ident)
+	f.plan = p
+	return f
+}
+
+// boxedMsg returns the shared boxed Msg this node transmits for body when
+// its own extended path — the receipt path Π·me, or its single-node path
+// for an initiation — is ext. On a plan's arena value bodies come straight
+// from the plan's table; anything else is boxed on first use and cached
+// under the acceptKey packing of the body's key identity (not its slot):
+// two bodies with equal key identity are equal values, so the first-boxed
+// Msg represents both.
+func (f *Flooder) boxedMsg(body Body, ext graph.PathID) sim.Payload {
+	if _, ok := body.(ValueBody); ok && f.plan != nil {
+		return f.plan.Box(body, ext)
+	}
+	ck := acceptKey(int32(f.ident.BodyKeyID(body)), ext)
 	pl, ok := f.fwdCache[ck]
 	if !ok {
-		var pi graph.Path
-		if full != graph.NoPath {
-			pi = f.arena.Path(full)
+		if f.fwdCache == nil {
+			f.fwdCache = make(map[uint64]sim.Payload)
 		}
-		pl = Msg{Body: body, Pi: pi}
+		pl = hinted(f.arena, body, ext)
 		f.fwdCache[ck] = pl
 	}
 	return pl
 }
 
+// take records the rule-(ii) key (slot, full) and reports whether it was
+// free: false means a message for the slot already arrived along full this
+// session.
+func (f *Flooder) take(slot SlotID, full graph.PathID) bool {
+	if slot != EmptySlot {
+		key := acceptKey(int32(slot), full)
+		if _, dup := f.accepted[key]; dup {
+			return false
+		}
+		if f.accepted == nil {
+			f.accepted = make(map[uint64]struct{})
+		}
+		f.accepted[key] = struct{}{}
+		return true
+	}
+	if int(full) >= len(f.seen) {
+		// full is interned, so the arena's current length covers it; a
+		// growing arena doubles to keep the regrowth amortized.
+		n := f.arena.Len()
+		if !f.arena.Frozen() {
+			n = max(n, 2*len(f.seen))
+		}
+		seen := make([]uint32, n)
+		copy(seen, f.seen)
+		f.seen = seen
+	}
+	if f.seen[full] == f.gen {
+		return false
+	}
+	f.seen[full] = f.gen
+	return true
+}
+
 // Recycle resets the flooder for a fresh flooding session over the same
-// node, arena, and identity table: the rule-(ii) dedup map is cleared in
-// place (buckets kept), the initiation flags are zeroed, and the receipt
-// store is reset with all its index capacity retained (see
-// ReceiptStore.Reset). Multi-phase protocols recycle one flooder per node
-// across all phases instead of building a fresh one per phase — flooding
-// structure repeats phase over phase, so after the first phase a session
-// runs entirely in pre-grown memory.
+// node, arena, and identity table: the value slot's rule-(ii) table is
+// invalidated by moving to the next generation (cleared only when the
+// 32-bit counter wraps), the other slots' map is cleared in place (buckets
+// kept), the initiation flags are zeroed, and the receipt store is reset
+// with all its index capacity retained (see ReceiptStore.Reset).
+// Multi-phase protocols recycle one flooder per node across all phases
+// instead of building a fresh one per phase — flooding structure repeats
+// phase over phase, so after the first phase a session runs entirely in
+// pre-grown memory.
 func (f *Flooder) Recycle() {
+	f.gen++
+	if f.gen == 0 {
+		clear(f.seen)
+		f.gen = 1
+	}
 	clear(f.accepted)
 	clear(f.initiatedBy)
 	f.store.Reset()
@@ -240,7 +315,7 @@ func (f *Flooder) Start(bodies ...Body) []sim.Outgoing {
 	self := f.arena.Root(f.me)
 	for _, b := range bodies {
 		f.store.Add(Receipt{Origin: f.me, PathID: self, Body: b})
-		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: f.boxedMsg(b, graph.NoPath)})
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: f.boxedMsg(b, self)})
 	}
 	return out
 }
@@ -267,56 +342,67 @@ func (f *Flooder) Deliver(inbox []sim.Delivery) []sim.Outgoing {
 // deliverOne processes a single received message, returning the forward
 // and whether it was accepted.
 func (f *Flooder) deliverOne(from graph.NodeID, m Msg) (sim.Outgoing, bool) {
-	if m.Body == nil {
+	full := f.provenance(from, &m)
+	if full == graph.NoPath {
 		return sim.Outgoing{}, false
+	}
+	return f.accept(&m, full)
+}
+
+// provenance applies rule (i) to message m heard from neighbor from: it
+// returns the interned Π·from, or NoPath when the message must be
+// discarded — no body, a sender that is not a neighbor, or a Π·from that is
+// not a simple path of G ending at the sender. (A faulty sender can only
+// forge provenance along real paths ending at itself.) A verified hint
+// names Π·from outright; otherwise interning validates node membership,
+// adjacency, and simplicity in one walk, which repeat slices (honest
+// forwarders resend the same materialized paths phase over phase and
+// instance over instance) skip through the arena's slice-identity memo.
+func (f *Flooder) provenance(from graph.NodeID, m *Msg) graph.PathID {
+	if m.Body == nil {
+		return graph.NoPath
 	}
 	// The direct sender must actually be a neighbor (self-deliveries are
 	// impossible too); the engine guarantees this, but a defensive check
-	// keeps the flooder safe when driven directly.
-	if !f.g.HasEdge(from, f.me) {
-		return sim.Outgoing{}, false
+	// keeps the flooder safe when driven directly. An inbox arrives grouped
+	// by sender, so remembering the last one vouched for makes it one
+	// adjacency lookup per sender, not per message.
+	if from != f.neighbor {
+		if !f.g.HasEdge(from, f.me) {
+			return graph.NoPath
+		}
+		f.neighbor = from
 	}
-	// Rule (i): Π·u must be a simple path of G ending at the sender. (A
-	// faulty sender can only forge provenance along real paths ending at
-	// itself.) Interning validates node membership, adjacency, and
-	// simplicity in one walk; repeat slices (honest forwarders resend the
-	// same materialized paths phase over phase and instance over instance)
-	// resolve through the arena's slice-identity memo without re-walking.
-	full := f.arena.InternCached(m.Pi)
-	if len(m.Pi) > 0 && full == graph.NoPath {
-		return sim.Outgoing{}, false
-	}
-	full = f.arena.Extend(full, from) // Π·u (Root(u) for an initiation)
-	if full == graph.NoPath {
+	return m.ProvenanceIn(f.arena, from)
+}
+
+// accept applies rules (ii)–(iv) to a message whose provenance Π·u was
+// established as full.
+func (f *Flooder) accept(m *Msg, full graph.PathID) (sim.Outgoing, bool) {
+	// Rule (iii): discard if Π already contains me. Π·u contains me iff Π
+	// does — the sender u is a neighbor, never me. (Checked before rule
+	// (ii) so that a discarded message takes no key; a message failing
+	// either rule is discarded whichever is checked first.)
+	if f.arena.Contains(full, f.me) {
 		return sim.Outgoing{}, false
 	}
 	// Rule (ii): first content accepted for (sender, slot, Π) wins. The
 	// key is (slot, Π·u), which is equivalent — see acceptKey.
-	key := acceptKey(int32(f.ident.BodySlotID(m.Body)), full)
-	if _, dup := f.accepted[key]; dup {
+	if !f.take(f.ident.BodySlotID(m.Body), full) {
 		return sim.Outgoing{}, false
 	}
-	// Rule (iii): discard if Π already contains me. Π·u contains me iff Π
-	// does — the sender u is a neighbor, never me.
-	if f.arena.Contains(full, f.me) {
-		return sim.Outgoing{}, false
-	}
-	f.accepted[key] = struct{}{}
 	if len(m.Pi) == 0 {
-		f.initiatedBy[from] = true
+		f.initiatedBy[f.arena.Last(full)] = true
 	}
 	// Rule (iv): record receipt along Π·u (·me) and forward (body, Π·u).
-	// The receipt extension is valid by construction: from–me is an edge
-	// and me is not on Π·u.
-	f.store.Add(Receipt{
-		Origin: f.arena.Origin(full),
-		PathID: f.arena.Extend(full, f.me),
-		Body:   m.Body,
-	})
+	// The receipt extension is valid by construction: u–me is an edge and
+	// me is not on Π·u. It is also the hint of the forward.
+	receipt := f.arena.Extend(full, f.me)
+	f.store.Add(Receipt{Origin: f.arena.Origin(full), PathID: receipt, Body: m.Body})
 	// A message whose path would exceed the graph cannot be extended
 	// further by anyone, but forwarding is still required so neighbors
 	// record their receipts.
-	return sim.Outgoing{To: sim.Broadcast, Payload: f.boxedMsg(m.Body, full)}, true
+	return sim.Outgoing{To: sim.Broadcast, Payload: f.boxedMsg(m.Body, receipt)}, true
 }
 
 // SynthesizeMissing applies the default-message rule of step (a): for every

@@ -37,6 +37,16 @@ import (
 type Plan struct {
 	g     *graph.Graph
 	arena *graph.PathArena // frozen at the end of compilation
+	// boxed[v][ext] is the pre-boxed message a node transmits for
+	// ValueBody{v} when its own extended path Π·me is ext (see Box): Msg
+	// boxing is the last per-receipt allocation of a scalar replayed round,
+	// and ValueBody has exactly two inhabitants, so both variants of the
+	// transmission every scheduled receipt induces — the arena's every
+	// path, for the benign plan — are built at compile time, once per path
+	// for the whole plan. The payloads are immutable (shared canonical
+	// bodies, frozen-arena paths) and safe for concurrent runs and for
+	// retention by observers.
+	boxed [2][]sim.Payload
 	// rounds is the session length in engine rounds (flood.Rounds).
 	rounds int
 	sched  []planSchedule // per receiving node
@@ -66,14 +76,6 @@ type planSchedule struct {
 	// roundOff[r] .. roundOff[r+1] bound the receipts accepted in session
 	// round r (len rounds+1).
 	roundOff []int32
-	// payload[val][i] is the pre-boxed outgoing payload of receipt i when
-	// the flooded body is ValueBody{val}: Msg boxing is the last per-receipt
-	// allocation of a scalar replayed round, and ValueBody has exactly two
-	// inhabitants, so both variants of every scheduled forward are built at
-	// compile time. The payloads are immutable (shared canonical bodies,
-	// frozen-arena paths) and safe for concurrent replaying runs and for
-	// retention by observers.
-	payload [2][]sim.Payload
 }
 
 // CompilePlan builds the propagation plan of graph g by executing the
@@ -136,25 +138,33 @@ func CompilePlan(g *graph.Graph) *Plan {
 			record(v, r)
 		}
 	}
-	arena.Freeze()
-	p.tmpl = make([]*ReceiptStore, n)
-	for v := 0; v < n; v++ {
-		p.tmpl[v] = flooders[v].Store()
+	p.seal(flooders)
+	planCompiles.Add(1)
+	return p
+}
+
+// seal ends a compilation: the arena is frozen, the compile flooders'
+// stores become the per-node templates (nil flooders — masked vertices —
+// leave nil templates), and both value messages are boxed for every
+// scheduled receipt (a node transmits once per receipt, the round-0 self
+// receipt's initiation included).
+func (p *Plan) seal(flooders []*Flooder) {
+	p.arena.Freeze()
+	p.tmpl = make([]*ReceiptStore, len(flooders))
+	for v, f := range flooders {
+		if f != nil {
+			p.tmpl[v] = f.Store()
+		}
 	}
-	// Pre-box both scalar payload variants of every scheduled forward (the
-	// arena is frozen, so Path returns the pre-materialized shared slices).
-	for v := range p.sched {
-		s := &p.sched[v]
-		for val := 0; val < 2; val++ {
-			s.payload[val] = make([]sim.Payload, len(s.parents))
-			b := CanonValueBody(sim.Value(val))
-			for i, parent := range s.parents {
-				s.payload[val][i] = Msg{Body: b, Pi: arena.Path(parent)}
+	for val := range p.boxed {
+		p.boxed[val] = make([]sim.Payload, p.arena.Len())
+		body := CanonValueBody(sim.Value(val))
+		for v := range p.sched {
+			for _, ext := range p.sched[v].pids {
+				p.boxed[val][ext] = hinted(p.arena, body, ext)
 			}
 		}
 	}
-	planCompiles.Add(1)
-	return p
 }
 
 // planKey keys compiled plans in the Analysis memo by relay mask: the
@@ -226,13 +236,15 @@ func (p *Plan) ReplayRound(v graph.NodeID, r int, bodies []Body, store *ReceiptS
 	for i := s.roundOff[r]; i < s.roundOff[r+1]; i++ {
 		b := bodies[s.origins[i]]
 		store.AddPlanned(Receipt{Origin: s.origins[i], PathID: s.pids[i], Body: b})
-		// Scalar value bodies ride the pre-boxed compile-time payloads;
-		// anything else (lane vectors) is boxed per forward as before.
+		// Scalar value bodies ride the pre-boxed compile-time payloads
+		// (every scheduled receipt has one; Box spelled out, this loop is
+		// the replay hot path); anything else (lane vectors) is boxed per
+		// forward as before.
 		var pay sim.Payload
-		if vb, ok := b.(ValueBody); ok {
-			pay = s.payload[vb.Value][i]
+		if vb, ok := b.(ValueBody); ok && vb.Value <= sim.One {
+			pay = p.boxed[vb.Value][s.pids[i]]
 		} else {
-			pay = Msg{Body: b, Pi: p.arena.Path(s.parents[i])}
+			pay = hinted(p.arena, b, s.pids[i])
 		}
 		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: pay})
 	}

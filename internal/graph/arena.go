@@ -37,27 +37,40 @@ const NoPath PathID = -1
 // prefix without that node. Child entries of a parent are kept on an
 // intrusive linked list (firstChild/nextSib): per-parent fan-out is
 // bounded by the node degree, so a short scan beats hashing a map key.
+// The entry holds only what Extend, Contains and the mask queries read —
+// 32 bytes, two to a cache line; the materialized path and key rendering
+// live in the parallel full/keys slices.
 type pathEntry struct {
 	parent     PathID
 	firstChild PathID
 	nextSib    PathID
-	node       NodeID
-	origin     NodeID
+	node       int32 // NodeID of the last node
+	origin     int32 // NodeID of the first node
 	length     int32
 	mask       uint64 // node-membership bitmask (bit u%64; exact when n <= 64)
-	// full is the lazily-built materialized path, shared by every Path
-	// call for this entry. Path values are immutable by convention
-	// throughout the module (sim.Payload contract), so sharing is safe.
-	full Path
-	// key is the lazily-built canonical Path.Key rendering ("0->3->4"),
-	// built incrementally from the parent's key.
-	key string
+}
+
+// childRef is one entry of a frozen arena's child index: the child path
+// id·node of some parent id.
+type childRef struct {
+	node int32
+	id   PathID
 }
 
 // PathArena interns simple paths of one graph with prefix sharing.
 type PathArena struct {
 	g       *Graph
 	entries []pathEntry
+	// full[id] is the lazily-built materialized path of entry id (nil, or
+	// beyond the slice, until first asked for), shared by every Path call.
+	// Path values are immutable by convention throughout the module
+	// (sim.Payload contract), so sharing is safe — and because the slice
+	// is handed out but never rebuilt, "p is pointer-and-length identical
+	// to full[id]" proves p IS path id (see IsExtension).
+	full []Path
+	// keys[id] is the lazily-built canonical Path.Key rendering
+	// ("0->3->4"), built incrementally from the parent's key.
+	keys []string
 	// roots[u] is the PathID of the single-node path {u}, or NoPath.
 	roots []PathID
 	// exact reports whether masks are exact node sets (n <= 64).
@@ -66,6 +79,12 @@ type PathArena struct {
 	// instead of interning, and the lazy caches are already materialized,
 	// so every method is a pure read (see Freeze).
 	frozen bool
+	// kidOff/kids are the frozen arena's child index, built by Freeze: the
+	// children of id are kids[kidOff[id]:kidOff[id+1]], contiguous, so a
+	// frozen Extend scans a few adjacent 8-byte records instead of chasing
+	// the sibling list through the entry table.
+	kidOff []int32
+	kids   []childRef
 	// bySlice memoizes InternCached results by slice identity (base
 	// pointer, with the length double-checked in the memo entry — the
 	// pointer alone keeps the map on the fast 8-byte hash path). Keys pin
@@ -104,6 +123,15 @@ func (a *PathArena) Len() int { return len(a.entries) }
 
 func bit(u NodeID) uint64 { return 1 << (uint(u) % 64) }
 
+// grown returns s extended with zero values to length n (s itself when it
+// is already that long); the per-entry side tables grow with the entries.
+func grown[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // Root interns (or finds) the single-node path {u}. It returns NoPath when
 // u is not a node of the graph.
 func (a *PathArena) Root(u NodeID) PathID {
@@ -121,8 +149,8 @@ func (a *PathArena) Root(u NodeID) PathID {
 		parent:     NoPath,
 		firstChild: NoPath,
 		nextSib:    NoPath,
-		node:       u,
-		origin:     u,
+		node:       int32(u),
+		origin:     int32(u),
 		length:     1,
 		mask:       bit(u),
 	})
@@ -137,13 +165,21 @@ func (a *PathArena) Extend(id PathID, u NodeID) PathID {
 	if id == NoPath {
 		return a.Root(u)
 	}
+	if a.frozen {
+		for _, k := range a.kids[a.kidOff[id]:a.kidOff[id+1]] {
+			if NodeID(k.node) == u {
+				return k.id
+			}
+		}
+		return NoPath
+	}
 	for c := a.entries[id].firstChild; c != NoPath; c = a.entries[c].nextSib {
-		if a.entries[c].node == u {
+		if NodeID(a.entries[c].node) == u {
 			return c
 		}
 	}
 	e := &a.entries[id]
-	if a.frozen || !a.g.HasEdge(e.node, u) || a.contains(id, u) {
+	if !a.g.HasEdge(NodeID(e.node), u) || a.contains(id, u) {
 		return NoPath
 	}
 	c := PathID(len(a.entries))
@@ -151,7 +187,7 @@ func (a *PathArena) Extend(id PathID, u NodeID) PathID {
 		parent:     id,
 		firstChild: NoPath,
 		nextSib:    e.firstChild,
-		node:       u,
+		node:       int32(u),
 		origin:     e.origin,
 		length:     e.length + 1,
 		mask:       e.mask | bit(u),
@@ -185,7 +221,10 @@ func (a *PathArena) Intern(p Path) PathID {
 // are memoized, and the memo key pins the slice, so its contents (which
 // are immutable by the module-wide Path convention) can never be
 // recycled. Fresh slices (e.g. adversarial forgeries) simply miss and pay
-// the normal walk.
+// the normal walk. A frozen arena must stay read-only, so its memo never
+// learns: every call there pays the walk, and callers that want O(1)
+// identity on a frozen arena carry a PathID beside the slice and check it
+// with IsExtension.
 func (a *PathArena) InternCached(p Path) PathID {
 	if len(p) == 0 {
 		return NoPath
@@ -213,10 +252,10 @@ func (a *PathArena) InternCached(p Path) PathID {
 func (a *PathArena) Parent(id PathID) PathID { return a.entries[id].parent }
 
 // Origin returns the first node of the path.
-func (a *PathArena) Origin(id PathID) NodeID { return a.entries[id].origin }
+func (a *PathArena) Origin(id PathID) NodeID { return NodeID(a.entries[id].origin) }
 
 // Last returns the final node of the path.
-func (a *PathArena) Last(id PathID) NodeID { return a.entries[id].node }
+func (a *PathArena) Last(id PathID) NodeID { return NodeID(a.entries[id].node) }
 
 // PathLen returns the number of nodes on the path.
 func (a *PathArena) PathLen(id PathID) int { return int(a.entries[id].length) }
@@ -229,7 +268,8 @@ func (a *PathArena) Mask(id PathID) uint64 { return a.entries[id].mask }
 func (a *PathArena) Exact() bool { return a.exact }
 
 // Freeze makes the arena immutable and safe for concurrent readers: every
-// entry's lazy materialized path is built eagerly, and from now on Root,
+// entry's lazy materialized path is built eagerly, the child index that
+// makes a frozen Extend a contiguous scan is laid out, and from now on Root,
 // Extend, Intern, and InternCached return their cached results for known
 // paths and NoPath for unknown ones instead of growing the arena. Freezing
 // is how a compiled propagation plan publishes its arena: replaying nodes
@@ -238,8 +278,35 @@ func (a *PathArena) Exact() bool { return a.exact }
 // pre-populated. Freeze is idempotent; it must be called before the arena
 // is shared across goroutines.
 func (a *PathArena) Freeze() {
+	if a.frozen {
+		return
+	}
+	// Materialize the missing paths out of one slab. Each gets exact
+	// capacity, so any append to a shared slice copies.
+	n := len(a.entries)
+	a.full = grown(a.full, n)
+	total := 0
 	for id := range a.entries {
-		a.Path(PathID(id))
+		if a.full[id] == nil {
+			total += int(a.entries[id].length)
+		}
+	}
+	slab := make(Path, 0, total)
+	for id := range a.entries {
+		if a.full[id] == nil {
+			off := len(slab)
+			slab = a.AppendTo(PathID(id), slab)
+			a.full[id] = slab[off:len(slab):len(slab)]
+		}
+	}
+	// Child index, children in sibling-list order.
+	a.kidOff = make([]int32, n+1)
+	a.kids = make([]childRef, 0, n)
+	for id := range a.entries {
+		for c := a.entries[id].firstChild; c != NoPath; c = a.entries[c].nextSib {
+			a.kids = append(a.kids, childRef{node: a.entries[c].node, id: c})
+		}
+		a.kidOff[id+1] = int32(len(a.kids))
 	}
 	a.frozen = true
 }
@@ -261,7 +328,7 @@ func (a *PathArena) contains(id PathID, u NodeID) bool {
 		return true
 	}
 	for at := id; at != NoPath; at = a.entries[at].parent {
-		if a.entries[at].node == u {
+		if NodeID(a.entries[at].node) == u {
 			return true
 		}
 	}
@@ -273,7 +340,7 @@ func (a *PathArena) contains(id PathID, u NodeID) bool {
 func (a *PathArena) AppendTo(id PathID, dst Path) Path {
 	start := len(dst)
 	for at := id; at != NoPath; at = a.entries[at].parent {
-		dst = append(dst, a.entries[at].node)
+		dst = append(dst, NodeID(a.entries[at].node))
 	}
 	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
@@ -289,33 +356,64 @@ func (a *PathArena) Path(id PathID) Path {
 	if id == NoPath {
 		return nil
 	}
-	e := &a.entries[id]
-	if e.full == nil {
+	a.full = grown(a.full, len(a.entries))
+	if a.full[id] == nil {
 		// Exact capacity: any append to the shared slice copies.
-		e.full = a.AppendTo(id, make(Path, 0, e.length))
+		a.full[id] = a.AppendTo(id, make(Path, 0, a.entries[id].length))
 	}
-	return e.full
+	return a.full[id]
+}
+
+// IsExtension reports whether id is the path p·u, judged by identity and
+// not by content: id's last node is u and p is the arena's own
+// materialized slice of id's prefix — the very slice Path(Parent(id))
+// returns, compared by base pointer and length (an empty p when id is the
+// single-node path {u}). It is how an untrusted (PathID, slice) claim is
+// checked in O(1): the arena materializes each path once and never
+// rebuilds it, and Path contents are immutable module-wide, so the
+// identical slice can only be that prefix. Any other id (out of range,
+// ending elsewhere, prefix not yet materialized) and any other slice (equal
+// contents included) report false; the caller then establishes identity
+// itself, with Intern or InternCached and Extend.
+func (a *PathArena) IsExtension(id PathID, p Path, u NodeID) bool {
+	if id < 0 || int(id) >= len(a.entries) {
+		return false
+	}
+	e := &a.entries[id]
+	if NodeID(e.node) != u {
+		return false
+	}
+	if e.parent == NoPath {
+		return len(p) == 0
+	}
+	if int(e.parent) >= len(a.full) || len(p) == 0 {
+		return false
+	}
+	full := a.full[e.parent]
+	return len(full) == len(p) && &full[0] == &p[0]
 }
 
 // Key returns the canonical Path.Key rendering of the interned path,
 // built once per entry (incrementally over the parent's cached key) and
 // shared by all callers.
 func (a *PathArena) Key(id PathID) string {
-	e := &a.entries[id]
-	if e.key == "" {
-		k := strconv.Itoa(int(e.node))
-		if e.parent != NoPath {
-			k = a.Key(e.parent) + "->" + k
-		}
-		if a.frozen {
-			// A frozen arena may have concurrent readers; renderings that
-			// were not cached before the freeze are computed per call
-			// instead of racing on the lazy cache.
-			return k
-		}
-		e.key = k
+	if int(id) < len(a.keys) && a.keys[id] != "" {
+		return a.keys[id]
 	}
-	return e.key
+	e := &a.entries[id]
+	k := strconv.Itoa(int(e.node))
+	if e.parent != NoPath {
+		k = a.Key(e.parent) + "->" + k
+	}
+	if a.frozen {
+		// A frozen arena may have concurrent readers; renderings that
+		// were not cached before the freeze are computed per call
+		// instead of racing on the lazy cache.
+		return k
+	}
+	a.keys = grown(a.keys, len(a.entries))
+	a.keys[id] = k
+	return k
 }
 
 // SetMask folds a node set into a bitmask comparable against Mask.
@@ -332,7 +430,7 @@ func SetMask(s Set) uint64 {
 // endpoint bits leaves exactly the interior.
 func (a *PathArena) internalMask(id PathID) uint64 {
 	e := &a.entries[id]
-	return e.mask &^ (bit(e.origin) | bit(e.node))
+	return e.mask &^ (bit(NodeID(e.origin)) | bit(NodeID(e.node)))
 }
 
 // ExcludesInternal reports whether no internal node of the path belongs to
@@ -370,7 +468,7 @@ func (a *PathArena) DisjointExceptLastIDs(p, q PathID) bool {
 		return false
 	}
 	if a.exact {
-		return pe.mask&qe.mask == bit(pe.node)
+		return pe.mask&qe.mask == bit(NodeID(pe.node))
 	}
 	return DisjointExceptLast(a.Path(p), a.Path(q))
 }

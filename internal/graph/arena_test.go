@@ -152,3 +152,100 @@ func TestArenaNonExactFallback(t *testing.T) {
 		t.Fatal("disjoint paths rejected in fallback mode")
 	}
 }
+
+// TestArenaIsExtension pins the O(1) identity check: only the arena's own
+// slice of the prefix, beside an id that really ends at u, verifies — on a
+// growing arena and on a frozen one.
+func TestArenaIsExtension(t *testing.T) {
+	g := arenaGraph(t)
+	a := NewPathArena(g)
+	id := a.Intern(Path{0, 1, 2, 3})
+	prefix := a.Path(a.Parent(id))
+	other := NewPathArena(g)
+	otherID := other.Intern(Path{4, 0, 1, 2, 3})
+	check := func(stage string) {
+		t.Helper()
+		if !a.IsExtension(id, prefix, 3) {
+			t.Fatalf("%s: true claim rejected", stage)
+		}
+		if !a.IsExtension(a.Root(4), nil, 4) {
+			t.Fatalf("%s: true single-node claim rejected", stage)
+		}
+		for name, ok := range map[string]bool{
+			"equal contents, other slice": a.IsExtension(id, prefix.Clone(), 3),
+			"wrong last node":             a.IsExtension(id, prefix, 2),
+			"shorter view of the slice":   a.IsExtension(id, prefix[:2], 3),
+			"another path's id":           a.IsExtension(a.Parent(id), prefix, 2),
+			"id out of range":             a.IsExtension(PathID(a.Len()), prefix, 3),
+			"negative id":                 a.IsExtension(NoPath, prefix, 3),
+			"another arena's id":          a.IsExtension(otherID, other.Path(other.Parent(otherID)), 3),
+			"root id beside a path":       a.IsExtension(a.Root(4), prefix, 4),
+			"path id beside nothing":      a.IsExtension(id, nil, 3),
+		} {
+			if ok {
+				t.Fatalf("%s: false claim verified: %s", stage, name)
+			}
+		}
+	}
+	check("growing")
+	// A prefix that was never materialized cannot be claimed.
+	fresh := a.Intern(Path{4, 3, 2})
+	if a.IsExtension(fresh, Path{4, 3}, 2) {
+		t.Fatal("claim verified against a prefix the arena never handed out")
+	}
+	a.Freeze()
+	check("frozen")
+	if !a.IsExtension(fresh, a.Path(a.Parent(fresh)), 2) {
+		t.Fatal("frozen arena rejects its own freeze-time slice")
+	}
+}
+
+// TestArenaFrozenMatchesGrowing freezes an arena holding every simple path
+// of the graph and checks that the frozen reads — the child-index Extend,
+// Intern, the slab-backed Path — agree with what the growing arena
+// answered, and that unknown or invalid extensions report NoPath.
+func TestArenaFrozenMatchesGrowing(t *testing.T) {
+	g := arenaGraph(t)
+	a := NewPathArena(g)
+	var all []Path
+	for _, u := range g.Nodes() {
+		for _, v := range g.Nodes() {
+			all = append(all, g.AllSimplePaths(u, v, 0)...)
+		}
+	}
+	ids := make([]PathID, len(all))
+	for i, p := range all {
+		if ids[i] = a.Intern(p); ids[i] == NoPath {
+			t.Fatalf("simple path %v rejected", p)
+		}
+	}
+	early := a.Path(ids[0]) // materialized before the freeze: must survive it
+	a.Freeze()
+	a.Freeze() // idempotent
+	if got := a.Path(ids[0]); &got[0] != &early[0] {
+		t.Fatal("freeze rebuilt a slice it had already handed out")
+	}
+	for i, p := range all {
+		if got := a.Intern(p); got != ids[i] {
+			t.Fatalf("frozen Intern(%v) = %d, growing gave %d", p, got, ids[i])
+		}
+		if got := a.Path(ids[i]); got.Key() != p.Key() {
+			t.Fatalf("frozen Path(%d) = %v, want %v", ids[i], got, p)
+		}
+		if got := append(a.Path(ids[i]), 9); len(p) > 0 && &got[0] == &a.Path(ids[i])[0] {
+			t.Fatalf("appending to the shared slice of %v did not copy", p)
+		}
+		for _, u := range g.Nodes() {
+			want := NoPath
+			if !p.Contains(u) && g.HasEdge(p[len(p)-1], u) {
+				want = a.Intern(p.Append(u))
+			}
+			if got := a.Extend(ids[i], u); got != want {
+				t.Fatalf("frozen Extend(%v, %d) = %d, want %d", p, u, got, want)
+			}
+		}
+	}
+	if a.Len() != len(all) {
+		t.Fatalf("arena holds %d paths, graph has %d simple paths", a.Len(), len(all))
+	}
+}

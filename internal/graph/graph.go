@@ -55,7 +55,8 @@ var (
 type Graph struct {
 	n   int
 	adj [][]NodeID // sorted neighbor lists
-	// nodes is the lazily-built shared Nodes() slice (see Nodes).
+	// nodes is the shared Nodes() slice, built by New: concurrent first
+	// users of a graph (scheduler workers, parallel trials) only read it.
 	nodes []NodeID
 	// analysis is the graph's canonical shared Analysis, built on first
 	// SharedAnalysis call (see analysis.go).
@@ -67,9 +68,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
+	nodes := make([]NodeID, n)
+	for i := range nodes {
+		nodes[i] = NodeID(i)
+	}
 	return &Graph{
-		n:   n,
-		adj: make([][]NodeID, n),
+		n:     n,
+		adj:   make([][]NodeID, n),
+		nodes: nodes,
 	}
 }
 
@@ -109,16 +115,7 @@ func (g *Graph) M() int {
 // Nodes returns all node ids in ascending order. The slice is built once
 // per graph and shared by every caller — the graph is immutable and this
 // runs in round-loop hot paths — so callers must not modify it.
-func (g *Graph) Nodes() []NodeID {
-	if g.nodes == nil && g.n > 0 {
-		out := make([]NodeID, g.n)
-		for i := range out {
-			out[i] = NodeID(i)
-		}
-		g.nodes = out
-	}
-	return g.nodes
-}
+func (g *Graph) Nodes() []NodeID { return g.nodes }
 
 // valid reports whether u is a node of g.
 func (g *Graph) valid(u NodeID) bool {
@@ -173,9 +170,22 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 		return false
 	}
 	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	if len(nbrs) > hasEdgeScanMax {
+		_, ok := slices.BinarySearch(nbrs, v)
+		return ok
+	}
+	for _, w := range nbrs {
+		if w >= v {
+			return w == v
+		}
+	}
+	return false
 }
+
+// hasEdgeScanMax is the longest adjacency row HasEdge scans linearly: on the
+// degrees consensus graphs have, a scan of the sorted row beats a binary
+// search's mispredicted branches.
+const hasEdgeScanMax = 16
 
 // Neighbors returns a copy of u's sorted neighbor list.
 func (g *Graph) Neighbors(u NodeID) []NodeID {

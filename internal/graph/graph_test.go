@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -298,5 +299,60 @@ func TestDisjointSetPathsOriginsDistinct(t *testing.T) {
 			t.Fatalf("duplicate origin %d", p[0])
 		}
 		seen.Add(p[0])
+	}
+}
+
+// TestNodesConcurrentFirstUse has several goroutines make the first Nodes
+// call on a fresh graph at once, as two lbcastd scheduler workers do on a
+// graph's first groups; under -race it fails if Nodes ever writes.
+func TestNodesConcurrentFirstUse(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		g := MustFromEdges(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				nodes := g.Nodes()
+				if len(nodes) != 6 || nodes[5] != 5 {
+					t.Errorf("Nodes() = %v", nodes)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if nodes := New(0).Nodes(); len(nodes) != 0 {
+		t.Fatalf("empty graph has nodes %v", nodes)
+	}
+	if c := MustFromEdges(3, []Edge{{U: 0, V: 1}}).Clone(); len(c.Nodes()) != 3 {
+		t.Fatalf("clone has nodes %v", c.Nodes())
+	}
+}
+
+// TestHasEdgeLongRows covers both sides of HasEdge's scan/binary-search
+// switch, on a graph with more than 64 nodes: the hub's row is searched,
+// the leaves' rows are scanned.
+func TestHasEdgeLongRows(t *testing.T) {
+	const n = 90
+	g := New(n)
+	for v := 2; v < n; v += 2 { // hub 0 is adjacent to every even node
+		if err := g.AddEdge(0, NodeID(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.Degree(0) <= hasEdgeScanMax {
+		t.Fatalf("hub degree %d does not reach the binary search", g.Degree(0))
+	}
+	for v := 0; v < n; v++ {
+		want := v >= 2 && v%2 == 0
+		if got := g.HasEdge(0, NodeID(v)); got != want {
+			t.Fatalf("HasEdge(0,%d) = %v, want %v", v, got, want)
+		}
+		if got := g.HasEdge(NodeID(v), 0); got != want {
+			t.Fatalf("HasEdge(%d,0) = %v, want %v", v, got, want)
+		}
+	}
+	if g.HasEdge(0, n) || g.HasEdge(-1, 0) || g.HasEdge(1, 3) {
+		t.Fatal("edge reported outside the graph or between non-adjacent leaves")
 	}
 }

@@ -72,14 +72,22 @@ func (p Path) Excludes(x Set) bool {
 	return true
 }
 
-// IsSimple reports whether no node repeats.
+// IsSimple reports whether no node repeats. It allocates nothing: ids
+// 0..63 are tracked in a bitmask, anything else is compared against the
+// prefix before it (paths are at most n long).
 func (p Path) IsSimple() bool {
-	seen := make(map[NodeID]bool, len(p))
-	for _, u := range p {
-		if seen[u] {
+	var seen uint64
+	for i, u := range p {
+		if u >= 0 && u < 64 {
+			if seen&(1<<uint(u)) != 0 {
+				return false
+			}
+			seen |= 1 << uint(u)
+			continue
+		}
+		if p[:i].Contains(u) {
 			return false
 		}
-		seen[u] = true
 	}
 	return true
 }

@@ -67,6 +67,43 @@ func TestPathSimpleAndValid(t *testing.T) {
 	}
 }
 
+// TestIsSimpleBeyondBitmask covers ids the 64-bit mask does not track:
+// large ids, ids that alias mod 64, and negative ones fall back to the
+// prefix scan, mixed freely with masked ids; nothing allocates.
+func TestIsSimpleBeyondBitmask(t *testing.T) {
+	for _, tc := range []struct {
+		p    Path
+		want bool
+	}{
+		{Path{}, true},
+		{Path{63, 64, 65}, true},
+		{Path{1, 65, 129}, true}, // equal mod 64, all distinct
+		{Path{64, 1, 64}, false},
+		{Path{100, 3, 70, 3}, false},
+		{Path{100, 3, 70, 100}, false},
+		{Path{-1, 0, -1}, false},
+		{Path{-1, 0, -2}, true},
+	} {
+		if got := tc.p.IsSimple(); got != tc.want {
+			t.Errorf("%v.IsSimple() = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	long := make(Path, 200)
+	for i := range long {
+		long[i] = NodeID(i)
+	}
+	if !long.IsSimple() {
+		t.Fatal("200 distinct nodes reported as repeating")
+	}
+	long[199] = 150
+	if long.IsSimple() {
+		t.Fatal("repeat among ids >= 64 missed")
+	}
+	if a := testing.AllocsPerRun(20, func() { long.IsSimple() }); a != 0 {
+		t.Fatalf("IsSimple allocates %v times per call", a)
+	}
+}
+
 func TestInternallyDisjoint(t *testing.T) {
 	a := Path{0, 1, 2, 5}
 	b := Path{0, 3, 4, 5}
