@@ -89,7 +89,6 @@ func NewBatch(g *Graph, instances []BatchInstance, opts ...Option) (*Batch, erro
 		FullBudget:   spec.FullBudget,
 		Sequential:   spec.Sequential,
 		Observer:     spec.Observer,
-		Workers:      spec.Workers,
 	}
 	for _, inst := range instances {
 		bs.Instances = append(bs.Instances, eval.BatchInstance{

@@ -9,9 +9,9 @@
 // run a whole sweep per op, the throughput/* pairs run the same B
 // instances either batched (one multi-instance engine) or as independent
 // sequential Session runs — the batched/independent ratio is the batching
-// speedup — and the serving/* pairs drive B concurrent requests through
-// the lbcastd daemon's full admit/pack/decide path, single vs sharded
-// scheduler. The output schema (also printed by -help) is documented in
+// speedup — and the serving/* workloads drive B concurrent requests
+// through the lbcastd daemon's full admit/pack/decide path. The output
+// schema (also printed by -help) is documented in
 // DESIGN.md §8.
 //
 // Usage:
@@ -166,9 +166,6 @@ const benchSchema = `output schema (BENCH_*.json):
   so they rank on the leaderboard alongside the throughput families.
   The throughput/batch vs throughput/independent pairs run identical
   instance sets; their decisions_per_sec ratio is the batching speedup.
-  The serving/*-single vs serving/*-sharded pairs serve identical request
-  sets; their ratio is the sharded scheduler's speedup (bounded by the
-  machine's spare cores).
   The plan_* counters are accumulated across every benchmark iteration of
   the workload (not per op); omitted when zero.`
 
@@ -249,18 +246,15 @@ func servingBodies(bsize int) [][]byte {
 // servingWorkload measures lbcastd's full decide path — admit, pack,
 // batch-execute, respond — by driving B concurrent in-process HTTP
 // requests per op against a Server handler; one op is one packed group of
-// B decisions. The single/sharded variants differ only in ShardWorkers:
-// the sharded scheduler splits each group's instances across parallel
-// round loops (identical decisions; wall-clock scales with spare cores).
-func servingWorkload(name string, bsize, shardWorkers int) workload {
+// B decisions.
+func servingWorkload(name string, bsize int) workload {
 	return workload{name: name, instances: bsize, fn: func(b *testing.B) {
 		srv := server.New(server.Config{
-			Workers:      1,
-			ShardWorkers: shardWorkers,
-			MaxBatch:     bsize,
-			Linger:       time.Second, // groups flush by size, never by timer
-			MaxPending:   4 * bsize,
-			ClientQuota:  4 * bsize,
+			Workers:     1,
+			MaxBatch:    bsize,
+			Linger:      time.Second, // groups flush by size, never by timer
+			MaxPending:  4 * bsize,
+			ClientQuota: 4 * bsize,
 		})
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -538,14 +532,11 @@ func workloads() []workload {
 				}
 			}
 		}},
-		// The daemon serving pairs: same B requests through the full
-		// admit/pack/decide/respond path, single round loop vs the sharded
-		// scheduler. decisions_per_sec here is end-to-end serving
-		// throughput, HTTP included.
-		servingWorkload("serving/decide/figure1b/B16-single", 16, 1),
-		servingWorkload("serving/decide/figure1b/B16-sharded", 16, 4),
-		servingWorkload("serving/decide/figure1b/B64-single", 64, 1),
-		servingWorkload("serving/decide/figure1b/B64-sharded", 64, 4),
+		// The daemon serving workloads: B requests through the full
+		// admit/pack/decide/respond path. decisions_per_sec here is
+		// end-to-end serving throughput, HTTP included.
+		servingWorkload("serving/decide/figure1b/B16-single", 16),
+		servingWorkload("serving/decide/figure1b/B64-single", 64),
 	}
 }
 

@@ -89,6 +89,54 @@ func helper() {}
 	}
 }
 
+// TestCheckDocRefs runs one-line DESIGN.md documents against a scratch
+// module: references resolve against top-level declarations, fields and
+// methods (direct, promoted, or through an alias); package main,
+// benchmark/, unknown qualifiers, file names and fenced blocks are ignored.
+func TestCheckDocRefs(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "internal", "eval", "e.go"), `// Package eval is documented.
+package eval
+
+type Base struct{ Shared int }
+type Spec struct {
+	Base
+	Rounds int
+	hidden bool
+}
+type Alias = Spec
+type Runner interface{ Step() }
+
+func (s *Spec) Run() {}
+func New()           {}
+`)
+	write(t, filepath.Join(dir, "cmd", "tool", "main.go"), "// Command tool is documented.\npackage main\n\nfunc helper() {}\n")
+	write(t, filepath.Join(dir, "benchmark", "p", "p.go"), "// Package probe is documented.\npackage probe\n\nfunc Only() {}\n")
+	for _, tc := range []struct{ doc, want string }{ // want "" means clean
+		{"`eval.New`, `eval.New()`, `eval.New(g, f)`, `eval.Spec`", ""},
+		{"`Spec.Rounds`, `Spec.hidden`, `Spec.Run()`, `Spec.Shared`, `Spec.Base`", ""},
+		{"`Alias.Rounds`, `Runner.Step`, `eval.Spec.Rounds`", ""},
+		{"`main.helper`, `eval.go`, `s.spec.Gone`, `probe.Gone`, `probe.Only`", ""},
+		{"```\n`eval.Gone`\n```", ""},
+		{"`eval.Gone`", "DESIGN.md:1: `eval.Gone`: eval has no declaration or member Gone"},
+		{"`Spec.Workers()`", "DESIGN.md:1: `Spec.Workers`: Spec has no declaration or member Workers"},
+		{"`eval.Spec.Workers`", "Spec has no declaration or member Workers"},
+		{"`eval.Gone.Rounds`", "eval has no declaration or member Gone"},
+		{"`Alias.Gone`", "Alias has no declaration or member Gone"},
+		{"text\n\n`Runner.Step` `Runner.Gone`", "DESIGN.md:3: `Runner.Gone`"},
+	} {
+		write(t, filepath.Join(dir, "DESIGN.md"), tc.doc)
+		violations, err := check(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.Join(violations, "\n")
+		if tc.want == "" && len(violations) != 0 || tc.want != "" && (len(violations) != 1 || !strings.Contains(joined, tc.want)) {
+			t.Errorf("%q: violations\n%s\nwant %q", tc.doc, joined, tc.want)
+		}
+	}
+}
+
 // TestCheckRepository pins the real repository to stay clean, mirroring
 // the CI gate.
 func TestCheckRepository(t *testing.T) {

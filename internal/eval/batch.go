@@ -62,20 +62,10 @@ type BatchSpec struct {
 	FullBudget bool
 	// Sequential disables the engine's parallel round execution.
 	Sequential bool
-	// DisableReplay forces the dynamic flooding path for the benign lane
-	// group even though it qualifies for compiled-plan replay (see
-	// Spec.DisableReplay).
-	DisableReplay bool
-	// Workers shards the batch across parallel round loops: W > 1
-	// partitions the instances into min(W, B) contiguous shards, each
-	// executed as its own round loop on its own goroutine, all drawing
-	// topology state and the compiled propagation plan from the one shared
-	// graph.Analysis. 0 and 1 run the historical single shared loop.
-	// Instances are independent, so sharding changes wall-clock time on
-	// multi-core hardware, never decisions (enforced by
-	// TestShardedBatchMatchesSingleLoop). Sharded runs reject an Observer:
-	// its events would interleave arbitrarily across shards.
-	Workers int
+	// forceDynamic runs every group on the dynamic flooding path, on
+	// fresh unpooled state (see Spec.forceDynamic); the parity suites set
+	// it directly.
+	forceDynamic bool
 	// OmitOKDecisions, when set, skips materializing the per-instance
 	// Decisions map for every instance whose outcome satisfies all three
 	// consensus properties: its Outcome carries the property booleans and
@@ -177,19 +167,11 @@ func NewBatchSessionShared(spec BatchSpec, topo *graph.Analysis) (*BatchSession,
 	return newBatchSessionShared(spec, topo)
 }
 
-// newBatchSessionShared is NewBatchSession drawing topology state from a
-// caller-provided shared analysis of spec.G (nil builds a private one) —
-// the batched analogue of newSessionShared, so Monte Carlo trial groups
-// over one graph share a single analysis and compiled plan.
+// newBatchSessionShared is NewBatchSessionShared, the batched analogue of
+// newSessionShared: Monte Carlo trial groups share one analysis.
 func newBatchSessionShared(spec BatchSpec, topo *graph.Analysis) (*BatchSession, error) {
 	if len(spec.Instances) == 0 {
 		return nil, fmt.Errorf("eval: batch has no instances")
-	}
-	if spec.Workers < 0 {
-		return nil, fmt.Errorf("eval: negative batch worker count %d", spec.Workers)
-	}
-	if spec.Workers > 1 && spec.Observer != nil {
-		return nil, fmt.Errorf("eval: sharded batches (Workers=%d) do not support an Observer; events would interleave across shards", spec.Workers)
 	}
 	base := spec.base()
 	if err := base.normalize(); err != nil {
@@ -233,94 +215,15 @@ func byzPattern(instances []BatchInstance) string {
 	return sb.String()
 }
 
-// Spec returns the session's batch spec.
-func (s *BatchSession) Spec() BatchSpec { return s.spec }
-
-// Run executes every instance of the batch and judges each instance's
-// outcome. With Workers <= 1 all instances share one round loop; Workers
-// > 1 shards them across parallel loops (see BatchSpec.Workers) with
-// identical per-instance results.
-//
-// Unless the spec demands the full budget, each instance retires from its
-// loop as soon as all of its honest nodes have decided — its nodes stop
-// being stepped and stop transmitting, exactly like an independent
-// Session run that terminates early — and a loop ends when every one of
-// its instances has retired or the round budget is exhausted. The context
-// is checked between rounds; cancellation aborts mid-execution.
-func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
-	if w := min(s.spec.Workers, len(s.spec.Instances)); w > 1 {
-		return s.runSharded(ctx, w)
-	}
-	return s.runLoop(ctx)
-}
-
 // poolable reports whether the batch's run state recycles through the
-// analysis-anchored run pool: the phase-based algorithms, with replay not
-// disabled. Byzantine placements pool too — the adversary nodes themselves
-// are never pooled; every recycled run re-plugs the current spec's
-// caller-owned overrides into their slots (see batchLoopState.reset) —
-// but each distinct placement keys its own pool via the pattern string.
-// DisableReplay runs stay fresh: that flag exists to measure the genuine
-// dynamic path, and recycling would contaminate the measurement.
+// analysis-anchored run pool: the phase-based algorithms, unless the spec
+// forces the dynamic path. Byzantine placements pool too — the adversary
+// nodes themselves are never pooled; every recycled run re-plugs the
+// current spec's caller-owned overrides into their slots (see
+// batchLoopState.reset) — but each distinct placement keys its own pool
+// via the pattern string.
 func (s *BatchSession) poolable() bool {
-	if s.spec.DisableReplay {
-		return false
-	}
-	return s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3
-}
-
-// runSharded partitions the instances into w contiguous near-equal shards
-// and runs each shard as its own single-loop batch on its own goroutine.
-// Every shard draws memoized topology state — including the compiled
-// propagation plan — from the session's one shared analysis, so the
-// per-graph work is still paid once; shards step their nodes sequentially
-// (shard-level parallelism replaces node-level parallelism, exactly like
-// parallel sweep cells). Shard outcomes are stitched back in instance
-// order; the merged Rounds is the max over shards and the merged engine
-// totals are the sums.
-func (s *BatchSession) runSharded(ctx context.Context, w int) (BatchOutcome, error) {
-	b := len(s.spec.Instances)
-	outs := make([]BatchOutcome, w)
-	errs := make([]error, w)
-	bounds := make([]int, w+1)
-	for k := 0; k < w; k++ {
-		// Balanced contiguous partition: the first b%w shards take one
-		// extra instance.
-		bounds[k+1] = bounds[k] + b/w
-		if k < b%w {
-			bounds[k+1]++
-		}
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		shard := s.spec
-		shard.Workers = 0
-		shard.Sequential = true
-		shard.Instances = s.spec.Instances[bounds[k]:bounds[k+1]]
-		wg.Add(1)
-		go func(k int, shard BatchSpec) {
-			defer wg.Done()
-			ss, err := newBatchSessionShared(shard, s.topo)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			outs[k], errs[k] = ss.Run(ctx)
-		}(k, shard)
-	}
-	wg.Wait()
-	merged := BatchOutcome{Outcomes: make([]Outcome, 0, b)}
-	for k := 0; k < w; k++ {
-		if errs[k] != nil {
-			return BatchOutcome{}, errs[k]
-		}
-		merged.Outcomes = append(merged.Outcomes, outs[k].Outcomes...)
-		merged.Rounds = max(merged.Rounds, outs[k].Rounds)
-		merged.Metrics.Rounds = max(merged.Metrics.Rounds, outs[k].Metrics.Rounds)
-		merged.Metrics.Transmissions += outs[k].Metrics.Transmissions
-		merged.Metrics.Deliveries += outs[k].Metrics.Deliveries
-	}
-	return merged, nil
+	return !s.spec.forceDynamic && (s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3)
 }
 
 // scalarSlot locates one honest scalar-group protocol node for run
@@ -341,9 +244,9 @@ type byzSlot struct {
 	grp  int
 }
 
-// batchLoopState is the complete working state of one single-loop batch
-// execution: lane grouping, replay blackboards, per-vertex batch nodes,
-// the engine, and the retirement bookkeeping. Poolable shapes recycle it
+// batchLoopState is the complete working state of one batch execution:
+// lane grouping, replay blackboards, per-vertex batch nodes, the engine,
+// and the retirement bookkeeping. Poolable shapes recycle it
 // through the analysis's run pool (see pool.go); the reset pass restores
 // exactly the state a fresh construction would produce, while every
 // buffer — receipt stores, merge slabs, query scratch, the arena's
@@ -438,8 +341,7 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	return nil
 }
 
-// newBatchLoopState builds the run state of a single-loop batch from
-// scratch.
+// newBatchLoopState builds the run state of a batch from scratch.
 func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	b := len(s.spec.Instances)
 	g := s.base.G
@@ -494,7 +396,7 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	var vecRS *core.ReplayShared
 	scalarRS := make([]*core.ReplayShared, groups)
 	scalarDP := make([]*flood.DeltaPlan, groups)
-	if vectorizable && !s.spec.DisableReplay {
+	if vectorizable && !s.spec.forceDynamic {
 		// Observer-free runs flood phantom payloads where sound: every
 		// consumer of the group's transmissions either replays too
 		// (demultiplexing isolates groups by instance index) or promises
@@ -637,11 +539,19 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	return st, nil
 }
 
-// runLoop executes every instance in one shared round loop — the
-// single-shard engine body. Poolable shapes (see poolable) draw their
-// complete run state from the analysis's run pool and return it after the
-// run; cancellation abandons the state mid-run instead of recycling it.
-func (s *BatchSession) runLoop(ctx context.Context) (BatchOutcome, error) {
+// Run executes every instance of the batch in one shared round loop and
+// judges each instance's outcome.
+//
+// Unless the spec demands the full budget, each instance retires from the
+// loop as soon as all of its honest nodes have decided — its nodes stop
+// being stepped and stop transmitting, exactly like an independent
+// Session run that terminates early — and the loop ends when every
+// instance has retired or the round budget is exhausted. The context is
+// checked between rounds; cancellation aborts mid-execution.
+//
+// Poolable shapes recycle their run state as Session.Run does: back to the
+// pool after a normal finish, every other engine closed here.
+func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
 	b := len(s.spec.Instances)
 	var st *batchLoopState
 	var pl *sync.Pool
@@ -651,6 +561,7 @@ func (s *BatchSession) runLoop(ctx context.Context) (BatchOutcome, error) {
 			poolHits.Add(1)
 			st = v.(*batchLoopState)
 			if err := st.reset(s); err != nil {
+				st.eng.Close()
 				return BatchOutcome{}, err
 			}
 		} else {
@@ -659,17 +570,18 @@ func (s *BatchSession) runLoop(ctx context.Context) (BatchOutcome, error) {
 	}
 	if st == nil {
 		var err error
-		st, err = newBatchLoopState(s)
-		if err != nil {
+		if st, err = newBatchLoopState(s); err != nil {
 			return BatchOutcome{}, err
 		}
 	}
-	if pl == nil {
-		// Unpooled engines release their worker pool when the run ends;
-		// pooled engines stay warm (a GC-time cleanup closes them if the
-		// sync.Pool drops the state).
-		defer st.eng.Close()
-	}
+	recycle := false
+	defer func() {
+		if recycle {
+			pl.Put(st)
+		} else {
+			st.eng.Close()
+		}
+	}()
 
 	budget := s.base.Rounds
 	if budget == 0 {
@@ -721,9 +633,7 @@ func (s *BatchSession) runLoop(ctx context.Context) (BatchOutcome, error) {
 	if s.spec.Observer != nil {
 		s.spec.Observer.Done(eng.Metrics())
 	}
-	if pl != nil {
-		pl.Put(st)
-	}
+	recycle = pl != nil
 	return out, nil
 }
 

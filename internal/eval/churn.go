@@ -161,7 +161,7 @@ func (c *churnRun) finish(spec Spec, out *Outcome) {
 // budget: the compiled plan (benign, masked, or delta) was cut back to the
 // taint frontier, or abandoned entirely for a Byzantine-plus-churn world.
 func noteChurnInvalidation(spec Spec, budget int) {
-	if spec.DisableReplay || (spec.Algorithm != Algo1 && spec.Algorithm != Algo3) {
+	if spec.forceDynamic || (spec.Algorithm != Algo1 && spec.Algorithm != Algo3) {
 		return
 	}
 	if first := spec.Churn.FirstRound(); first >= 0 && first < budget {

@@ -60,7 +60,7 @@ func FuzzChurnReplayParity(f *testing.F) {
 			rec := &sim.Recorder{}
 			spec := Spec{
 				G: g, F: 1, Algorithm: Algo1, Inputs: inputs,
-				Churn: sched, DisableReplay: disable, Observer: rec,
+				Churn: sched, forceDynamic: disable, Observer: rec,
 			}
 			out, err := Run(spec)
 			if err != nil {

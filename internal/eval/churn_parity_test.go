@@ -16,7 +16,7 @@ import (
 // degradation contract: an injected world's run must be byte-identical
 // whether the clean prefix replays the compiled plan up to the taint
 // frontier (the default) or the whole run is forced onto the dynamic path
-// (DisableReplay) — both over the same masked topology. And a zero-event
+// (forceDynamic) — both over the same masked topology. And a zero-event
 // schedule must be byte-identical to no schedule at all, on the static
 // fast path.
 
@@ -33,9 +33,9 @@ func churnInputs(n, shift int) map[graph.NodeID]sim.Value {
 // with replay forced off and requires identical SHA-256 trace digests.
 func checkChurnReplayParity(t *testing.T, spec Spec) {
 	t.Helper()
-	spec.DisableReplay = false
+	spec.forceDynamic = false
 	replayed := runTraced(t, spec)
-	spec.DisableReplay = true
+	spec.forceDynamic = true
 	dynamic := runTraced(t, spec)
 	if dr, dd := traceDigest(replayed), traceDigest(dynamic); dr != dd {
 		t.Fatalf("frontier-replay and forced-dynamic traces diverge (sha256 %s != %s):\nreplayed:\n%s\ndynamic:\n%s",
@@ -157,10 +157,10 @@ func TestChurnByzantineFallsBackDynamic(t *testing.T) {
 	if mode := func() replayMode { s := spec; _ = s.normalize(); return s.replayMode() }(); mode != replayOff {
 		t.Fatalf("Byzantine+churn spec classified %v, want replayOff", mode)
 	}
-	spec.DisableReplay = false
+	spec.forceDynamic = false
 	spec.Byzantine = map[graph.NodeID]sim.Node{3: adversary.NewTamper(g, 3, phaseLen, 7)}
 	a := runTraced(t, spec)
-	spec.DisableReplay = true
+	spec.forceDynamic = true
 	spec.Byzantine = map[graph.NodeID]sim.Node{3: adversary.NewTamper(g, 3, phaseLen, 7)}
 	b := runTraced(t, spec)
 	if traceDigest(a) != traceDigest(b) {

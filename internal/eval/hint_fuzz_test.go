@@ -87,7 +87,7 @@ func FuzzHintSoundness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, edgeBits, faultBits uint16, strat uint8) {
 		world := decodeFuzzWorld(seed, nRaw, edgeBits, faultBits|1<<14, strat)
 		run := func(mode uint8, disableReplay bool) (string, error) {
-			spec := Spec{G: world.g, F: world.f, Algorithm: world.alg, Inputs: world.inputs, DisableReplay: disableReplay}
+			spec := Spec{G: world.g, F: world.f, Algorithm: world.alg, Inputs: world.inputs, forceDynamic: disableReplay}
 			phaseLen := lbPhaseRounds(world.g.N())
 			spec.Byzantine = map[graph.NodeID]sim.Node{}
 			for i, ft := range world.faults {

@@ -47,13 +47,13 @@ type MonteCarloConfig struct {
 	// derived exactly as in unbatched mode, so the verdicts are identical
 	// — batching changes throughput, never outcomes.
 	Batch int
-	// FreshScaffolding disables trial-scaffolding recycling: every trial
+	// freshScaffolding disables trial-scaffolding recycling: every trial
 	// constructs its RNG, input vector, fault placement, and adversary
 	// instances from scratch instead of re-arming pooled ones. The two
-	// modes produce byte-identical results for every seed (enforced by the
-	// pooled-parity suite); fresh mode exists as the reference
-	// implementation for that suite and for allocation A/B measurements.
-	FreshScaffolding bool
+	// modes produce byte-identical results for every seed; fresh mode is
+	// the reference side of the pooled-parity suites, which set it
+	// directly.
+	freshScaffolding bool
 	// ChurnProfile, when its Kind is set, injects a per-trial topology
 	// fault schedule (see faultinject): random link churn, a random
 	// partition, or a correlated crash burst, derived from a seed stream
@@ -484,7 +484,7 @@ func mcChurnSchedule(cfg MonteCarloConfig, trial int) *faultinject.Schedule {
 // trial's own seed, while topology state (and compiled plans) come from
 // the sweep-wide shared analysis. By default the trial's scaffolding —
 // RNG, input slab, fault list, adversaries — is recycled through the
-// scratch and strategy pools; FreshScaffolding reverts to per-trial
+// scratch and strategy pools; freshScaffolding reverts to per-trial
 // construction (same verdicts, reference implementation).
 func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, trial int) mcTrialResult {
 	spec := Spec{
@@ -499,7 +499,7 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 	}
 	var faulty []graph.NodeID
 	var strat string
-	if cfg.FreshScaffolding {
+	if cfg.freshScaffolding {
 		spec.Inputs, faulty, strat, spec.Byzantine = mcTrialSetup(cfg, trial)
 	} else {
 		sc := acquireMCScratch(cfg.G.N(), 1)
@@ -521,7 +521,7 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 // and writes each trial's verdict into its slot of results. The shared
 // analysis serves every group of the sweep; the group's scaffolding —
 // instance records, input slabs, fault lists, adversaries — recycles
-// through the scratch and strategy pools unless FreshScaffolding is set.
+// through the scratch and strategy pools unless freshScaffolding is set.
 // OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
 // and violating instances are judged by the full path either way.
 func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, sequential bool, results []mcTrialResult) {
@@ -529,7 +529,7 @@ func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 	var instances []BatchInstance
 	var faulties [][]graph.NodeID
 	var strats []string
-	if cfg.FreshScaffolding {
+	if cfg.freshScaffolding {
 		instances = make([]BatchInstance, b)
 		faulties = make([][]graph.NodeID, b)
 		strats = make([]string, b)

@@ -156,7 +156,7 @@ func TestMonteCarloAdaptiveStrategy(t *testing.T) {
 
 // TestMonteCarloChurnPooledParity extends the scaffolding-parity contract
 // to injected worlds: pooled trial state (recycled masked topologies,
-// frontiers, cursors, adversaries) must reproduce FreshScaffolding's
+// frontiers, cursors, adversaries) must reproduce freshScaffolding's
 // verdict stream exactly, including the degraded tally.
 func TestMonteCarloChurnPooledParity(t *testing.T) {
 	configs := []MonteCarloConfig{
@@ -171,7 +171,7 @@ func TestMonteCarloChurnPooledParity(t *testing.T) {
 	sawDegraded := false
 	for i, cfg := range configs {
 		fresh := cfg
-		fresh.FreshScaffolding = true
+		fresh.freshScaffolding = true
 		want, err := MonteCarlo(fresh)
 		if err != nil {
 			t.Fatalf("config %d fresh: %v", i, err)

@@ -12,7 +12,7 @@ import (
 // contract of trial-scaffolding recycling: for every seed, pooled
 // scaffolding (recycled RNGs, dense input slabs, pooled adversaries,
 // recycled batch instances) must produce a MonteCarloResult byte-identical
-// to FreshScaffolding's per-trial construction — same OK tally and the
+// to freshScaffolding's per-trial construction — same OK tally and the
 // same violations, with the same fault lists, strategies, and judged
 // outcomes. The grid crosses every adversary strategy, the FaultProb
 // mixed benign/faulty profile, and both execution shapes (unbatched and
@@ -40,7 +40,7 @@ func TestMonteCarloPooledScaffoldingParity(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Batch = batch
 			fresh := cfg
-			fresh.FreshScaffolding = true
+			fresh.freshScaffolding = true
 			want, err := MonteCarlo(fresh)
 			if err != nil {
 				t.Fatalf("%s batch=%d fresh: %v", tc.name, batch, err)
@@ -80,7 +80,7 @@ func TestMonteCarloPooledScaffoldingParallelParity(t *testing.T) {
 	for _, batch := range []int{0, 4} {
 		fresh := base
 		fresh.Batch = batch
-		fresh.FreshScaffolding = true
+		fresh.freshScaffolding = true
 		want, err := MonteCarlo(fresh)
 		if err != nil {
 			t.Fatal(err)

@@ -168,9 +168,9 @@ func byzKindPattern(byz map[graph.NodeID]sim.Node) string {
 	return sb.String()
 }
 
-// sessionRun is the pooled state of one replay-qualified session
-// execution: the nodes, engine, and replay wiring of a complete run,
-// reusable after reset. Byzantine slots hold the caller's adversary nodes
+// sessionRun is the state of one session execution: the nodes, engine,
+// and replay wiring of a complete run, pooled and reusable after reset in
+// every replaying mode. Byzantine slots hold the caller's adversary nodes
 // and are re-plugged from the current spec on every reset (the pool key
 // pins their vertices and kinds, never their values). The engine is never
 // Closed while pooled — its worker pool stays warm; if the sync.Pool drops
@@ -179,7 +179,7 @@ type sessionRun struct {
 	mode  replayMode
 	nodes []sim.Node
 	// pnodes[u] is the honest phase node at vertex u, nil at Byzantine
-	// slots.
+	// slots and for algorithms without phase nodes.
 	pnodes []*core.PhaseNode
 	// byz lists the Byzantine vertices, re-plugged per run.
 	byz []graph.NodeID
@@ -192,10 +192,10 @@ type sessionRun struct {
 	dp           *flood.DeltaPlan
 	honest       graph.Set
 	honestInputs map[graph.NodeID]sim.Value
-	// masked and churn carry the fault-injection wiring of churn runs
-	// (mode == replayChurn): the engine routes through masked, and churn
-	// drives the schedule at round boundaries. Both re-arm per reset —
-	// pooled runs of the same shape may carry different schedules.
+	// masked and churn carry the fault-injection wiring of runs with a
+	// schedule: the engine routes through masked, and churn drives the
+	// schedule at round boundaries. Both re-arm per reset — pooled runs of
+	// the same shape may carry different schedules.
 	masked *sim.MaskedTopology
 	churn  *churnRun
 }
@@ -237,10 +237,10 @@ func sessionPhantomOK(mode replayMode, spec Spec) bool {
 	return mode == replayFull
 }
 
-// newSessionRun builds the run state the way Session.Run always has,
-// wiring the mode's replay strategy into the honest nodes: the benign or
-// masked plan's blackboard for wholesale replay, the delta fragment for
-// partial replay.
+// newSessionRun builds the run state of one execution, wiring the mode's
+// replay strategy into the honest nodes: the benign or masked plan's
+// blackboard for wholesale replay, the delta fragment for partial replay,
+// nothing for replayOff.
 func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRun, error) {
 	g := spec.G
 	run := &sessionRun{
@@ -256,7 +256,7 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 	case replayDelta:
 		run.dp = flood.DeltaPlanFor(topo, byzSet(spec.Byzantine))
 		sharePlan(spec.Byzantine, run.dp.Base())
-	default:
+	case replayFull, replayChurn:
 		// Benign and churn runs share the benign compiled plan; a churn
 		// run replays it only up to the taint frontier (set below).
 		run.rs = core.NewReplayShared(flood.PlanFor(topo))
@@ -264,10 +264,15 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 	if run.rs != nil {
 		run.rs.SetPhantom(sessionPhantomOK(mode, spec))
 	}
-	frontier := 0
-	if mode == replayChurn {
+	// Every injected world routes through the mutable link-mask view (the
+	// round loop mutates it only between engine steps); only replayChurn
+	// also replays up to a taint frontier.
+	if !spec.Churn.Empty() {
 		run.masked = sim.NewMaskedTopology(g)
 		run.churn = newChurnRun(topo, run.masked, spec.Churn)
+	}
+	frontier := 0
+	if mode == replayChurn {
 		frontier = churnFrontierPhase(g, spec.Churn)
 	}
 	for _, u := range g.Nodes() {
@@ -277,19 +282,19 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 			continue
 		}
 		in := spec.InputSlab[u]
-		// Replay-qualified specs are Algo1/Algo3, so every honest node is
-		// a PhaseNode.
-		pn := spec.NewHonestNode(topo, nil, u, in).(*core.PhaseNode)
-		if run.rs != nil {
-			pn.UseReplay(run.rs)
-		} else {
-			pn.UseDeltaReplay(run.dp)
+		nd := spec.NewHonestNode(topo, nil, u, in)
+		if pn, ok := nd.(*core.PhaseNode); ok {
+			if run.rs != nil {
+				pn.UseReplay(run.rs)
+			} else if run.dp != nil {
+				pn.UseDeltaReplay(run.dp)
+			}
+			if mode == replayChurn {
+				pn.SetReplayFrontier(frontier)
+			}
+			run.pnodes[u] = pn
 		}
-		if mode == replayChurn {
-			pn.SetReplayFrontier(frontier)
-		}
-		run.nodes[u] = pn
-		run.pnodes[u] = pn
+		run.nodes[u] = nd
 		run.honest.Add(u)
 		run.honestInputs[u] = in
 	}

@@ -113,11 +113,11 @@ func decodeFuzzWorld(seed int64, nRaw uint8, edgeBits, faultBits uint16, strat u
 // traced on a fresh analysis.
 func runFuzzTraced(w fuzzWorld, disableReplay bool) (string, error) {
 	spec := Spec{
-		G:             w.g,
-		F:             w.f,
-		Algorithm:     w.alg,
-		Inputs:        w.inputs,
-		DisableReplay: disableReplay,
+		G:            w.g,
+		F:            w.f,
+		Algorithm:    w.alg,
+		Inputs:       w.inputs,
+		forceDynamic: disableReplay,
 	}
 	if len(w.faults) > 0 {
 		phaseLen := lbPhaseRounds(w.g.N())

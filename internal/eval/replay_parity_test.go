@@ -21,7 +21,7 @@ func lbPhaseRounds(n int) int { return core.PhaseRounds(n) }
 // execution, the replayed run's complete observable behavior — every
 // transmission (payload key, receivers, round), every decision, every
 // metric — is byte-identical to the dynamic run's. The dynamic side is
-// forced with DisableReplay, so both sides run the same code release.
+// forced with forceDynamic, so both sides run the same code release.
 
 // traceString renders a run's full observable behavior canonically.
 func traceString(rec *sim.Recorder, out Outcome) string {
@@ -49,9 +49,9 @@ func runTraced(t *testing.T, spec Spec) string {
 // and requires identical traces.
 func checkSessionReplayParity(t *testing.T, spec Spec) {
 	t.Helper()
-	spec.DisableReplay = false
+	spec.forceDynamic = false
 	replayed := runTraced(t, spec)
-	spec.DisableReplay = true
+	spec.forceDynamic = true
 	dynamic := runTraced(t, spec)
 	if replayed != dynamic {
 		t.Fatalf("replayed and dynamic executions diverge:\nreplayed:\n%s\ndynamic:\n%s", replayed, dynamic)
@@ -124,7 +124,7 @@ func TestMonteCarloReplayParityRareFaults(t *testing.T) {
 		// Stateful adversaries must restart identically: rebuild them.
 		_, _, _, byz2 := mcTrialSetup(cfg, trial)
 		spec.Byzantine = byz2
-		spec.DisableReplay = true
+		spec.forceDynamic = true
 		dynamic := runTracedShared(t, spec, topo)
 		if replayed != dynamic {
 			t.Fatalf("trial %d (faulty=%v): replayed and dynamic traces diverge", trial, fnodes)
@@ -182,7 +182,7 @@ func TestBatchMixedReplayParity(t *testing.T) {
 		rec := &sim.Recorder{}
 		out, err := RunBatch(context.Background(), BatchSpec{
 			G: g, F: 2, Algorithm: Algo1, Observer: rec,
-			DisableReplay: disable, Instances: mkInstances(),
+			forceDynamic: disable, Instances: mkInstances(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,10 +208,10 @@ func checkFaultySessionReplayParity(t *testing.T, base Spec, mkByz func() map[gr
 	t.Helper()
 	spec := base
 	spec.Byzantine = mkByz()
-	spec.DisableReplay = false
+	spec.forceDynamic = false
 	replayed := runTraced(t, spec)
 	spec.Byzantine = mkByz()
-	spec.DisableReplay = true
+	spec.forceDynamic = true
 	dynamic := runTraced(t, spec)
 	if replayed != dynamic {
 		t.Fatalf("replayed and dynamic executions diverge:\nreplayed:\n%s\ndynamic:\n%s", replayed, dynamic)

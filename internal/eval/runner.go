@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"lbcast/internal/adversary"
 	"lbcast/internal/core"
@@ -91,16 +92,11 @@ type Spec struct {
 	// Sequential disables the engine's goroutine-per-node round
 	// execution (useful for debugging and deterministic profiling).
 	Sequential bool
-	// DisableReplay forces the dynamic message-by-message flooding path
-	// even for executions that qualify for compiled-plan replay (no
-	// Byzantine overrides, phase-based algorithm). Replay is byte-identical
-	// to the dynamic path; this knob exists for the parity tests that
-	// enforce exactly that, and for A/B benchmarking.
-	DisableReplay bool
-	// Workers is plumbing for batched executions (see BatchSpec.Workers):
-	// the public option layer sets it here and NewBatch carries it over.
-	// Single-Session runs have exactly one round loop and ignore it.
-	Workers int
+	// forceDynamic runs the dynamic message-by-message flooding path, on
+	// fresh unpooled state, even for executions that qualify for
+	// compiled-plan replay. It is the reference side of the parity suites,
+	// which set it directly; replay is byte-identical to it.
+	forceDynamic bool
 	// Churn, when non-empty, injects the topology-fault schedule into the
 	// run: the round loop applies each boundary's events (node crash/
 	// recover, link down/up, partition open/heal) to a mutable link-mask
@@ -154,9 +150,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.Rounds < 0 {
 		return fmt.Errorf("eval: negative round budget %d", s.Rounds)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("eval: negative worker count %d", s.Workers)
 	}
 	for u := range s.Inputs {
 		if int(u) < 0 || int(u) >= n {
@@ -217,21 +210,6 @@ type Outcome struct {
 // OK reports whether all three consensus properties hold.
 func (o Outcome) OK() bool { return o.Agreement && o.Validity && o.Termination }
 
-// HonestFactory returns the honest-node constructor for spec, drawing
-// topology data from a fresh per-call analysis shared by every node the
-// factory builds. Unless the spec demands the full budget, phase-based
-// nodes are built with early decision enabled.
-func (s Spec) HonestFactory() adversary.HonestFactory {
-	return s.honestFactory(s.G.SharedAnalysis())
-}
-
-// honestFactory is HonestFactory over a caller-supplied shared analysis.
-func (s Spec) honestFactory(topo *graph.Analysis) adversary.HonestFactory {
-	return func(u graph.NodeID, input sim.Value) sim.Node {
-		return s.NewHonestNode(topo, nil, u, input)
-	}
-}
-
 // NewHonestNode builds the honest protocol node for spec at vertex u.
 // topo is the shared read-only topology analysis (concurrency-safe; one
 // per graph is enough for any number of nodes, runs, and batch
@@ -274,12 +252,12 @@ func (s Spec) DefaultRounds() int {
 }
 
 // Session is a validated, reusable execution plan: one normalized Spec
-// that can be run any number of times. Each Run builds fresh protocol
-// nodes and a fresh engine, and the Spec is never mutated after
-// NewSession; runs are therefore independent, except that the Spec's
-// Observer and Byzantine node instances are shared by every run — for
-// concurrent Runs they must be safe to share (stateless strategies, a
-// mutex-guarded observer).
+// that can be run any number of times. Each Run gets its own protocol
+// nodes and engine (pooled and reset when the spec replays, fresh
+// otherwise), and the Spec is never mutated after NewSession; runs are
+// therefore independent, except that the Spec's Observer and Byzantine
+// node instances are shared by every run — for concurrent Runs they must
+// be safe to share (stateless strategies, a mutex-guarded observer).
 type Session struct {
 	spec Spec
 	// topo is the session's shared topology analysis: memoized pure-graph
@@ -339,9 +317,9 @@ func inputSlab(n int, slab []sim.Value, m map[graph.NodeID]sim.Value) []sim.Valu
 type replayMode int
 
 const (
-	// replayOff runs the dynamic message-by-message path, unpooled:
-	// replay was disabled explicitly, or the algorithm has no compiled
-	// plans (Algo2's report flooding is value-dependent).
+	// replayOff runs the dynamic message-by-message path, unpooled: the
+	// spec forces it, the algorithm has no compiled plans (Algo2's report
+	// flooding is value-dependent), or Byzantine overrides meet churn.
 	replayOff replayMode = iota
 	// replayFull replays the benign all-relays-correct plan wholesale —
 	// no Byzantine overrides anywhere.
@@ -415,7 +393,7 @@ func byzSet(byz map[graph.NodeID]sim.Node) graph.Set {
 // three replaying modes are byte-identical to the forced-dynamic path and
 // run on pooled recycled state.
 func (s Spec) replayMode() replayMode {
-	if s.DisableReplay || (s.Algorithm != Algo1 && s.Algorithm != Algo3) {
+	if s.forceDynamic || (s.Algorithm != Algo1 && s.Algorithm != Algo3) {
 		return replayOff
 	}
 	if !s.Churn.Empty() {
@@ -448,107 +426,43 @@ func (s *Session) Spec() Spec { return s.spec }
 // benign executions this cuts Algorithm 1's exponential budget down to a
 // couple of phases. The context is checked between rounds; cancellation
 // aborts the run mid-execution and returns ctx's error.
+//
+// Replay-qualified specs draw their run state from the run pool (see
+// pool.go). A run goes back to the pool only after completing normally;
+// every other engine — unpooled, cancelled, or failing its reset — is
+// closed here, so no parked worker goroutines outlive the run.
 func (s *Session) Run(ctx context.Context) (Outcome, error) {
-	// Phase-based executions run on pooled recycled state and replay a
-	// compiled propagation plan — wholesale (benign or masked) or as a
-	// delta around the faulty slots; see pool.go and replayMode.
-	if mode := s.spec.replayMode(); mode != replayOff {
-		return s.runPooled(ctx, mode)
-	}
 	spec := s.spec
-	g := spec.G
-	nodes := make([]sim.Node, g.N())
-	honest := graph.NewSet()
-	honestInputs := make(map[graph.NodeID]sim.Value)
-	for _, u := range g.Nodes() {
-		if b, ok := spec.Byzantine[u]; ok {
-			nodes[u] = b
-			continue
-		}
-		in := spec.InputSlab[u]
-		nd := spec.NewHonestNode(s.topo, nil, u, in)
-		nodes[u] = nd
-		honest.Add(u)
-		honestInputs[u] = in
-	}
-	// An injected world routes through the mutable link-mask view; the mask
-	// mutates only between engine steps (the round loop below is the sole
-	// writer, and the engine routes in its own goroutine after node steps
-	// complete). Without a schedule the static topology is used unchanged.
-	topo := sim.Topology(sim.GraphTopology{G: g})
-	var churn *churnRun
-	if !spec.Churn.Empty() {
-		masked := sim.NewMaskedTopology(g)
-		churn = newChurnRun(s.topo, masked, spec.Churn)
-		topo = masked
-	}
-	eng, err := sim.NewEngine(sim.Config{
-		Topology:     topo,
-		Model:        spec.Model,
-		Equivocators: spec.Equivocators,
-		Observer:     spec.Observer,
-		Parallel:     !spec.Sequential,
-	}, nodes)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("eval: %w", err)
-	}
-	defer eng.Close()
-	budget := spec.Rounds
-	if budget == 0 {
-		budget = spec.DefaultRounds()
-	}
-	if churn != nil {
-		noteChurnInvalidation(spec, budget)
-	}
-	for r := 0; r < budget; r++ {
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, fmt.Errorf("eval: run canceled after %d of %d rounds: %w",
-				eng.Metrics().Rounds, budget, err)
-		}
-		if churn != nil {
-			churn.boundary(r)
-		}
-		eng.Step()
-		if !spec.FullBudget && eng.AllDecided(honest) {
-			break
-		}
-	}
-	out := Judge(eng, honest, honestInputs, budget)
-	if churn != nil {
-		churn.finish(spec, &out)
-	}
-	if spec.Observer != nil {
-		spec.Observer.Done(eng.Metrics())
-	}
-	return out, nil
-}
-
-// runPooled executes a replay-qualified spec on recycled run state drawn
-// from the analysis's run pool (see pool.go): a hit resets a
-// previously-built run in place, a miss builds one exactly as the unpooled
-// path would. The pool key includes the fault pattern with its replay
-// kind, so recycled state never crosses fault shapes. The run is returned
-// to the pool only after completing normally — a cancellation
-// mid-execution abandons the state rather than recycling a half-stepped
-// run.
-func (s *Session) runPooled(ctx context.Context, mode replayMode) (Outcome, error) {
-	spec := s.spec
-	pl := poolsFor(s.topo).pool(sessionShape(spec))
+	mode := spec.replayMode()
+	var pl *sync.Pool
 	var run *sessionRun
-	if v := pl.Get(); v != nil {
-		poolHits.Add(1)
-		run = v.(*sessionRun)
-		if err := run.reset(spec); err != nil {
-			return Outcome{}, err
+	if mode != replayOff {
+		pl = poolsFor(s.topo).pool(sessionShape(spec))
+		if v := pl.Get(); v != nil {
+			poolHits.Add(1)
+			run = v.(*sessionRun)
+			if err := run.reset(spec); err != nil {
+				run.eng.Close()
+				return Outcome{}, err
+			}
+		} else {
+			poolMisses.Add(1)
 		}
-	} else {
-		poolMisses.Add(1)
+	}
+	if run == nil {
 		var err error
-		run, err = newSessionRun(s.topo, spec, mode)
-		if err != nil {
+		if run, err = newSessionRun(s.topo, spec, mode); err != nil {
 			return Outcome{}, err
 		}
 	}
+	recycle := false
+	defer func() {
+		if recycle {
+			pl.Put(run)
+		} else {
+			run.eng.Close()
+		}
+	}()
 	budget := spec.Rounds
 	if budget == 0 {
 		budget = spec.DefaultRounds()
@@ -576,7 +490,7 @@ func (s *Session) runPooled(ctx context.Context, mode replayMode) (Outcome, erro
 	if spec.Observer != nil {
 		spec.Observer.Done(run.eng.Metrics())
 	}
-	pl.Put(run)
+	recycle = pl != nil
 	return out, nil
 }
 

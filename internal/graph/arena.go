@@ -356,6 +356,9 @@ func (a *PathArena) Path(id PathID) Path {
 	if id == NoPath {
 		return nil
 	}
+	if a.frozen { // Freeze built every path; concurrent readers must not store
+		return a.full[id]
+	}
 	a.full = grown(a.full, len(a.entries))
 	if a.full[id] == nil {
 		// Exact capacity: any append to the shared slice copies.

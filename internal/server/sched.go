@@ -14,15 +14,12 @@ import (
 // and compiled flood plan. Group-level parallelism is what lets the
 // daemon saturate a multi-core machine — every worker owns a full round
 // loop, and benign steady-state groups ride the compiled-plan replay path
-// end to end. A per-group Workers knob (ShardWorkers) additionally shards
-// large groups across loops, for deployments where group count alone
-// cannot fill the machine.
+// end to end.
 
 // sched runs packed groups on a bounded worker pool.
 type sched struct {
 	queue   chan *packGroup
 	workers int
-	shardW  int
 	metrics *metrics
 	// after is the per-request completion hook (decision counters, slot
 	// release); ok reports whether the group executed successfully.
@@ -30,14 +27,11 @@ type sched struct {
 	wg    sync.WaitGroup
 }
 
-func newSched(workers, queueCap, shardWorkers int, m *metrics, after func(string, bool)) *sched {
-	if workers < 1 {
-		workers = 1
-	}
+// newSched builds the scheduler; workers is at least 1 (Config.withDefaults).
+func newSched(workers, queueCap int, m *metrics, after func(string, bool)) *sched {
 	return &sched{
 		queue:   make(chan *packGroup, queueCap),
 		workers: workers,
-		shardW:  shardWorkers,
 		metrics: m,
 		after:   after,
 	}
@@ -69,13 +63,11 @@ func (s *sched) stop() {
 // runGroup executes one packed group as a batched round loop and delivers
 // each request's outcome. Node-level stepping is sequential whenever the
 // pool has more than one worker (worker-level parallelism replaces it,
-// exactly like parallel sweep cells); ShardWorkers > 1 additionally
-// shards the group's instances across loops via eval's batch sharding.
+// exactly like parallel sweep cells).
 func (s *sched) runGroup(g *packGroup) {
 	started := time.Now()
 	spec := g.base
 	spec.Sequential = s.workers > 1
-	spec.Workers = s.shardW
 	spec.Instances = make([]eval.BatchInstance, len(g.reqs))
 	for i, r := range g.reqs {
 		spec.Instances[i] = r.inst

@@ -44,11 +44,6 @@ type Config struct {
 	// Workers is the scheduler pool size: how many packed groups execute
 	// concurrently, each as its own round loop (default GOMAXPROCS).
 	Workers int
-	// ShardWorkers additionally shards each group's instances across this
-	// many parallel round loops (eval batch sharding; default 1 — group
-	// parallelism alone). Useful when few, large groups must fill many
-	// cores.
-	ShardWorkers int
 	// MaxBatch caps a packed group's size (default 64).
 	MaxBatch int
 	// Linger is how long the first request of a group waits for company
@@ -77,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShardWorkers <= 0 {
-		c.ShardWorkers = 1
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -131,7 +123,7 @@ func New(cfg Config) *Server {
 	if queueCap < 16 {
 		queueCap = 16
 	}
-	s.sched = newSched(cfg.Workers, queueCap, cfg.ShardWorkers, s.metrics, s.finish)
+	s.sched = newSched(cfg.Workers, queueCap, s.metrics, s.finish)
 	linger := cfg.Linger
 	if linger < 0 {
 		linger = 0

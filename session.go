@@ -30,11 +30,12 @@ type TraceRecorder = sim.Recorder
 func CombineObservers(obs ...Observer) Observer { return sim.Observers(obs...) }
 
 // Session is a validated, reusable consensus execution: a communication
-// graph plus options, runnable any number of times. Each Run builds fresh
-// protocol state; the Session itself never mutates after construction, so
-// concurrent Runs are safe as long as the attached Observer and Byzantine
-// node instances are themselves safe to share — both are invoked from
-// every run (see WithByzantine and WithObserver).
+// graph plus options, runnable any number of times. Each Run gets its own
+// honest protocol state (recycled when it replays a compiled plan); the
+// Session itself never mutates after construction, so concurrent Runs are
+// safe as long as the attached Observer and Byzantine node instances are
+// themselves safe to share — both are invoked from every run (see
+// WithByzantine and WithObserver).
 //
 // By default a run terminates as soon as every honest node has decided —
 // on benign executions this reduces Algorithm 1's exponential round
@@ -116,19 +117,6 @@ func WithObserver(o Observer) Option {
 // goroutine-per-node (useful for debugging and profiling).
 func WithSequential() Option {
 	return func(s *eval.Spec) { s.Sequential = true }
-}
-
-// WithWorkers shards a Batch across w parallel round loops: the instances
-// are partitioned into min(w, B) contiguous shards, each executed as its
-// own round loop on its own goroutine, all sharing one topology analysis
-// and compiled propagation plan — the multi-core path that lets batched
-// throughput scale with GOMAXPROCS. 0 and 1 keep the single shared loop.
-// Decisions are identical for every worker count; only wall-clock time
-// changes. Sharded batches reject WithObserver (events would interleave
-// across shards), and single Sessions — which have exactly one round loop
-// — ignore this option.
-func WithWorkers(w int) Option {
-	return func(s *eval.Spec) { s.Workers = w }
 }
 
 // NewSession validates the graph and options and returns a reusable

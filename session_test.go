@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSessionReuseAcrossRuns(t *testing.T) {
@@ -100,6 +102,45 @@ type cancelObserver struct {
 func (c *cancelObserver) RoundStart(round int) {
 	if round == c.afterRound {
 		c.cancel()
+	}
+}
+
+// TestCancelledRunsCloseEngines: a run cancelled mid-execution never goes
+// back to the run pool, so the driver must close its engine on the spot,
+// not leave the engine's parked worker goroutines to a GC-time cleanup.
+// Both runs replay a compiled plan (pooled) and step nodes in parallel.
+func TestCancelledRunsCloseEngines(t *testing.T) {
+	inputs := inputMap(0, 1, 0, 1, 0)
+	runs := []func(context.Context, Observer) error{
+		func(ctx context.Context, obs Observer) error {
+			s, err := NewSession(Figure1a(), WithFaults(1), WithInputs(inputs), WithObserver(obs))
+			if err == nil {
+				_, err = s.Run(ctx)
+			}
+			return err
+		},
+		func(ctx context.Context, obs Observer) error {
+			insts := []BatchInstance{{Inputs: inputs}, {Inputs: inputMap(1, 1, 0, 0, 1)}}
+			b, err := NewBatch(Figure1a(), insts, WithFaults(1), WithObserver(obs))
+			if err == nil {
+				_, err = b.Run(ctx)
+			}
+			return err
+		},
+	}
+	for i, run := range runs {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := run(ctx, &cancelObserver{cancel: cancel, afterRound: 1}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		}
+		cancel()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: %d goroutines after the cancelled run, %d before: its engine was not closed",
+					i, runtime.NumGoroutine(), base)
+			}
+		}
 	}
 }
 
