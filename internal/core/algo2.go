@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,14 +45,14 @@ import (
 // node, or learn that it is non-faulty."
 
 // TranscriptEntry is one observed phase-1 transmission in a wire
-// transcript: the phase round it was transmitted in and the canonical
-// message identity (flood.Msg.Key rendering). The typed form replaces the
-// former "<round>|<key>" formatted strings, so transcripts are built and
-// read without formatting or parsing; the canonical rendering survives
-// only inside TranscriptBody.Key.
+// transcript: the phase round it was transmitted in and the message as
+// heard. A receiver establishes the message's identity itself
+// (flood.Ident.MsgKey): its hint is a claim like any other on the wire,
+// honored only when the receiver's arena verifies it. The canonical
+// rendering survives only inside TranscriptBody.Key.
 type TranscriptEntry struct {
 	Round int32
-	Key   string
+	Msg   flood.Msg
 }
 
 // TranscriptBody is the phase-2 report: the flooding reporter's record of
@@ -70,25 +70,33 @@ var (
 )
 
 // Key returns the full canonical identity (observed node plus transcript),
-// rendered as "tr:<observed>:<round>|<key>;<round>|<key>;...".
+// rendered as "tr:<observed>:<round>|<msg key>;<round>|<msg key>;...",
+// each message key being flood.Msg.Key's "<body key>@<path key>".
 func (b TranscriptBody) Key() string {
-	obs := strconv.Itoa(int(b.Observed))
-	n := len("tr:") + len(obs) + 1
+	n := len("tr:") + 4
 	for _, e := range b.Entries {
-		n += len(e.Key) + 4 // round digits (estimate), '|', ';'
+		n += 10 + 3*len(e.Msg.Pi) // round, '|', body key, '@', path, ';'
 	}
 	var sb strings.Builder
 	sb.Grow(n)
+	var num [20]byte
 	sb.WriteString("tr:")
-	sb.WriteString(obs)
+	sb.Write(strconv.AppendInt(num[:0], int64(b.Observed), 10))
 	sb.WriteByte(':')
 	for i, e := range b.Entries {
 		if i > 0 {
 			sb.WriteByte(';')
 		}
-		sb.WriteString(strconv.Itoa(int(e.Round)))
+		sb.Write(strconv.AppendInt(num[:0], int64(e.Round), 10))
 		sb.WriteByte('|')
-		sb.WriteString(e.Key)
+		sb.WriteString(e.Msg.Body.Key())
+		sb.WriteByte('@')
+		for j, u := range e.Msg.Pi { // graph.Path.Key, written in place
+			if j > 0 {
+				sb.WriteString("->")
+			}
+			sb.Write(strconv.AppendInt(num[:0], int64(u), 10))
+		}
 	}
 	return sb.String()
 }
@@ -100,20 +108,26 @@ func (b TranscriptBody) Slot() string { return "tr:" + strconv.Itoa(int(b.Observ
 // trSlotNS is the Ident node-slot namespace of transcript slots.
 const trSlotNS = 1
 
-// InternKey supplies the integer identity without rendering the canonical
-// string on every receipt: the Entries slice is immutable and forwarded by
-// reference, so slice identity implies content identity and the (large)
-// rendering runs once per distinct transcript per node. This was the
-// hottest allocation site in the system — every phase-2 receipt used to
-// rebuild the full transcript string.
+// InternKey supplies the integer identity without rendering the
+// transcript: the identity is the compact content key of the entries'
+// verified message identities (flood.Ident.SeqKeyID), and since the
+// Entries slice is immutable and forwarded by reference, slice identity
+// implies content identity, so that key is built once per distinct
+// transcript slice per node.
 func (b TranscriptBody) InternKey(t *flood.Ident) flood.BodyID {
 	if len(b.Entries) == 0 {
-		return t.KeyID(b.Key())
+		return t.SeqKeyID(b.Observed, 0, nil)
 	}
 	if id, ok := t.MemoKey(&b.Entries[0], len(b.Entries), int32(b.Observed)); ok {
 		return id
 	}
-	return t.SetMemoKey(&b.Entries[0], len(b.Entries), int32(b.Observed), b.Key())
+	return t.SetMemoKey(&b.Entries[0], len(b.Entries), int32(b.Observed), t.SeqKeyID(b.Observed, len(b.Entries), b.entry))
+}
+
+// entry returns entry i's round and message (the flood.Ident.SeqKeyID
+// accessor).
+func (b TranscriptBody) entry(i int) (int32, flood.Msg) {
+	return b.Entries[i].Round, b.Entries[i].Msg
 }
 
 // InternSlot supplies the integer slot identity via the per-node slot
@@ -150,80 +164,92 @@ type EfficientNode struct {
 	f     int
 	input sim.Value
 
-	// arena is the per-run path arena shared by all three phases'
-	// flooding sessions (and by the synthetic zv-paths of reliable
-	// transcript grouping).
+	// arena is the path arena of all three phases' flooding sessions and of
+	// the synthetic zv-paths of reliable transcript grouping: the compiled
+	// plan's frozen arena, shared read-only by every node (see
+	// NewEfficientNodeShared).
 	arena *graph.PathArena
 	// ident is the per-run identity table shared by all three phases'
-	// flooding sessions and by the node-side transcript stores, so receipt
-	// BodyIDs and transcript record keys live in one integer namespace.
+	// flooding sessions and by transcript identification, so receipt
+	// BodyIDs and transcript message keys live in one integer namespace.
 	ident *flood.Ident
 	// topo is the shared read-only topology analysis; its memoized
 	// DisjointPaths supply the fault-identification walk layouts for all
 	// nodes of an execution (see NewEfficientNodeShared).
-	topo    *graph.Analysis
+	topo *graph.Analysis
+	// flooder runs all three flooding sessions, recycled at each phase
+	// start; its store holds the current phase's receipts.
 	flooder *flood.Flooder
+	// scratch holds the disjoint-path queries' reusable buffers.
+	scratch flood.QueryScratch
 	round   int
 
 	// Phase-1 observation logs (local broadcast: everything every
-	// neighbor transmits is heard), as integer records: heard[u] is the
-	// ordered transmission log of neighbor u (nil for non-neighbors).
-	heard [][]trRecord
-	sent  []trRecord // own ordered transmission log
+	// neighbor transmits is heard), as heard: heard[u] is the ordered
+	// transmission log of neighbor u (nil for non-neighbors). Complete at
+	// the end of phase 1, each log is the phase-2 report about u verbatim.
+	heard [][]TranscriptEntry
 
-	phase1Receipts *flood.ReceiptStore
-	phase2Receipts *flood.ReceiptStore
+	// What phase 1 leaves behind once the flooder moves on: the
+	// Definition C.1 reliable value of every node, and the phase's value
+	// receipts in acceptance order (the type A fallback reads them after
+	// phase 2).
+	relValues      []relValue
+	phase1Receipts []valueReceipt
 
 	// Post-phase-2 state.
 	identified graph.Set // identified faulty nodes
 	typeA      bool
 
-	// Caches, indexed by node id.
+	// transcripts caches reliable transcripts, indexed by node id.
 	transcripts []*transcriptInfo
-	relValues   []*relValue
+	// prefixIDs is walkPath's scratch.
+	prefixIDs []graph.PathID
 
 	decided  bool
 	decision sim.Value
 }
 
-// trRecord is one transcript entry in node-local integer form: the phase
-// round and the interned canonical message identity (flood.Msg.Key) in the
-// node's Ident table — the typed {round, key} replacement for the former
-// formatted "<round>|<key>" strings.
-type trRecord struct {
-	round int32
-	key   flood.BodyID
+// valueReceipt is one phase-1 value receipt: its full path and value.
+type valueReceipt struct {
+	path graph.PathID
+	val  sim.Value
 }
 
+// transcriptInfo is a node's reliable knowledge of one node's phase-1
+// transcript: whether it is reliably known, and if so the first
+// occurrence of each transmission identity in it (the fault-identification
+// walks probe two identities per path node; a linear rescan per probe is
+// quadratic).
 type transcriptInfo struct {
-	known   bool
-	entries []trRecord
-	// index maps a transmission identity to its first occurrence, built
-	// lazily for the fault-identification walks (which probe two keys per
-	// path node; a linear rescan per probe is quadratic).
-	index map[flood.BodyID]entryHit
+	known bool
+	index map[flood.MsgKey]entryHit
 }
 
 // entryHit locates a transcript entry: its recorded round and its position
 // in the entry list.
 type entryHit struct{ round, pos int }
 
-// hit returns the first transcript occurrence of key, if any. Records with
-// a negative round (representable only in claims forged by faulty
-// reporters) are unindexable, like the malformed formatted entries before
-// them.
-func (ti *transcriptInfo) hit(key flood.BodyID) (entryHit, bool) {
-	if ti.index == nil {
-		ti.index = make(map[flood.BodyID]entryHit, len(ti.entries))
-		for pos, e := range ti.entries {
-			if e.round < 0 {
-				continue
-			}
-			if _, dup := ti.index[e.key]; !dup {
-				ti.index[e.key] = entryHit{round: int(e.round), pos: pos}
-			}
+// newTranscriptInfo indexes the reliably known transcript of node z.
+// Entries with a negative round (representable only in claims forged by
+// faulty reporters) are unindexable.
+func (nd *EfficientNode) newTranscriptInfo(z graph.NodeID, entries []TranscriptEntry) *transcriptInfo {
+	ti := &transcriptInfo{known: true, index: make(map[flood.MsgKey]entryHit, len(entries))}
+	for pos, e := range entries {
+		if e.Round < 0 {
+			continue
+		}
+		k := nd.ident.MsgKey(e.Msg, z)
+		if _, dup := ti.index[k]; !dup {
+			ti.index[k] = entryHit{round: int(e.Round), pos: pos}
 		}
 	}
+	return ti
+}
+
+// hit returns the first transcript occurrence of the message identity key,
+// if any.
+func (ti *transcriptInfo) hit(key flood.MsgKey) (entryHit, bool) {
 	h, ok := ti.index[key]
 	return h, ok
 }
@@ -238,38 +264,47 @@ var (
 	_ sim.Decider = (*EfficientNode)(nil)
 )
 
-// NewEfficientNode builds a non-faulty Algorithm 2 node with private
-// topology/arena state. The graph must be 2f-connected (Theorem 5.6); the
-// constructor does not re-verify this.
+// NewEfficientNode builds a non-faulty Algorithm 2 node over the graph's
+// shared analysis (graph.Graph.SharedAnalysis), so the nodes of one
+// execution share one compiled plan and one set of walk layouts. The
+// graph must be 2f-connected (Theorem 5.6); the constructor does not
+// re-verify this.
 func NewEfficientNode(g *graph.Graph, f int, me graph.NodeID, input sim.Value) *EfficientNode {
-	return NewEfficientNodeShared(graph.NewAnalysis(g), f, me, input, nil)
+	return NewEfficientNodeShared(g.SharedAnalysis(), f, me, input, nil)
 }
 
 // NewEfficientNodeShared is NewEfficientNode drawing topology data from a
 // shared analysis. Passing one analysis to every node of an execution (and
 // every instance of a batch) computes each of fault identification's n²
-// max-flow walk layouts once instead of once per node; the analysis is
-// concurrency-safe and never affects results. arena, when non-nil, is
-// shared message-identity state: it is NOT safe for concurrent use and may
-// only be shared among nodes stepped sequentially — the co-located
-// instances of one batch node. nil gives the node a private arena.
+// max-flow walk layouts once instead of once per node, and floods every
+// node on the analysis's compiled plan arena (flood.PlanFor): it holds
+// every simple path of the graph, so it accepts exactly what a growing
+// arena would; it is frozen, so any number of nodes may read it
+// concurrently; and it is shared, so the path hints honest senders attach
+// verify at every receiver. The analysis never affects results. arena is
+// ignored — it keeps the signature of NewAlgo1NodeShared and
+// NewHybridNodeShared, whose nodes may share a growing arena.
 func NewEfficientNodeShared(topo *graph.Analysis, f int, me graph.NodeID, input sim.Value, arena *graph.PathArena) *EfficientNode {
 	g := topo.Graph()
-	if arena == nil {
-		arena = graph.NewPathArena(g)
-	}
-	return &EfficientNode{
+	plan := flood.PlanFor(topo)
+	ident := flood.NewIdentOn(plan.Arena())
+	nd := &EfficientNode{
 		g:           g,
 		me:          me,
 		f:           f,
 		input:       input,
-		arena:       arena,
-		ident:       flood.NewIdent(),
+		arena:       plan.Arena(),
+		ident:       ident,
 		topo:        topo,
-		heard:       make([][]trRecord, g.N()),
+		flooder:     flood.NewOnPlan(plan, me, ident),
+		heard:       make([][]TranscriptEntry, g.N()),
 		transcripts: make([]*transcriptInfo, g.N()),
-		relValues:   make([]*relValue, g.N()),
 	}
+	// An honest neighbor transmits once per phase-1 receipt.
+	for _, u := range g.AdjList(me) {
+		nd.heard[u] = make([]TranscriptEntry, 0, plan.NodeReceipts(u))
+	}
+	return nd
 }
 
 // EfficientRounds returns the total engine rounds Algorithm 2 needs on an
@@ -319,7 +354,6 @@ func (nd *EfficientNode) stepPhase1(r int, inbox []sim.Delivery) []sim.Outgoing 
 	var out []sim.Outgoing
 	switch r {
 	case 0:
-		nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
 		out = nd.flooder.Start(flood.ValueBody{Value: nd.input})
 	case 1:
 		out = nd.flooder.Deliver(inbox)
@@ -329,35 +363,47 @@ func (nd *EfficientNode) stepPhase1(r int, inbox []sim.Delivery) []sim.Outgoing 
 	default:
 		out = nd.flooder.Deliver(inbox)
 	}
-	nd.recordSent(r, out)
 	if r == flood.Rounds(nd.g.N())-1 {
-		nd.phase1Receipts = nd.flooder.Store()
+		nd.settlePhase1()
 	}
 	return out
+}
+
+// settlePhase1 keeps what later phases read of phase 1's receipts before
+// the flooder is recycled: every node's reliable value and the value
+// receipts themselves.
+func (nd *EfficientNode) settlePhase1() {
+	store := nd.flooder.Store()
+	nd.relValues = make([]relValue, nd.g.N())
+	for u := range nd.relValues {
+		val, ok := nd.computeReliableValue(store, graph.NodeID(u))
+		nd.relValues[u] = relValue{ok: ok, val: val}
+	}
+	nd.phase1Receipts = make([]valueReceipt, 0, store.Len())
+	for _, r := range store.All() {
+		if v, ok := r.Value(); ok {
+			nd.phase1Receipts = append(nd.phase1Receipts, valueReceipt{path: r.PathID, val: v})
+		}
+	}
 }
 
 func (nd *EfficientNode) stepPhase2(r int, inbox []sim.Delivery) []sim.Outgoing {
 	var out []sim.Outgoing
 	if r == 0 {
-		nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
+		nd.flooder.Recycle()
 		// Phase-2 receipts repeat phase 1's path structure once per report
 		// slot, and a reporter carries one slot per neighbor — about the
 		// average degree (2M/N) slots per origin.
-		nd.flooder.Expect(nd.phase1Receipts.Len() * 2 * nd.g.M() / nd.g.N())
+		nd.flooder.Expect(len(nd.phase1Receipts) * 2 * nd.g.M() / nd.g.N())
 		bodies := make([]flood.Body, 0, nd.g.Degree(nd.me))
 		for _, z := range nd.g.Neighbors(nd.me) {
-			entries := make([]TranscriptEntry, len(nd.heard[z]))
-			for i, e := range nd.heard[z] {
-				entries[i] = TranscriptEntry{Round: e.round, Key: nd.ident.KeyString(e.key)}
-			}
-			bodies = append(bodies, TranscriptBody{Observed: z, Entries: entries})
+			bodies = append(bodies, TranscriptBody{Observed: z, Entries: nd.heard[z]})
 		}
 		out = nd.flooder.Start(bodies...)
 	} else {
 		out = nd.flooder.Deliver(inbox)
 	}
 	if r == flood.Rounds(nd.g.N())-1 {
-		nd.phase2Receipts = nd.flooder.Store()
 		nd.identifyFaults()
 		nd.typeA = nd.identified.Len() >= nd.f && nd.f > 0
 	}
@@ -367,10 +413,9 @@ func (nd *EfficientNode) stepPhase2(r int, inbox []sim.Delivery) []sim.Outgoing 
 func (nd *EfficientNode) stepPhase3(r int, inbox []sim.Delivery) []sim.Outgoing {
 	var out []sim.Outgoing
 	if r == 0 {
-		nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
-		// Phase 3 floods one decision per type-B origin — the same shape
-		// as phase 1's one-value-per-origin flood.
-		nd.flooder.Expect(nd.phase1Receipts.Len())
+		// Phase 3 floods one decision per type-B origin — the shape of
+		// phase 1 — into the store phase 2 grew.
+		nd.flooder.Recycle()
 		if !nd.typeA {
 			// Type B: decide the majority of reliably received input
 			// values (ties go to 0) and flood the decision.
@@ -410,79 +455,35 @@ func (nd *EfficientNode) finish() {
 	nd.decided = true
 }
 
-// msgID interns a message's canonical identity ("<body key>@<path key>"),
-// without rendering it when the (body, path) pair was seen before: real
-// paths resolve through the arena and the Ident pair cache, so the string
-// is built once per distinct message per node. Forged provenance (not
-// internable) falls back to the allocating rendering, so the resulting
-// identity is the interning of the exact same canonical string either way.
-func (nd *EfficientNode) msgID(m flood.Msg) flood.BodyID {
-	if pid := nd.arena.InternCached(m.Pi); pid != graph.NoPath {
-		body := nd.ident.BodyKeyID(m.Body)
-		if id, ok := nd.ident.PairKey(body, pid); ok {
-			return id
-		}
-		return nd.ident.SetPairKey(body, pid, nd.ident.KeyString(body)+"@"+nd.arena.Key(pid))
-	}
-	return nd.ident.KeyID(m.Key())
-}
-
-// valueMsgID resolves the identity of a (value, interned path) message —
-// the probe form used by the fault-identification walks, matching msgID's
-// rendering exactly. Probing is lookup-only: an identity nobody recorded
-// cannot appear in any transcript, so a miss reports false instead of
-// growing the table (positive resolutions are cached under the pair).
-func (nd *EfficientNode) valueMsgID(body flood.BodyID, pid graph.PathID) (flood.BodyID, bool) {
-	if id, ok := nd.ident.PairKey(body, pid); ok {
-		return id, true
-	}
-	id, ok := nd.ident.LookupKey(nd.ident.KeyString(body) + "@" + nd.arena.Key(pid))
-	if ok {
-		nd.ident.CachePairKey(body, pid, id)
-	}
-	return id, ok
-}
-
 // recordHeard appends every phase-1 flood transmission heard from each
 // neighbor to the per-neighbor transcript log. stepRound is the round the
 // inbox was *delivered* in; the transmissions happened one round earlier.
 func (nd *EfficientNode) recordHeard(stepRound int, inbox []sim.Delivery) {
 	for _, d := range inbox {
 		if m, ok := d.Payload.(flood.Msg); ok {
-			nd.heard[d.From] = append(nd.heard[d.From], trRecord{round: int32(stepRound - 1), key: nd.msgID(m)})
+			nd.heard[d.From] = append(nd.heard[d.From], TranscriptEntry{Round: int32(stepRound - 1), Msg: m})
 		}
 	}
 }
 
-// recordSent appends own transmissions (made in stepRound) to the self
-// transcript.
-func (nd *EfficientNode) recordSent(stepRound int, out []sim.Outgoing) {
-	for _, o := range out {
-		if m, ok := o.Payload.(flood.Msg); ok {
-			nd.sent = append(nd.sent, trRecord{round: int32(stepRound), key: nd.msgID(m)})
-		}
-	}
-}
-
-// reliableValue implements Definition C.1 for phase-1 input values: the
-// value reliably received from u, if any.
+// reliableValue returns the Definition C.1 outcome for phase-1 input
+// values: the value reliably received from u, if any (settled at the end
+// of phase 1).
 func (nd *EfficientNode) reliableValue(u graph.NodeID) (sim.Value, bool) {
-	if c := nd.relValues[u]; c != nil {
-		return c.val, c.ok
-	}
-	val, ok := nd.computeReliableValue(u)
-	nd.relValues[u] = &relValue{ok: ok, val: val}
-	return val, ok
+	rv := nd.relValues[u]
+	return rv.val, rv.ok
 }
 
-func (nd *EfficientNode) computeReliableValue(u graph.NodeID) (sim.Value, bool) {
+// computeReliableValue implements Definition C.1 over the phase-1
+// receipts.
+func (nd *EfficientNode) computeReliableValue(phase1 *flood.ReceiptStore, u graph.NodeID) (sim.Value, bool) {
 	if u == nd.me {
 		return nd.input, true
 	}
 	if nd.g.HasEdge(u, nd.me) {
 		// Clause 2: direct neighbors hear the initiation (or apply the
 		// default substitution) themselves.
-		return nd.phase1Receipts.ValueAt(nd.arena.Intern(graph.Path{u, nd.me}))
+		return phase1.ValueAt(nd.arena.Extend(nd.arena.Root(u), nd.me))
 	}
 	// Clause 3: identical value along f+1 internally-disjoint uv-paths.
 	for _, delta := range []sim.Value{sim.Zero, sim.One} {
@@ -490,7 +491,7 @@ func (nd *EfficientNode) computeReliableValue(u graph.NodeID) (sim.Value, bool) 
 			Origins: graph.NewSet(u),
 			Body:    flood.ValueKeyID(delta),
 		}
-		if flood.ReceivedOnDisjointPaths(nd.phase1Receipts, fil, nd.f+1, flood.InternallyDisjoint) {
+		if nd.scratch.ReceivedOnDisjointPaths(phase1, fil, nd.f+1, flood.InternallyDisjoint) {
 			return delta, true
 		}
 	}
@@ -499,35 +500,39 @@ func (nd *EfficientNode) computeReliableValue(u graph.NodeID) (sim.Value, bool) 
 
 // reliableTranscriptInfo returns the cached record of z's complete ordered
 // phase-1 transcript, if it is reliably known to this node: own log for
-// itself and for direct neighbors, otherwise an identical transcript claim
-// received along f+1 internally-disjoint zv-paths (each path being z, then
-// a reporting neighbor of z, then the report flood's relay path).
+// direct neighbors, otherwise an identical transcript claim received along
+// f+1 internally-disjoint zv-paths (each path being z, then a reporting
+// neighbor of z, then the report flood's relay path). z is never the node
+// itself: the walks take their own behavior as known correct.
 func (nd *EfficientNode) reliableTranscriptInfo(z graph.NodeID) *transcriptInfo {
 	if c := nd.transcripts[z]; c != nil {
 		return c
 	}
-	entries, known := nd.computeReliableTranscript(z)
-	ti := &transcriptInfo{known: known, entries: entries}
+	ti := &transcriptInfo{}
+	if entries, known := nd.computeReliableTranscript(z); known {
+		ti = nd.newTranscriptInfo(z, entries)
+	}
 	nd.transcripts[z] = ti
 	return ti
 }
 
-func (nd *EfficientNode) computeReliableTranscript(z graph.NodeID) ([]trRecord, bool) {
-	if z == nd.me {
-		return nd.sent, true
-	}
+func (nd *EfficientNode) computeReliableTranscript(z graph.NodeID) ([]TranscriptEntry, bool) {
 	if nd.g.HasEdge(z, nd.me) {
 		return nd.heard[z], true
 	}
 	// Group transcript claims about z by content (the interned body
 	// identity), tracking for each distinct content the zv-paths it
-	// arrived along.
+	// arrived along. Identification runs at the end of phase 2, so the
+	// flooder's store holds the reports.
 	type claimGroup struct {
 		body  TranscriptBody
 		paths []flood.Receipt // synthetic receipts with the z-prefixed path
+		key   string          // the canonical rendering, when ordering needs it
 	}
-	groups := make(map[flood.BodyID]*claimGroup)
-	for i, r := range nd.phase2Receipts.All() {
+	reports := nd.flooder.Store()
+	var groups []*claimGroup
+	byContent := make(map[flood.BodyID]*claimGroup)
+	for i, r := range reports.All() {
 		tb, ok := r.Body.(TranscriptBody)
 		if !ok || tb.Observed != z {
 			continue
@@ -538,48 +543,37 @@ func (nd *EfficientNode) computeReliableTranscript(z graph.NodeID) ([]trRecord, 
 		if !nd.g.HasEdge(r.Origin, z) || nd.arena.Contains(r.PathID, z) {
 			continue
 		}
-		key := nd.phase2Receipts.BodyID(i)
-		grp, ok := groups[key]
+		key := reports.BodyID(i)
+		grp, ok := byContent[key]
 		if !ok {
 			grp = &claimGroup{body: tb}
-			groups[key] = grp
+			byContent[key] = grp
+			groups = append(groups, grp)
 		}
 		// Intern the synthetic zv-path z·relay; it is a valid simple path
 		// (z–reporter is an edge, z is not on the relay path).
-		relay := nd.phase2Receipts.Path(r)
-		zp := make(graph.Path, 0, len(relay)+1)
-		zp = append(zp, z)
-		zp = append(zp, relay...)
-		grp.paths = append(grp.paths, flood.Receipt{Origin: z, PathID: nd.arena.Intern(zp), Body: tb})
+		zp := nd.arena.Root(z)
+		for _, u := range reports.Path(r) {
+			zp = nd.arena.Extend(zp, u)
+		}
+		grp.paths = append(grp.paths, flood.Receipt{Origin: z, PathID: zp, Body: tb})
 	}
 	// Deterministic group order: by canonical content string, exactly the
-	// order the string-keyed grouping iterated in (the strings are interned
-	// already, so the sort builds nothing).
-	ids := make([]flood.BodyID, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
+	// order the string-keyed grouping iterated in. Contested transcripts
+	// are rare (they take a lying reporter), so they alone pay for the
+	// renderings.
+	if len(groups) > 1 {
+		for _, grp := range groups {
+			grp.key = grp.body.Key()
+		}
+		slices.SortFunc(groups, func(a, b *claimGroup) int { return strings.Compare(a.key, b.key) })
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		return nd.ident.KeyString(ids[i]) < nd.ident.KeyString(ids[j])
-	})
-	for _, id := range ids {
-		grp := groups[id]
-		if flood.SelectDisjoint(nd.arena, grp.paths, nd.f+1, flood.InternallyDisjoint) != nil {
-			return nd.toRecords(grp.body.Entries), true
+	for _, grp := range groups {
+		if nd.scratch.SelectDisjoint(nd.arena, grp.paths, nd.f+1, flood.InternallyDisjoint) {
+			return grp.body.Entries, true
 		}
 	}
 	return nil, false
-}
-
-// toRecords converts wire transcript entries to node-local integer
-// records, interning each entry's message identity. Positions are
-// preserved one to one, so entryHit.pos semantics are unchanged.
-func (nd *EfficientNode) toRecords(entries []TranscriptEntry) []trRecord {
-	recs := make([]trRecord, len(entries))
-	for i, e := range entries {
-		recs[i] = trRecord{round: e.Round, key: nd.ident.KeyID(e.Key)}
-	}
-	return recs
 }
 
 // identifyFaults runs the phase-2 fault identification walks.
@@ -618,9 +612,9 @@ func (nd *EfficientNode) walkPath(p graph.Path, b sim.Value) {
 	// (heard one round later, still inside phase 1).
 	lastVisible := flood.Rounds(nd.g.N()) - 2
 	// Intern the walked path once: every prefix p[:i] is then an ancestor
-	// entry whose canonical key is cached in the arena, instead of being
-	// re-joined from digits at every probe.
-	prefixIDs := make([]graph.PathID, len(p))
+	// entry, and its PathID is half of each probe identity.
+	prefixIDs := slices.Grow(nd.prefixIDs[:0], len(p))[:len(p)]
+	nd.prefixIDs = prefixIDs
 	for at, i := nd.arena.Intern(p), len(p)-1; i >= 0; at, i = nd.arena.Parent(at), i-1 {
 		prefixIDs[i] = at
 	}
@@ -643,17 +637,10 @@ func (nd *EfficientNode) walkPath(p graph.Path, b sim.Value) {
 			prev = due
 			continue
 		}
-		// The Π of z's expected forward is p[:i]; the probe identities
-		// match flood.Msg.Key for (value, Π) through the Ident pair cache,
-		// with no string building after the first probe of a pair.
-		var gHit, bHit entryHit
-		var gOK, bOK bool
-		if gID, ok := nd.valueMsgID(goodBody, prefixIDs[i-1]); ok {
-			gHit, gOK = ti.hit(gID)
-		}
-		if bID, ok := nd.valueMsgID(badBody, prefixIDs[i-1]); ok {
-			bHit, bOK = ti.hit(bID)
-		}
+		// The Π of z's expected forward is p[:i]: the probe identities are
+		// the (value, Π) message keys, packed without any lookup.
+		gHit, gOK := ti.hit(flood.PackMsgKey(goodBody, prefixIDs[i-1]))
+		bHit, bOK := ti.hit(flood.PackMsgKey(badBody, prefixIDs[i-1]))
 		// The verdict reads z's FIRST transmission for this slot: the
 		// earlier transcript position wins when both contents appear.
 		tampered := bOK && (!gOK || bHit.pos < gHit.pos)
@@ -738,12 +725,9 @@ func (nd *EfficientNode) majorityNonFaulty() sim.Value {
 // path that excludes the identified fault set. All such receipts agree,
 // because every internal node on such a path is non-faulty.
 func (nd *EfficientNode) valueAlongCleanPath(w graph.NodeID) (sim.Value, bool) {
-	for r := range nd.phase1Receipts.FromOrigin(w) {
-		if !nd.arena.ExcludesInternal(r.PathID, nd.identified) {
-			continue
-		}
-		if v, ok := r.Value(); ok {
-			return v, true
+	for _, r := range nd.phase1Receipts {
+		if nd.arena.Origin(r.path) == w && nd.arena.ExcludesInternal(r.path, nd.identified) {
+			return r.val, true
 		}
 	}
 	return 0, false

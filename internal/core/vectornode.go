@@ -68,7 +68,7 @@ func (b VectorBody) InternKey(t *flood.Ident) flood.BodyID {
 	if id, ok := t.MemoKey(&b.Values[0], len(b.Values), 0); ok {
 		return id
 	}
-	return t.SetMemoKey(&b.Values[0], len(b.Values), 0, b.Key())
+	return t.SetMemoKey(&b.Values[0], len(b.Values), 0, t.KeyID(b.Key()))
 }
 
 // InternSlot returns the pre-reserved empty-slot identity.

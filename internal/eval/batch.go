@@ -431,6 +431,12 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			}
 		}
 	}
+	if s.base.Algorithm == Algo2 {
+		// Algorithm 2's honest nodes flood on the benign plan's arena.
+		for _, inst := range s.spec.Instances {
+			sharePlan(inst.Byzantine, flood.PlanFor(s.topo))
+		}
+	}
 
 	st := &batchLoopState{
 		groupOf:      groupOf,

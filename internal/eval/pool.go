@@ -200,8 +200,9 @@ type sessionRun struct {
 	churn  *churnRun
 }
 
-// planSetter is the optional adversary capability a delta run engages: the
-// honest nodes of such a run flood on the benign plan's frozen arena, and an
+// planSetter is the optional adversary capability delta and Algorithm 2
+// runs engage: the honest nodes of such a run flood on the benign plan's
+// frozen arena, and an
 // adversary relaying over the same plan reads and writes path hints they
 // verify in O(1). adversary's relaying strategies implement it; anything
 // else keeps establishing paths on its own.
@@ -260,6 +261,11 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		// Benign and churn runs share the benign compiled plan; a churn
 		// run replays it only up to the taint frontier (set below).
 		run.rs = core.NewReplayShared(flood.PlanFor(topo))
+	case replayOff:
+		if spec.Algorithm == Algo2 {
+			// Algorithm 2's honest nodes flood on the benign plan's arena.
+			sharePlan(spec.Byzantine, flood.PlanFor(topo))
+		}
 	}
 	if run.rs != nil {
 		run.rs.SetPhantom(sessionPhantomOK(mode, spec))

@@ -215,9 +215,10 @@ func (o Outcome) OK() bool { return o.Agreement && o.Validity && o.Termination }
 // per graph is enough for any number of nodes, runs, and batch
 // instances). arena, when non-nil, shares message-identity state between
 // the co-located instances of one batch node — it is not safe for
-// concurrent use and must be nil when nodes step in parallel. Unless the
-// spec demands the full budget, phase-based nodes are built with early
-// decision enabled.
+// concurrent use and must be nil when nodes step in parallel; Algorithm 2
+// nodes flood on topo's frozen plan arena instead, which every node of
+// every run shares. Unless the spec demands the full budget, phase-based
+// nodes are built with early decision enabled.
 func (s Spec) NewHonestNode(topo *graph.Analysis, arena *graph.PathArena, u graph.NodeID, input sim.Value) sim.Node {
 	early := !s.FullBudget
 	switch s.Algorithm {
@@ -318,7 +319,8 @@ type replayMode int
 
 const (
 	// replayOff runs the dynamic message-by-message path, unpooled: the
-	// spec forces it, the algorithm has no compiled plans (Algo2's report
+	// spec forces it, the algorithm replays no plan (Algo2 floods
+	// dynamically on the benign plan's frozen arena, since its report
 	// flooding is value-dependent), or Byzantine overrides meet churn.
 	replayOff replayMode = iota
 	// replayFull replays the benign all-relays-correct plan wholesale —

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"encoding/binary"
+
 	"lbcast/internal/graph"
 	"lbcast/internal/sim"
 )
@@ -20,9 +22,13 @@ import (
 // After the run completes it is safe for any number of concurrent readers.
 //
 // All identity flows through one string-intern table: the memo caches
-// (slice identity, (body, path) pairs, node slots) are pure fast paths
-// that bottom out in KeyID/SlotIDOf, so two routes to the same canonical
-// string always yield the same integer.
+// (slice identity, node slots) are pure fast paths that bottom out in
+// KeyID/SlotIDOf, so two routes to the same canonical string always yield
+// the same integer. Two identities never render a key: a message's
+// (MsgKey), the integer pair of its body identity and the PathID of Π in
+// the arena the table is bound to (NewIdentOn), and a message sequence's
+// (SeqKeyID), a compact content key built from those pairs and interned
+// apart from the rendered keys.
 
 // BodyID is the dense integer identity of a canonical key string (a body
 // identity or a full message identity) within one Ident table. The zero
@@ -59,8 +65,11 @@ func ValueKeyID(v sim.Value) BodyID {
 
 // KeyInterner is implemented by bodies that can produce their canonical
 // identity without rendering the key string on every call (typically via
-// the table's slice-identity memo). InternKey must return the same ID that
-// t.KeyID(b.Key()) would.
+// the table's slice-identity memo). InternKey must return IDs that are
+// equal exactly when the bodies' Key renderings are: either t.KeyID(b.Key())
+// itself, or — for every value of the body type alike — the ID of a
+// compact content key that determines the rendering (SeqKeyID), in which
+// case KeyString of the ID is that key and not Key().
 type KeyInterner interface {
 	InternKey(t *Ident) BodyID
 }
@@ -89,10 +98,15 @@ type Ident struct {
 	byKey map[string]BodyID
 	keys  []string // id -> canonical string
 	memo  map[memoKey]BodyID
-	// pair caches full-message identities ("<body key>@<path key>") by
-	// (BodyID, PathID), so transcript recording and fault-identification
-	// probes never rebuild the string.
-	pair map[uint64]BodyID
+	// arena resolves the Π of message identities (MsgKey); nil resolves
+	// none, and every message falls back to its canonical rendering.
+	arena *graph.PathArena
+	// seqKeys interns SeqKeyID content keys apart from byKey, so that no
+	// rendered key — whatever a forged body renders — can meet one. Both
+	// draw IDs from keys.
+	seqKeys map[string]BodyID
+	// buf is the reused buffer SeqKeyID builds content keys in.
+	buf []byte
 
 	slotIDs map[string]SlotID
 	slots   []string // id -> slot string
@@ -112,6 +126,14 @@ func NewIdent() *Ident {
 	}
 }
 
+// NewIdentOn returns a table like NewIdent whose message identities
+// (MsgKey) resolve Π in arena a — the arena the owning node floods on.
+func NewIdentOn(a *graph.PathArena) *Ident {
+	t := NewIdent()
+	t.arena = a
+	return t
+}
+
 // Len returns the number of interned key strings (including the three
 // pre-reserved ones).
 func (t *Ident) Len() int { return len(t.keys) }
@@ -127,17 +149,10 @@ func (t *Ident) KeyID(s string) BodyID {
 	return id
 }
 
-// LookupKey returns the identity of a key string without interning it —
-// the probe form: a string that was never interned cannot equal any
-// recorded identity, and probing must not grow the table.
-func (t *Ident) LookupKey(s string) (BodyID, bool) {
-	id, ok := t.byKey[s]
-	return id, ok
-}
-
 // KeyString returns the canonical string of an interned identity. The
 // string is shared; this is the one sanctioned ID→string crossing (trace
-// rendering, deterministic ordering, wire transcript entries).
+// rendering and tests). For a body interned through a compact content key
+// (see KeyInterner) it is that key.
 func (t *Ident) KeyString(id BodyID) string { return t.keys[id] }
 
 // MemoKey looks up a structured body's identity by anchor (see memoKey).
@@ -146,9 +161,9 @@ func (t *Ident) MemoKey(anchor any, n int, tag int32) (BodyID, bool) {
 	return id, ok
 }
 
-// SetMemoKey interns key and records it under the anchor, returning the ID.
-func (t *Ident) SetMemoKey(anchor any, n int, tag int32, key string) BodyID {
-	id := t.KeyID(key)
+// SetMemoKey records id, an identity interned in this table, under the
+// anchor and returns it.
+func (t *Ident) SetMemoKey(anchor any, n int, tag int32, id BodyID) BodyID {
 	if t.memo == nil {
 		t.memo = make(map[memoKey]BodyID)
 	}
@@ -156,32 +171,79 @@ func (t *Ident) SetMemoKey(anchor any, n int, tag int32, key string) BodyID {
 	return id
 }
 
-func pairKey(body BodyID, path graph.PathID) uint64 {
-	return uint64(uint32(body))<<32 | uint64(uint32(path))
+// MsgKey is the integer identity of a flooded message (body, Π) within one
+// Ident table: its body identity packed beside the PathID of Π in the
+// table's arena (NoPath for an initiation's empty Π). A Π the arena cannot
+// resolve falls back to the interned canonical rendering of the whole
+// message, packed beside a path half no PathID takes, so the two forms
+// never meet. Two messages have equal keys exactly when their Msg.Key
+// renderings are equal.
+type MsgKey uint64
+
+// unresolvedPath is the path half of a fallback MsgKey.
+const unresolvedPath graph.PathID = -2
+
+// PackMsgKey returns the MsgKey of a message whose body identity is body
+// and whose Π is the interned path pi — the probe form, for a caller that
+// knows both halves.
+func PackMsgKey(body BodyID, pi graph.PathID) MsgKey {
+	return MsgKey(uint64(uint32(body))<<32 | uint64(uint32(pi)))
 }
 
-// PairKey looks up the full-message identity "<body>@<path>" by its
-// components.
-func (t *Ident) PairKey(body BodyID, path graph.PathID) (BodyID, bool) {
-	id, ok := t.pair[pairKey(body, path)]
-	return id, ok
-}
-
-// SetPairKey interns the rendered full-message key and caches it under
-// (body, path), returning the ID.
-func (t *Ident) SetPairKey(body BodyID, path graph.PathID, key string) BodyID {
-	id := t.KeyID(key)
-	t.CachePairKey(body, path, id)
-	return id
-}
-
-// CachePairKey records an already-interned identity under (body, path)
-// without touching the string table — the positive-probe cache.
-func (t *Ident) CachePairKey(body BodyID, path graph.PathID, id BodyID) {
-	if t.pair == nil {
-		t.pair = make(map[uint64]BodyID)
+// MsgKey returns the identity of message m as transmitted by sender from.
+// Π is resolved in the table's arena: through m's hint when the arena
+// verifies it as Π·from (graph.PathArena.IsExtension, O(1) — a lying hint
+// is ignored, see wire.go), otherwise by interning Π. Only a Π that is not
+// a simple path of the graph, or a table bound to no arena, pays for the
+// canonical rendering.
+func (t *Ident) MsgKey(m Msg, from graph.NodeID) MsgKey {
+	body := t.BodyKeyID(m.Body)
+	if len(m.Pi) == 0 {
+		return PackMsgKey(body, graph.NoPath)
 	}
-	t.pair[pairKey(body, path)] = id
+	if a := t.arena; a != nil {
+		if a.IsExtension(m.Hint, m.Pi, from) {
+			return PackMsgKey(body, a.Parent(m.Hint))
+		}
+		if pi := a.InternCached(m.Pi); pi != graph.NoPath {
+			return PackMsgKey(body, pi)
+		}
+	}
+	return PackMsgKey(t.KeyID(m.Key()), unresolvedPath)
+}
+
+// SeqKeyID interns the content identity of n round-stamped messages
+// transmitted by sender from, in order — Algorithm 2's phase-2
+// transcripts; at(i) returns the i-th stamp and message. The key is the
+// sender, then per message its stamp and both MsgKey halves, as varints:
+// it determines every message's rendering, so two sequences from one
+// sender share an ID exactly when their renderings agree, and it is a few
+// bytes per message where the rendering is tens. It is built in the
+// table's reused buffer and copied only when new.
+func (t *Ident) SeqKeyID(from graph.NodeID, n int, at func(i int) (int32, Msg)) BodyID {
+	// Take the buffer: a message body may itself be a sequence, and its
+	// MsgKey then builds a key of its own.
+	buf := binary.AppendVarint(t.buf[:0], int64(from))
+	t.buf = nil
+	for i := 0; i < n; i++ {
+		stamp, m := at(i)
+		k := t.MsgKey(m, from)
+		buf = binary.AppendVarint(buf, int64(stamp))
+		buf = binary.AppendVarint(buf, int64(int32(k>>32)))
+		buf = binary.AppendVarint(buf, int64(int32(k)))
+	}
+	t.buf = buf
+	if id, ok := t.seqKeys[string(buf)]; ok {
+		return id
+	}
+	if t.seqKeys == nil {
+		t.seqKeys = make(map[string]BodyID)
+	}
+	id := BodyID(len(t.keys))
+	key := string(buf)
+	t.seqKeys[key] = id
+	t.keys = append(t.keys, key)
+	return id
 }
 
 // SlotIDOf interns a slot string.

@@ -53,25 +53,49 @@ func FuzzIdentRoundTrip(f *testing.F) {
 	})
 }
 
-// TestIdentFastRoutesAgree checks that every fast path — the (body, path)
-// pair cache, the slice-identity memo, and the node-slot cache — yields
-// the same ID the plain string route would.
+// TestIdentFastRoutesAgree checks that every fast path — message keys
+// through a verified hint, the slice-identity memo, and the node-slot
+// cache — yields the same ID the plain route would.
 func TestIdentFastRoutesAgree(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
 	arena := graph.NewPathArena(g)
-	ident := NewIdent()
-	pid := arena.Intern(graph.Path{0, 1, 2})
+	ident := NewIdentOn(arena)
+	pi := arena.Intern(graph.Path{0, 1, 2})
+	ext := arena.Extend(pi, 3)
 
-	rendered := "v:1@" + arena.Key(pid)
-	if _, ok := ident.PairKey(valueOneID, pid); ok {
-		t.Fatal("pair cache unexpectedly warm")
+	// The verified hint, a lying hint, no hint, and a private copy of Π
+	// all name the same message; the probe form packs it directly.
+	want := PackMsgKey(valueOneID, pi)
+	for _, m := range []Msg{
+		hinted(arena, ValueBody{Value: 1}, ext),
+		{Body: ValueBody{Value: 1}, Pi: arena.Path(pi), Hint: pi},
+		{Body: ValueBody{Value: 1}, Pi: arena.Path(pi), Hint: graph.NoPath},
+		{Body: ValueBody{Value: 1}, Pi: graph.Path{0, 1, 2}, Hint: ext},
+	} {
+		if got := ident.MsgKey(m, 3); got != want {
+			t.Fatalf("MsgKey(%s, hint %d) = %#x, want %#x", m.Key(), m.Hint, got, want)
+		}
 	}
-	id := ident.SetPairKey(valueOneID, pid, rendered)
-	if got := ident.KeyID(rendered); got != id {
-		t.Fatalf("pair route %d != string route %d", id, got)
+	if got := ident.MsgKey(Msg{Body: ValueBody{Value: 1}}, 0); got != PackMsgKey(valueOneID, graph.NoPath) {
+		t.Fatalf("initiation key = %#x", got)
 	}
-	if got, ok := ident.PairKey(valueOneID, pid); !ok || got != id {
-		t.Fatalf("pair cache lookup = %d, %t", got, ok)
+	// A Π that is not a simple path falls back to the rendered message,
+	// and never meets a resolved key.
+	bad := Msg{Body: ValueBody{Value: 1}, Pi: graph.Path{0, 2}}
+	if got, want := ident.MsgKey(bad, 3), PackMsgKey(ident.KeyID(bad.Key()), unresolvedPath); got != want {
+		t.Fatalf("fallback key = %#x, want %#x", got, want)
+	}
+	if NewIdent().MsgKey(hinted(arena, ValueBody{Value: 1}, ext), 3) == want {
+		t.Fatal("a table bound to no arena resolved Π")
+	}
+	// Sequence content keys live apart from rendered keys: a body that
+	// renders a content key's very bytes does not share its identity.
+	seq := ident.SeqKeyID(3, 1, func(int) (int32, Msg) { return 2, hinted(arena, ValueBody{Value: 1}, ext) })
+	if ident.KeyID(ident.KeyString(seq)) == seq {
+		t.Fatal("a rendered key met a sequence content key")
+	}
+	if again := ident.SeqKeyID(3, 1, func(int) (int32, Msg) { return 2, Msg{Body: ValueBody{Value: 1}, Pi: graph.Path{0, 1, 2}} }); again != seq {
+		t.Fatalf("equal sequences interned as %d and %d", seq, again)
 	}
 
 	vals := []sim.Value{1, 0, 1}
@@ -79,7 +103,7 @@ func TestIdentFastRoutesAgree(t *testing.T) {
 	if _, ok := ident.MemoKey(&vals[0], len(vals), 0); ok {
 		t.Fatal("memo unexpectedly warm")
 	}
-	mid := ident.SetMemoKey(&vals[0], len(vals), 0, body)
+	mid := ident.SetMemoKey(&vals[0], len(vals), 0, ident.KeyID(body))
 	if got := ident.KeyID(body); got != mid {
 		t.Fatalf("memo route %d != string route %d", mid, got)
 	}
