@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"lbcast/internal/combin"
 	"lbcast/internal/flood"
 	"lbcast/internal/graph"
 	"lbcast/internal/sim"
@@ -160,14 +161,15 @@ func newPhaseNode(topo *graph.Analysis, f int, me graph.NodeID, input sim.Value,
 func PhaseRounds(n int) int { return flood.Rounds(n) }
 
 // Algo1Rounds returns the total engine rounds Algorithm 1 needs on an
-// n-node graph with fault bound f.
+// n-node graph with fault bound f. The phases are counted, not enumerated.
 func Algo1Rounds(n, f int) int {
-	return len(Algo1Phases(n, f)) * PhaseRounds(n)
+	return int(combin.CountSubsetsUpTo(n, f).Int64()) * PhaseRounds(n)
 }
 
-// HybridRounds returns the total engine rounds Algorithm 3 needs.
+// HybridRounds returns the total engine rounds Algorithm 3 needs, counting
+// its (F, T) phases without enumerating them.
 func HybridRounds(n, f, t int) int {
-	return len(HybridPhases(n, f, t)) * PhaseRounds(n)
+	return int(combin.CountFTPairs(n, f, t).Int64()) * PhaseRounds(n)
 }
 
 // ID returns the node id.

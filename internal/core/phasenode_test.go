@@ -51,6 +51,23 @@ func TestRoundBudgets(t *testing.T) {
 	}
 }
 
+// TestRoundBudgetsCountPhases pins the counted round budgets to the
+// enumerated phase schedules they replace.
+func TestRoundBudgetsCountPhases(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		for f := 0; f <= 4; f++ {
+			if got, want := Algo1Rounds(n, f), len(Algo1Phases(n, f))*PhaseRounds(n); got != want {
+				t.Fatalf("Algo1Rounds(%d, %d) = %d, enumeration gives %d", n, f, got, want)
+			}
+			for tt := 0; tt <= f; tt++ {
+				if got, want := HybridRounds(n, f, tt), len(HybridPhases(n, f, tt))*PhaseRounds(n); got != want {
+					t.Fatalf("HybridRounds(%d, %d, %d) = %d, enumeration gives %d", n, f, tt, got, want)
+				}
+			}
+		}
+	}
+}
+
 // runHonest drives a full honest execution of the given nodes on g.
 func runHonest(t *testing.T, g *graph.Graph, nodes []sim.Node, rounds int) map[graph.NodeID]sim.Value {
 	t.Helper()

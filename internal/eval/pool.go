@@ -319,6 +319,14 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		return nil, fmt.Errorf("eval: %w", err)
 	}
 	run.eng = eng
+	if run.dp != nil {
+		// Delta runs flood dynamically, so every inbox fills to about the
+		// benign plan's fan-in; size it once instead of regrowing it
+		// through the first phase.
+		for _, u := range g.Nodes() {
+			eng.ReserveInbox(u, run.dp.Base().MaxRoundFanIn(u))
+		}
+	}
 	return run, nil
 }
 

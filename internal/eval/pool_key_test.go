@@ -130,13 +130,17 @@ func TestPooledFaultShapeIsolationParity(t *testing.T) {
 		// Fresh specs every pass: the stateful adversaries must restart
 		// their RNG streams exactly as the fresh-state runs did. Each
 		// shape runs twice back-to-back so the second run recycles the
-		// first's state before GC can drop it from the pool.
+		// first's state before GC can drop it from the pool; both traces
+		// are rendered only after the pair, since rendering the first in
+		// between allocates enough to collect the pooled state.
 		a, b := mkSpecs(), mkSpecs()
 		for i := range a {
-			if d := traceDigest(runTracedShared(t, a[i], topo)); d != fresh[i] {
+			recA, outA := runRecordedShared(t, a[i], topo)
+			recB, outB := runRecordedShared(t, b[i], topo)
+			if d := traceDigest(traceString(recA, outA)); d != fresh[i] {
 				t.Fatalf("iter %d spec %d: trace digest %s != fresh-state %s", iter, i, d, fresh[i])
 			}
-			if d := traceDigest(runTracedShared(t, b[i], topo)); d != fresh[i] {
+			if d := traceDigest(traceString(recB, outB)); d != fresh[i] {
 				t.Fatalf("iter %d spec %d: recycled-state trace digest %s != fresh-state %s", iter, i, d, fresh[i])
 			}
 		}

@@ -139,6 +139,13 @@ func TestMonteCarloReplayParityRareFaults(t *testing.T) {
 // execution shape).
 func runTracedShared(t *testing.T, spec Spec, topo *graph.Analysis) string {
 	t.Helper()
+	return traceString(runRecordedShared(t, spec, topo))
+}
+
+// runRecordedShared is runTracedShared before rendering: the recorded
+// transmissions and the outcome.
+func runRecordedShared(t *testing.T, spec Spec, topo *graph.Analysis) (*sim.Recorder, Outcome) {
+	t.Helper()
 	rec := &sim.Recorder{}
 	spec.Observer = rec
 	s, err := newSessionShared(spec, topo)
@@ -149,7 +156,7 @@ func runTracedShared(t *testing.T, spec Spec, topo *graph.Analysis) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return traceString(rec, out)
+	return rec, out
 }
 
 // TestBatchMixedReplayParity is the golden-parity scenario that mixes

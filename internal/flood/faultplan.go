@@ -28,9 +28,11 @@ import (
 //     records, while anything tainted falls through, message by message,
 //     to the unmodified dynamic rules (i)–(iv).
 //
-// Byte identity survives both: masked compilation IS the dynamic crash
-// execution run symbolically (same flooder, same canonical delivery order,
-// same synthesize-after-deliver ordering), and the delta fast path fires
+// Byte identity survives both: masked compilation enumerates exactly the
+// receipts, in exactly the order, of the dynamic crash execution (the
+// benign enumeration minus the silent nodes, with the default-message
+// receipts after each node's round-1 deliveries — the dynamic step's
+// synthesize-after-deliver order), and the delta fast path fires
 // only when a delivery provably matches the next untainted compiled record
 // (same sender, same canonical body, same interned path), installing
 // exactly the state and emitting exactly the forward the dynamic rules
@@ -95,75 +97,16 @@ func (p *Plan) Mask() graph.Set { return p.mask }
 // CompileMaskedPlan builds the propagation plan of graph g under a
 // crash/silent fault mask: the nodes in silent never start, never deliver,
 // and never forward, and every honest node applies the round-1
-// default-message rule for its non-initiating neighbors — the masked
-// compilation is the dynamic crash-world execution run symbolically, so
-// the schedule records exactly the acceptance set, order, and forwards of
-// a dynamic session with those nodes crashed from the start. Use
-// MaskedPlanFor to memoize per analysis and mask.
+// default-message rule for its non-initiating neighbors. It is the same
+// level-by-level path enumeration as CompilePlan (see compile), with the
+// silent nodes' paths left out and their synthesized [u, v] receipts
+// accepted after each round-1 delivery, so the schedule records exactly
+// the acceptance set, order, and forwards of a dynamic session with those
+// nodes crashed from the start. Use MaskedPlanFor to memoize per analysis
+// and mask.
 func CompileMaskedPlan(g *graph.Graph, silent graph.Set) *Plan {
-	n := g.N()
-	arena := graph.NewPathArena(g)
-	ident := NewIdent()
-	p := &Plan{g: g, arena: arena, rounds: Rounds(n), sched: make([]planSchedule, n), mask: silent.Clone()}
-	for v := range p.sched {
-		p.sched[v].roundOff = make([]int32, p.rounds+1)
-	}
-
-	flooders := make([]*Flooder, n)
-	for u := 0; u < n; u++ {
-		if !silent.Contains(graph.NodeID(u)) {
-			flooders[u] = NewWithState(g, graph.NodeID(u), arena, ident)
-		}
-	}
-	record := func(v, r int) {
-		s := &p.sched[v]
-		all := flooders[v].Store().All()
-		for _, rec := range all[len(s.pids):] {
-			s.pids = append(s.pids, rec.PathID)
-			s.parents = append(s.parents, arena.Parent(rec.PathID))
-			s.origins = append(s.origins, rec.Origin)
-		}
-		s.roundOff[r+1] = int32(len(s.pids))
-	}
-
-	body := ValueBody{Value: sim.DefaultValue}
-	defaultBody := func(graph.NodeID) Body { return CanonValueBody(sim.DefaultValue) }
-	outs := make([][]sim.Outgoing, n)
-	for u := 0; u < n; u++ {
-		if flooders[u] == nil {
-			continue
-		}
-		outs[u] = flooders[u].Start(body)
-		record(u, 0)
-	}
-	inboxes := make([][]sim.Delivery, n)
-	for r := 1; r < p.rounds; r++ {
-		for v := range inboxes {
-			inboxes[v] = inboxes[v][:0]
-		}
-		for u := 0; u < n; u++ {
-			for _, out := range outs[u] {
-				for _, w := range g.AdjList(graph.NodeID(u)) {
-					inboxes[w] = append(inboxes[w], sim.Delivery{From: graph.NodeID(u), Payload: out.Payload})
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if flooders[v] == nil {
-				continue
-			}
-			outs[v] = flooders[v].Deliver(inboxes[v])
-			if r == 1 {
-				// The default-message rule, after the first Deliver round
-				// and in the same order the dynamic step applies it:
-				// synthesized acceptances for silent neighbors record
-				// after the round's delivered ones.
-				outs[v] = flooders[v].AppendMissing(outs[v], defaultBody)
-			}
-			record(v, r)
-		}
-	}
-	p.seal(flooders)
+	p := compile(g, silent)
+	p.mask = silent.Clone()
 	planMaskedCompiles.Add(1)
 	return p
 }

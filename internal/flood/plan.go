@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"lbcast/internal/graph"
@@ -11,22 +12,26 @@ import (
 // value-flooding session's messages traverse, and when each receipt
 // arrives, is a pure function of the static graph and of which nodes relay
 // correctly — it never depends on the values carried. A Plan captures that
-// structure once, by running the existing dynamic flood symbolically over a
-// shared PathArena, as a dense round-indexed schedule of arrival records
-// per node. Sessions, batch lanes, and Monte Carlo trials whose flood is
-// fault-free then REPLAY the schedule — receipts are bulk-installed into
-// the ReceiptStore and outboxes materialized from the precompiled
-// templates, with zero per-message interning, dedup, or rule-(i)–(iii)
-// work — instead of re-discovering the structure message by message. Any
-// flood touched by a faulty relay, tamper, or equivocation stays on the
-// dynamic path, record for record identical.
+// structure once, as a dense round-indexed schedule of arrival records per
+// node over a shared PathArena. Sessions, batch lanes, and Monte Carlo
+// trials whose flood is fault-free then REPLAY the schedule — receipts are
+// bulk-installed into the ReceiptStore and outboxes materialized from the
+// precompiled templates, with zero per-message interning, dedup, or
+// rule-(i)–(iii) work — instead of re-discovering the structure message by
+// message. Any flood touched by a faulty relay, tamper, or equivocation
+// stays on the dynamic path, record for record identical.
 //
-// Parity is by construction: the compiler IS the dynamic flooder (driven
-// over the engine's canonical delivery order — ascending sender, FIFO
-// within a sender's round output), so the schedule records exactly the
-// acceptance set, acceptance order, and forward order a fault-free dynamic
-// session produces. Replay only substitutes the per-phase bodies into that
-// fixed skeleton. See DESIGN.md §10 for the full argument.
+// Compilation enumerates paths; it floods nothing. When every relay is
+// correct, rule (iii) is the only rule that ever discards (each node
+// forwards each accepted path exactly once, so rule (ii) never fires), and
+// node v's round-r receipts are exactly the simple paths of r+1 nodes that
+// end at v. compile lists them level by level in the order the engine's
+// canonical delivery (ascending receiver; within a receiver, ascending
+// sender; within a sender, its previous round's acceptance order) makes
+// the dynamic flooders accept and intern them, so the arena's PathIDs, the
+// schedules, and every trace are those of a dynamic fault-free session.
+// The differential tests pin the enumeration against a symbolic run of the
+// dynamic flooders; see DESIGN.md §10 for the full argument.
 
 // Plan is the compiled propagation schedule of one complete fault-free
 // value-flooding session (every node initiates, every node relays
@@ -42,19 +47,23 @@ type Plan struct {
 	// boxing is the last per-receipt allocation of a scalar replayed round,
 	// and ValueBody has exactly two inhabitants, so both variants of the
 	// transmission every scheduled receipt induces — the arena's every
-	// path, for the benign plan — are built at compile time, once per path
-	// for the whole plan. The payloads are immutable (shared canonical
-	// bodies, frozen-arena paths) and safe for concurrent runs and for
-	// retention by observers.
-	boxed [2][]sim.Payload
+	// path, for the benign plan — are built once per path for the whole
+	// plan, on the first Box or ReplayRound (boxOnce; phantom replay never
+	// reads the table, so a plan served only by phantom replay never builds
+	// it). The payloads are immutable (shared canonical bodies,
+	// frozen-arena paths) and safe for concurrent runs and for retention by
+	// observers.
+	boxOnce sync.Once
+	boxed   [2][]sim.Payload
 	// rounds is the session length in engine rounds (flood.Rounds).
 	rounds int
 	sched  []planSchedule // per receiving node
-	// tmpl[v] is node v's completed compile-time store: its byOrigin and
-	// byPath indexes describe every replayed phase's store verbatim
-	// (replay installs the same receipts in the same order, bodies aside),
-	// so per-phase stores are PlannedViews sharing them. nil at masked
-	// (silent) vertices — no store is ever planned for a crashed node.
+	// tmpl[v] is node v's template store: its schedule added in order, with
+	// a placeholder body. Its indexes describe every replayed phase's store
+	// verbatim (replay installs the same receipts in the same order, bodies
+	// aside), so per-phase stores are PlannedViews sharing them. nil at
+	// masked (silent) vertices — no store is ever planned for a crashed
+	// node.
 	tmpl []*ReceiptStore
 	// mask is the set of silent nodes the plan was compiled against: nil
 	// for the benign all-relays-correct plan, non-empty for masked plans
@@ -78,93 +87,118 @@ type planSchedule struct {
 	roundOff []int32
 }
 
-// CompilePlan builds the propagation plan of graph g by executing the
-// dynamic flooding state machines of all n nodes symbolically: one shared
-// arena, a ValueBody placeholder (the flood is value-blind, so any body
-// yields the same structure), and the engine's canonical delivery order.
-// Cost is one fault-free flooding session; use PlanFor to pay it once per
-// analysis instead of per call.
+// CompilePlan builds the propagation plan of graph g, every node
+// initiating and relaying correctly, by enumerating the simple paths of g
+// level by level (see compile). Use PlanFor to pay it once per analysis
+// instead of per call.
 func CompilePlan(g *graph.Graph) *Plan {
-	n := g.N()
-	arena := graph.NewPathArena(g)
-	ident := NewIdent()
-	p := &Plan{g: g, arena: arena, rounds: Rounds(n), sched: make([]planSchedule, n)}
-	for v := range p.sched {
-		p.sched[v].roundOff = make([]int32, p.rounds+1)
-	}
-
-	flooders := make([]*Flooder, n)
-	for u := 0; u < n; u++ {
-		flooders[u] = NewWithState(g, graph.NodeID(u), arena, ident)
-	}
-	// record captures the receipts node v accepted in round r: everything
-	// its store gained since the previous capture, in acceptance order.
-	record := func(v, r int) {
-		s := &p.sched[v]
-		all := flooders[v].Store().All()
-		for _, rec := range all[len(s.pids):] {
-			s.pids = append(s.pids, rec.PathID)
-			s.parents = append(s.parents, arena.Parent(rec.PathID))
-			s.origins = append(s.origins, rec.Origin)
-		}
-		s.roundOff[r+1] = int32(len(s.pids))
-	}
-
-	body := ValueBody{Value: sim.DefaultValue}
-	outs := make([][]sim.Outgoing, n)
-	for u := 0; u < n; u++ {
-		outs[u] = flooders[u].Start(body)
-		record(u, 0)
-	}
-	inboxes := make([][]sim.Delivery, n)
-	for r := 1; r < p.rounds; r++ {
-		for v := range inboxes {
-			inboxes[v] = inboxes[v][:0]
-		}
-		// Canonical delivery order: ascending sender, FIFO within a
-		// sender's outbox, every transmission heard by all neighbors —
-		// exactly sim.Engine's routing of a local-broadcast round.
-		for u := 0; u < n; u++ {
-			for _, out := range outs[u] {
-				for _, w := range g.AdjList(graph.NodeID(u)) {
-					inboxes[w] = append(inboxes[w], sim.Delivery{From: graph.NodeID(u), Payload: out.Payload})
-				}
-			}
-		}
-		// Deliver's returned buffer is valid until the flooder's next
-		// Deliver call; it is consumed (inbox building above) before that.
-		for v := 0; v < n; v++ {
-			outs[v] = flooders[v].Deliver(inboxes[v])
-			record(v, r)
-		}
-	}
-	p.seal(flooders)
+	p := compile(g, nil)
 	planCompiles.Add(1)
 	return p
 }
 
-// seal ends a compilation: the arena is frozen, the compile flooders'
-// stores become the per-node templates (nil flooders — masked vertices —
-// leave nil templates), and both value messages are boxed for every
-// scheduled receipt (a node transmits once per receipt, the round-0 self
-// receipt's initiation included).
-func (p *Plan) seal(flooders []*Flooder) {
-	p.arena.Freeze()
-	p.tmpl = make([]*ReceiptStore, len(flooders))
-	for v, f := range flooders {
-		if f != nil {
-			p.tmpl[v] = f.Store()
-		}
+// compile enumerates the receipt schedules of a fault-free flooding
+// session on g in which the nodes of silent never initiate nor relay (nil
+// or empty: every node relays). Round 0 is every relaying node's self
+// receipt, in ascending order. In round r ≥ 1 every relaying v, in
+// ascending order, accepts from each relaying neighbour u, in AdjList
+// order, the receipts u accepted in round r-1 whose path avoids v — each
+// is the Π·u of a forward u sent, and v records Π·u·v. In round 1 v then
+// applies the default-message rule: it accepts [u, v] for every silent
+// neighbour u, after the delivered receipts, in AdjList order, interning
+// the root [u] on first use. That is exactly the order in which the
+// dynamic flooders, driven in the engine's canonical delivery order,
+// accept and intern those paths, so PathIDs and schedules are the dynamic
+// session's.
+func compile(g *graph.Graph, silent graph.Set) *Plan {
+	n := g.N()
+	arena := graph.NewPathArena(g)
+	p := &Plan{g: g, arena: arena, rounds: Rounds(n), sched: make([]planSchedule, n)}
+	relays := make([]bool, n)
+	for v := range p.sched {
+		p.sched[v].roundOff = make([]int32, p.rounds+1)
+		relays[v] = !silent.Contains(graph.NodeID(v))
 	}
-	for val := range p.boxed {
-		p.boxed[val] = make([]sim.Payload, p.arena.Len())
-		body := CanonValueBody(sim.Value(val))
+	for v := range p.sched {
+		if relays[v] {
+			p.sched[v].add(arena.Root(graph.NodeID(v)), graph.NoPath, graph.NodeID(v))
+		}
+		p.sched[v].roundOff[1] = int32(len(p.sched[v].pids))
+	}
+	for r := 1; r < p.rounds; r++ {
 		for v := range p.sched {
-			for _, ext := range p.sched[v].pids {
-				p.boxed[val][ext] = hinted(p.arena, body, ext)
+			s := &p.sched[v]
+			if relays[v] {
+				me := graph.NodeID(v)
+				for _, u := range g.AdjList(me) {
+					if !relays[u] {
+						continue
+					}
+					su := &p.sched[u]
+					for i := su.roundOff[r-1]; i < su.roundOff[r]; i++ {
+						if pid := su.pids[i]; !arena.Contains(pid, me) {
+							s.add(arena.Extend(pid, me), pid, su.origins[i])
+						}
+					}
+				}
+				if r == 1 {
+					for _, u := range g.AdjList(me) {
+						if !relays[u] {
+							root := arena.Root(u)
+							s.add(arena.Extend(root, me), root, u)
+						}
+					}
+				}
 			}
+			s.roundOff[r+1] = int32(len(s.pids))
 		}
 	}
+	arena.Freeze()
+	// The per-node templates: each relaying node's completed store, its
+	// indexes describing every replayed phase's store (see PlannedStore).
+	p.tmpl = make([]*ReceiptStore, n)
+	body := CanonValueBody(sim.DefaultValue)
+	for v := range p.sched {
+		if !relays[v] {
+			continue
+		}
+		s := &p.sched[v]
+		st := NewReceiptStore(arena, nil)
+		st.Reserve(len(s.pids))
+		for i, pid := range s.pids {
+			st.Add(Receipt{Origin: s.origins[i], PathID: pid, Body: body})
+		}
+		p.tmpl[v] = st
+	}
+	return p
+}
+
+// add appends one receipt to the schedule.
+func (s *planSchedule) add(pid, parent graph.PathID, origin graph.NodeID) {
+	s.pids = append(s.pids, pid)
+	s.parents = append(s.parents, parent)
+	s.origins = append(s.origins, origin)
+}
+
+// valueMsgs returns the plan's pre-boxed value-message table, building it
+// on first use: both value messages for every scheduled receipt (a node
+// transmits once per receipt, the round-0 self receipt's initiation
+// included). Paths the plan never schedules — a masked plan's silent roots
+// — stay nil, and Box boxes them per call.
+func (p *Plan) valueMsgs() *[2][]sim.Payload {
+	p.boxOnce.Do(func() {
+		for val := range p.boxed {
+			boxed := make([]sim.Payload, p.arena.Len())
+			body := CanonValueBody(sim.Value(val))
+			for v := range p.sched {
+				for _, ext := range p.sched[v].pids {
+					boxed[ext] = hinted(p.arena, body, ext)
+				}
+			}
+			p.boxed[val] = boxed
+		}
+	})
+	return &p.boxed
 }
 
 // planKey keys compiled plans in the Analysis memo by relay mask: the
@@ -209,6 +243,25 @@ func (p *Plan) MaxRoundReceipts(v graph.NodeID) int {
 	return int(maxN)
 }
 
+// MaxRoundFanIn returns the largest number of transmissions node v hears
+// in one round of the session: every receipt a neighbour accepts in a round
+// is broadcast to v, so the round-r fan-in is the neighbours' round-r
+// receipt counts summed. It sizes v's engine inbox for a run flooding
+// dynamically on this plan's graph.
+func (p *Plan) MaxRoundFanIn(v graph.NodeID) int {
+	maxN := int32(0)
+	for r := 0; r < p.rounds; r++ {
+		n := int32(0)
+		for _, u := range p.g.AdjList(v) {
+			if off := p.sched[u].roundOff; r+1 < len(off) {
+				n += off[r+1] - off[r]
+			}
+		}
+		maxN = max(maxN, n)
+	}
+	return int(maxN)
+}
+
 // PlannedStore returns a fresh per-run receipt store for node v: a
 // PlannedView over the node's compile-time template, pre-sized to the
 // exact session receipt count and sharing the template's immutable
@@ -242,7 +295,7 @@ func (p *Plan) ReplayRound(v graph.NodeID, r int, bodies []Body, store *ReceiptS
 		// forward as before.
 		var pay sim.Payload
 		if vb, ok := b.(ValueBody); ok && vb.Value <= sim.One {
-			pay = p.boxed[vb.Value][s.pids[i]]
+			pay = p.valueMsgs()[vb.Value][s.pids[i]]
 		} else {
 			pay = hinted(p.arena, b, s.pids[i])
 		}

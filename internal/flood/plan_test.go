@@ -2,6 +2,7 @@ package flood
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"lbcast/internal/graph"
@@ -146,5 +147,126 @@ func TestPlanMatchesDynamicFloodRandom(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		t.Run(fmt.Sprintf("seed%d-n%d", seed, n), func(t *testing.T) { checkPlanParity(t, g) })
+	}
+}
+
+// TestPlanFirstBoxRace races goroutines through the first Box and
+// ReplayRound calls of fresh plans, benign and masked: the value-message
+// table is built once, on first use, and every goroutine must read the
+// same messages (run under -race, this is the check that the lazy build is
+// published safely).
+func TestPlanFirstBoxRace(t *testing.T) {
+	g := gen.Figure1a()
+	bodies := make([]Body, g.N())
+	for o := range bodies {
+		bodies[o] = CanonValueBody(sim.Value(o % 2))
+	}
+	for _, p := range []*Plan{CompilePlan(g), CompileMaskedPlan(g, graph.NewSet(2))} {
+		keys := make([][]string, 2*g.N())
+		var wg sync.WaitGroup
+		for w := range keys {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				v := graph.NodeID(w / 2)
+				if p.Mask().Contains(v) {
+					return
+				}
+				store := p.PlannedStore(v, nil)
+				for r := 0; r < p.Rounds(); r++ {
+					if w%2 == 0 {
+						for _, o := range p.ReplayRound(v, r, bodies, store, nil) {
+							keys[w] = append(keys[w], o.Payload.Key())
+						}
+						continue
+					}
+					start := store.Len()
+					p.ReplayRoundPhantom(v, r, bodies, store, nil)
+					for _, rec := range store.All()[start:] {
+						keys[w] = append(keys[w], p.Box(rec.Body, rec.PathID).Key())
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < len(keys); w += 2 {
+			if fmt.Sprint(keys[w]) != fmt.Sprint(keys[w+1]) {
+				t.Fatalf("mask %v node %d: ReplayRound sent %v, Box gives %v", p.Mask(), w/2, keys[w], keys[w+1])
+			}
+		}
+	}
+}
+
+// fanInDriver is floodDriver with every node initiating, recording the
+// largest inbox the engine hands it.
+type fanInDriver struct {
+	floodDriver
+	maxInbox int
+}
+
+func (d *fanInDriver) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
+	d.maxInbox = max(d.maxInbox, len(inbox))
+	return d.floodDriver.Step(round, inbox)
+}
+
+// engineFlood runs a fault-free flooding session of g on a sim.Engine,
+// every node initiating; reserve pre-sizes each inbox to the plan's
+// fan-in first. It returns the drivers.
+func engineFlood(t *testing.T, g *graph.Graph, plan *Plan, reserve bool) []*fanInDriver {
+	t.Helper()
+	drivers := make([]*fanInDriver, g.N())
+	nodes := make([]sim.Node, g.N())
+	for u := range nodes {
+		drivers[u] = &fanInDriver{floodDriver: floodDriver{f: New(g, graph.NodeID(u)), initiate: true, value: sim.Value(u % 2)}}
+		nodes[u] = drivers[u]
+	}
+	eng, err := sim.NewEngine(sim.Config{Topology: sim.GraphTopology{G: g}}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if reserve {
+		for _, v := range g.Nodes() {
+			eng.ReserveInbox(v, plan.MaxRoundFanIn(v))
+		}
+	}
+	eng.Run(plan.Rounds())
+	return drivers
+}
+
+// TestMaxRoundFanInMatchesEngineFlood pins MaxRoundFanIn to what the engine
+// actually delivers: in a fault-free dynamic flood the largest inbox each
+// node is handed is exactly the plan's fan-in, and a session whose inboxes
+// were reserved to that size accepts the same receipts in the same order.
+func TestMaxRoundFanInMatchesEngineFlood(t *testing.T) {
+	graphs := map[string]*graph.Graph{"figure1a": gen.Figure1a(), "figure1b": gen.Figure1b(), "petersen": gen.Petersen()}
+	for seed := int64(1); seed <= 4; seed++ {
+		g, err := gen.RandomWithMinConnectivity(6+int(seed)%3, 3, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		graphs[fmt.Sprintf("random%d", seed)] = g
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			plan := CompilePlan(g)
+			grown := engineFlood(t, g, plan, false)
+			reserved := engineFlood(t, g, plan, true)
+			for v := range grown {
+				if got, want := grown[v].maxInbox, plan.MaxRoundFanIn(graph.NodeID(v)); got != want {
+					t.Fatalf("node %d: largest inbox %d, MaxRoundFanIn %d", v, got, want)
+				}
+				a, b := grown[v].f.Store(), reserved[v].f.Store()
+				if a.Len() != b.Len() {
+					t.Fatalf("node %d: %d receipts grown, %d reserved", v, a.Len(), b.Len())
+				}
+				for i, r := range a.All() {
+					s := b.All()[i]
+					if fmt.Sprint(a.Path(r)) != fmt.Sprint(b.Path(s)) || r.Body.Key() != s.Body.Key() {
+						t.Fatalf("node %d receipt %d: grown %v %s, reserved %v %s", v, i, a.Path(r), r.Body.Key(), b.Path(s), s.Body.Key())
+					}
+				}
+			}
+		})
 	}
 }

@@ -27,21 +27,29 @@ type ReceiptStore struct {
 	byOrigin [][]int32
 	// byPath indexes receipts by their full path, slice-indexed by PathID
 	// (IDs are dense arena offsets) in fixed-size pages allocated on first
-	// touch. Paging matters because arenas outlive stores: a later phase's
-	// store — or any store of a batch's co-located instance groups, which
-	// share one arena — records receipts over a narrow slice of a large ID
-	// range, and pages keep its index proportional to what it records
-	// (arena IDs are allocated in per-session contiguous runs, so pages are
-	// rarely mixed). A path determines its origin (its first node), so the
-	// PathID alone is the key.
+	// touch: the span of a PathID is its first and last receipt, and
+	// next[i] chains receipt i to the following receipt along the same path,
+	// so indexing a receipt appends to next and at most touches a page —
+	// no per-receipt bucket. Paging matters because arenas outlive stores:
+	// a later phase's store — or any store of a batch's co-located instance
+	// groups, which share one arena — records receipts over a narrow slice
+	// of a large ID range, and pages keep its index proportional to what it
+	// records (arena IDs are allocated in per-session contiguous runs, so
+	// pages are rarely mixed). A path determines its origin (its first
+	// node), so the PathID alone is the key.
 	byPath []*pathPage
-	// sharedIdx marks a PlannedView: byOrigin and byPath belong to the
+	next   []int32
+	// sharedIdx marks a PlannedView: byOrigin, byPath and next belong to the
 	// compile-time template and must never be mutated through this store.
 	sharedIdx bool
 }
 
-// pathPage is one block of per-PathID receipt buckets.
-type pathPage [pathPageSize][]int32
+// pathSpan is one PathID's receipt chain: its first and last receipt
+// indexes plus one (zero: no receipt along the path).
+type pathSpan struct{ head, tail int32 }
+
+// pathPage is one block of per-PathID receipt chains.
+type pathPage [pathPageSize]pathSpan
 
 // pathPageBits sizes the byPath pages (64 IDs per page).
 const (
@@ -71,44 +79,45 @@ func (s *ReceiptStore) Ident() *Ident { return s.ident }
 // a later flooding phase over an arena populated by earlier ones) can
 // preallocate the append targets of every Add.
 func (s *ReceiptStore) Reserve(n int) {
-	if cap(s.receipts) < n {
-		receipts := make([]Receipt, len(s.receipts), n)
-		copy(receipts, s.receipts)
-		s.receipts = receipts
+	s.receipts = reserved(s.receipts, n)
+	s.bodyIDs = reserved(s.bodyIDs, n)
+	if !s.sharedIdx {
+		s.next = reserved(s.next, n)
 	}
-	if cap(s.bodyIDs) < n {
-		ids := make([]BodyID, len(s.bodyIDs), n)
-		copy(ids, s.bodyIDs)
-		s.bodyIDs = ids
+}
+
+// reserved returns xs with capacity for at least n elements.
+func reserved[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		grown := make([]T, len(xs), n)
+		copy(grown, xs)
+		xs = grown
 	}
+	return xs
 }
 
 // Reset empties the store for reuse — the whole-store analogue of
 // ResetPlanned, for stores that own their indexes (a Flooder recycled
-// phase over phase, see Flooder.Recycle). The receipt and body arrays are
-// truncated, every index bucket is truncated in place, and the byPath
-// pages are kept: a recycled flooding session records the same structural
+// phase over phase, see Flooder.Recycle). The receipt, body and chain
+// arrays and every byOrigin bucket are truncated in place, only the path
+// spans the recorded receipts touched are cleared, and the byPath pages
+// are kept: a recycled flooding session records the same structural
 // receipt set as the last one, so every append lands in pre-grown
 // capacity and the phase performs no index allocation at all. On a
 // PlannedView the shared template indexes are left untouched (they are
 // immutable and already describe every phase).
 func (s *ReceiptStore) Reset() {
+	if !s.sharedIdx {
+		for _, r := range s.receipts {
+			*s.span(r.PathID) = pathSpan{}
+		}
+		for i := range s.byOrigin {
+			s.byOrigin[i] = s.byOrigin[i][:0]
+		}
+		s.next = s.next[:0]
+	}
 	s.receipts = s.receipts[:0]
 	s.bodyIDs = s.bodyIDs[:0]
-	if s.sharedIdx {
-		return
-	}
-	for i := range s.byOrigin {
-		s.byOrigin[i] = s.byOrigin[i][:0]
-	}
-	for _, pg := range s.byPath {
-		if pg == nil {
-			continue
-		}
-		for i := range pg {
-			pg[i] = pg[i][:0]
-		}
-	}
 }
 
 // Add appends a receipt. The receipt's PathID must be interned in the
@@ -118,7 +127,19 @@ func (s *ReceiptStore) Add(r Receipt) {
 	s.receipts = append(s.receipts, r)
 	s.bodyIDs = append(s.bodyIDs, s.ident.BodyKeyID(r.Body))
 	s.byOrigin[r.Origin] = append(s.byOrigin[r.Origin], i)
-	p := int(r.PathID)
+	s.next = append(s.next, 0)
+	sp := s.span(r.PathID)
+	if sp.head == 0 {
+		sp.head = i + 1
+	} else {
+		s.next[sp.tail-1] = i + 1
+	}
+	sp.tail = i + 1
+}
+
+// span returns the chain span of path, allocating its page on first touch.
+func (s *ReceiptStore) span(path graph.PathID) *pathSpan {
+	p := int(path)
 	pi := p >> pathPageBits
 	for len(s.byPath) <= pi {
 		s.byPath = append(s.byPath, nil)
@@ -128,7 +149,7 @@ func (s *ReceiptStore) Add(r Receipt) {
 		pg = new(pathPage)
 		s.byPath[pi] = pg
 	}
-	pg[p&(pathPageSize-1)] = append(pg[p&(pathPageSize-1)], i)
+	return &pg[p&(pathPageSize-1)]
 }
 
 // Len returns the number of receipts.
@@ -150,15 +171,15 @@ func (s *ReceiptStore) BodyKey(i int) string { return s.ident.KeyString(s.bodyID
 func (s *ReceiptStore) Path(r Receipt) graph.Path { return s.arena.Path(r.PathID) }
 
 // PlannedView returns an empty store that shares this store's index
-// structures (byOrigin, byPath) instead of building its own. It exists for
-// plan replay: a replayed flooding session records exactly this store's
-// receipts — same paths, same acceptance order, same index positions —
-// with only the bodies substituted, so the completed template's indexes
-// describe every phase's store verbatim and need not be rebuilt (or even
-// touched) per phase. Receipts must be installed with AddPlanned, in full
-// and in schedule order, before the view is queried; ResetPlanned recycles
-// the view for the next phase. The template must not grow while views of
-// it exist.
+// structures (byOrigin, byPath, next) instead of building its own. It
+// exists for plan replay: a replayed flooding session records exactly this
+// store's receipts — same paths, same acceptance order, same index
+// positions — with only the bodies substituted, so the completed
+// template's indexes describe every phase's store verbatim and need not be
+// rebuilt (or even touched) per phase. Receipts must be installed with
+// AddPlanned, in full and in schedule order, before the view is queried;
+// ResetPlanned recycles the view for the next phase. The template must not
+// grow while views of it exist.
 func (s *ReceiptStore) PlannedView(ident *Ident) *ReceiptStore {
 	return &ReceiptStore{
 		arena:     s.arena,
@@ -167,6 +188,7 @@ func (s *ReceiptStore) PlannedView(ident *Ident) *ReceiptStore {
 		bodyIDs:   make([]BodyID, 0, len(s.receipts)),
 		byOrigin:  s.byOrigin,
 		byPath:    s.byPath,
+		next:      s.next,
 		sharedIdx: true,
 	}
 }
@@ -204,18 +226,18 @@ func (s *ReceiptStore) FromOrigin(origin graph.NodeID) iter.Seq[Receipt] {
 	}
 }
 
-// pathBucket returns the receipt indexes recorded along exactly the given
-// path (nil for none).
-func (s *ReceiptStore) pathBucket(path graph.PathID) []int32 {
+// pathHead returns the first receipt recorded along exactly the given path,
+// as its index plus one (zero for none); next continues the chain.
+func (s *ReceiptStore) pathHead(path graph.PathID) int32 {
 	p := int(path)
 	if p < 0 {
-		return nil
+		return 0
 	}
 	pi := p >> pathPageBits
 	if pi >= len(s.byPath) || s.byPath[pi] == nil {
-		return nil
+		return 0
 	}
-	return s.byPath[pi][p&(pathPageSize-1)]
+	return s.byPath[pi][p&(pathPageSize-1)].head
 }
 
 // ValueAt returns the binary value recorded along exactly the given path,
@@ -223,8 +245,8 @@ func (s *ReceiptStore) pathBucket(path graph.PathID) []int32 {
 // received along Puv". The path determines the origin (its first node).
 // First acceptance wins, matching the scan order of the former flat slice.
 func (s *ReceiptStore) ValueAt(path graph.PathID) (sim.Value, bool) {
-	for _, i := range s.pathBucket(path) {
-		if v, ok := s.receipts[i].Value(); ok {
+	for i := s.pathHead(path); i != 0; i = s.next[i-1] {
+		if v, ok := s.receipts[i-1].Value(); ok {
 			return v, true
 		}
 	}
@@ -235,8 +257,8 @@ func (s *ReceiptStore) ValueAt(path graph.PathID) (sim.Value, bool) {
 // receipts recorded along exactly the given path.
 func (s *ReceiptStore) AtPath(path graph.PathID) iter.Seq[Receipt] {
 	return func(yield func(Receipt) bool) {
-		for _, i := range s.pathBucket(path) {
-			if !yield(s.receipts[i]) {
+		for i := s.pathHead(path); i != 0; i = s.next[i-1] {
+			if !yield(s.receipts[i-1]) {
 				return
 			}
 		}

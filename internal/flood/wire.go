@@ -65,7 +65,7 @@ func hinted(a *graph.PathArena, body Body, ext graph.PathID) Msg {
 // adversaries of any number of concurrent runs all box from it.
 func (p *Plan) Box(body Body, ext graph.PathID) sim.Payload {
 	if vb, ok := body.(ValueBody); ok && vb.Value <= sim.One {
-		if pl := p.boxed[vb.Value][ext]; pl != nil {
+		if pl := p.valueMsgs()[vb.Value][ext]; pl != nil {
 			return pl
 		}
 	}

@@ -232,11 +232,11 @@ type Engine struct {
 	metrics Metrics
 	decided []bool // decision-event edge detection, per node
 
-	// inboxes / nextInboxes are double-buffered per-node delivery slices,
-	// reused across rounds: each round routes into nextInboxes (truncated,
-	// not reallocated) and the two swap.
-	inboxes     [][]Delivery
-	nextInboxes [][]Delivery
+	// inboxes are the per-node delivery slices, reused across rounds: once
+	// every node has stepped on its inbox (nodes must not retain it), the
+	// round's transmissions are routed into the same slices, truncated,
+	// not reallocated.
+	inboxes [][]Delivery
 	// outboxes is the reused per-round collection of node outputs.
 	outboxes [][]Outgoing
 	// ignoreBuf is the reused per-round InboxIgnorer flags (see step).
@@ -289,18 +289,27 @@ func NewEngine(cfg Config, nodes []Node) (*Engine, error) {
 	ns := make([]Node, len(nodes))
 	copy(ns, nodes)
 	e := &Engine{
-		cfg:         cfg,
-		nodes:       ns,
-		inboxes:     make([][]Delivery, len(nodes)),
-		nextInboxes: make([][]Delivery, len(nodes)),
-		outboxes:    make([][]Outgoing, len(nodes)),
-		decided:     make([]bool, len(nodes)),
+		cfg:      cfg,
+		nodes:    ns,
+		inboxes:  make([][]Delivery, len(nodes)),
+		outboxes: make([][]Outgoing, len(nodes)),
+		decided:  make([]bool, len(nodes)),
 	}
 	for i := range e.inboxes {
 		e.inboxes[i] = getInbox()
-		e.nextInboxes[i] = getInbox()
 	}
 	return e, nil
+}
+
+// ReserveInbox grows node v's inbox to hold at least n deliveries, so a
+// fresh engine whose callers know the traffic ahead (a compiled plan's
+// per-round fan-in) routes into a pre-sized slice instead of regrowing it
+// round after round. Deliveries beyond n still append.
+func (e *Engine) ReserveInbox(v graph.NodeID, n int) {
+	if cap(e.inboxes[v]) < n {
+		putInbox(e.inboxes[v])
+		e.inboxes[v] = make([]Delivery, 0, n)
+	}
 }
 
 // lazyPool starts the persistent worker pool on first use. The pool spans
@@ -324,8 +333,7 @@ func (e *Engine) Close() {
 	}
 	for i := range e.inboxes {
 		putInbox(e.inboxes[i])
-		putInbox(e.nextInboxes[i])
-		e.inboxes[i], e.nextInboxes[i] = nil, nil
+		e.inboxes[i] = nil
 	}
 }
 
@@ -334,7 +342,7 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // Reset rewinds the engine for a fresh run over the same nodes and
 // topology: metrics and decision-edge state are zeroed, the observer is
-// replaced, and the double-buffered inbox arrays are cleared (payloads
+// replaced, and the inbox arrays are cleared (payloads
 // from the previous run's final round must not outlive it) but their
 // backing capacity — and the persistent worker pool with its parked
 // goroutines — is kept. The nodes themselves are NOT reset; callers
@@ -346,7 +354,6 @@ func (e *Engine) Reset(obs Observer) {
 	e.cfg.Observer = obs
 	for i := range e.inboxes {
 		e.inboxes[i] = clearDeliveries(e.inboxes[i])
-		e.nextInboxes[i] = clearDeliveries(e.nextInboxes[i])
 	}
 }
 
@@ -431,9 +438,10 @@ func (e *Engine) emitDecisions(round int) {
 }
 
 // step runs a single round: every node consumes its inbox and produces an
-// outbox; the transport routes outboxes into next-round inboxes. The
-// outbox collection and the next-round inbox slices are reused round over
-// round (nodes must not retain inbox slices — see Node).
+// outbox; the transport then routes the outboxes into the same inbox
+// slices, which the next round reads. The outbox collection and the inbox
+// slices are reused round over round (nodes must not retain inbox slices —
+// see Node).
 func (e *Engine) step(round int) {
 	n := len(e.nodes)
 	outboxes := e.outboxes
@@ -447,7 +455,9 @@ func (e *Engine) step(round int) {
 		}
 	}
 
-	next := e.nextInboxes
+	// Every node has stepped: this round's inboxes are consumed, so the
+	// next round's deliveries overwrite them in place.
+	next := e.inboxes
 	for i := range next {
 		next[i] = next[i][:0]
 	}
@@ -491,7 +501,6 @@ func (e *Engine) step(round int) {
 		}
 		outboxes[i] = nil
 	}
-	e.inboxes, e.nextInboxes = next, e.inboxes
 	e.metrics.Rounds++
 }
 
