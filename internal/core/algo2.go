@@ -300,7 +300,10 @@ func NewEfficientNodeShared(topo *graph.Analysis, f int, me graph.NodeID, input 
 		heard:       make([][]TranscriptEntry, g.N()),
 		transcripts: make([]*transcriptInfo, g.N()),
 	}
-	// An honest neighbor transmits once per phase-1 receipt.
+	// Phase 1 records at most one receipt per simple path ending here —
+	// the plan's schedule, exactly — and an honest neighbor transmits once
+	// per phase-1 receipt.
+	nd.flooder.Expect(plan.NodeReceipts(me))
 	for _, u := range g.AdjList(me) {
 		nd.heard[u] = make([]TranscriptEntry, 0, plan.NodeReceipts(u))
 	}
@@ -523,7 +526,9 @@ func (nd *EfficientNode) computeReliableTranscript(z graph.NodeID) ([]Transcript
 	// Group transcript claims about z by content (the interned body
 	// identity), tracking for each distinct content the zv-paths it
 	// arrived along. Identification runs at the end of phase 2, so the
-	// flooder's store holds the reports.
+	// flooder's store holds the reports. The store interns a report's
+	// content key on its first BodyID read, here: reports about this
+	// node's neighbors are never grouped and never pay for one.
 	type claimGroup struct {
 		body  TranscriptBody
 		paths []flood.Receipt // synthetic receipts with the z-prefixed path

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -414,5 +415,153 @@ func TestTranscriptIdentityFollowsRendering(t *testing.T) {
 				t.Errorf("bodies %d and %d: equal identities %t, equal renderings %t", i, j, got, same)
 			}
 		}
+	}
+}
+
+// transcriptLiar is a faulty Algorithm 2 node that runs honestly except
+// that every phase-2 report it initiates drops the last entry of the
+// transcript, so each report about one of its neighbours is contested.
+type transcriptLiar struct{ *EfficientNode }
+
+func (n transcriptLiar) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
+	out := n.EfficientNode.Step(round, inbox)
+	if n.round != PhaseRounds(n.g.N())+1 {
+		return out
+	}
+	lied := make([]sim.Outgoing, len(out))
+	for i, o := range out {
+		m := o.Payload.(flood.Msg)
+		tb := m.Body.(TranscriptBody)
+		if len(tb.Entries) > 0 {
+			tb.Entries = tb.Entries[:len(tb.Entries)-1]
+		}
+		m.Body = tb
+		lied[i] = sim.Outgoing{To: o.To, Payload: m}
+	}
+	return lied
+}
+
+// refReliableTranscript is the string-keyed reference of
+// computeReliableTranscript: claims about z grouped by their rendered
+// TranscriptBody.Key, groups tried in key order.
+func refReliableTranscript(nd *EfficientNode, z graph.NodeID) ([]TranscriptEntry, bool, int) {
+	if nd.g.HasEdge(z, nd.me) {
+		return nd.heard[z], true, 1
+	}
+	type group struct {
+		body  TranscriptBody
+		paths []flood.Receipt
+	}
+	reports := nd.flooder.Store()
+	groups := map[string]*group{}
+	for _, r := range reports.All() {
+		tb, ok := r.Body.(TranscriptBody)
+		if !ok || tb.Observed != z || !nd.g.HasEdge(r.Origin, z) || reports.Path(r).Contains(z) {
+			continue
+		}
+		key := tb.Key()
+		grp := groups[key]
+		if grp == nil {
+			grp = &group{body: tb}
+			groups[key] = grp
+		}
+		zp := append(graph.Path{z}, reports.Path(r)...)
+		grp.paths = append(grp.paths, flood.Receipt{Origin: z, PathID: nd.arena.Intern(zp), Body: tb})
+	}
+	keys := slices.Sorted(maps.Keys(groups))
+	for _, k := range keys {
+		if flood.SelectDisjoint(nd.arena, groups[k].paths, nd.f+1, flood.InternallyDisjoint) != nil {
+			return groups[k].body.Entries, true, len(keys)
+		}
+	}
+	return nil, false, len(keys)
+}
+
+// TestAlgo2ReliableTranscriptMatchesKeyGrouping stops runs at the end of
+// phase 2, when the flooder's store holds the reports, and requires every
+// honest node's computeReliableTranscript — which groups claims by lazily
+// interned body identity — to return the very entries the string-keyed
+// reference grouping returns, for every other node. Figure1a runs every
+// single-fault placement under every strategy; figure1b stripes its
+// placements of two faults over the strategies. The liar contests
+// transcripts, so the key-ordered tie-break between groups is exercised.
+func TestAlgo2ReliableTranscriptMatchesKeyGrouping(t *testing.T) {
+	strategies := []struct {
+		name string
+		make func(g *graph.Graph, f int, u graph.NodeID) sim.Node
+	}{
+		{"tamper", func(g *graph.Graph, _ int, u graph.NodeID) sim.Node {
+			return adversary.NewTamper(g, u, PhaseRounds(g.N()), int64(u)+7)
+		}},
+		{"forge", func(g *graph.Graph, _ int, u graph.NodeID) sim.Node {
+			return adversary.NewForger(g, u, PhaseRounds(g.N()), int64(u)+7)
+		}},
+		{"silent", func(_ *graph.Graph, _ int, u graph.NodeID) sim.Node { return &adversary.SilentNode{Me: u} }},
+		{"equivocate", func(g *graph.Graph, _ int, u graph.NodeID) sim.Node {
+			return &adversary.EquivocatorNode{G: g, Me: u, PhaseLen: PhaseRounds(g.N())}
+		}},
+		{"liar", func(g *graph.Graph, f int, u graph.NodeID) sim.Node {
+			return transcriptLiar{NewEfficientNode(g, f, u, sim.One)}
+		}},
+	}
+	contested := 0
+	check := func(t *testing.T, g *graph.Graph, f int, faulty []graph.NodeID, s int) {
+		t.Helper()
+		nodes := make([]sim.Node, g.N())
+		var honest []*EfficientNode
+		for i := range nodes {
+			u := graph.NodeID(i)
+			if slices.Contains(faulty, u) {
+				nodes[i] = strategies[s].make(g, f, u)
+				continue
+			}
+			nd := NewEfficientNode(g, f, u, sim.Value(i*5%3%2))
+			nodes[i] = nd
+			honest = append(honest, nd)
+		}
+		eng, err := sim.NewEngine(sim.Config{Topology: sim.GraphTopology{G: g}}, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		eng.Run(2 * PhaseRounds(g.N()))
+		for _, h := range honest {
+			for _, z := range g.Nodes() {
+				if z == h.me {
+					continue
+				}
+				got, gotOK := h.computeReliableTranscript(z)
+				want, wantOK, groups := refReliableTranscript(h, z)
+				if groups > 1 {
+					contested++
+				}
+				same := len(got) == len(want) && (len(got) == 0 || &got[0] == &want[0])
+				if gotOK != wantOK || !same {
+					t.Fatalf("%s at %v: node %d about %d: got %t %s, want %t %s", strategies[s].name, faulty, h.me, z,
+						gotOK, TranscriptBody{Observed: z, Entries: got}.Key(), wantOK, TranscriptBody{Observed: z, Entries: want}.Key())
+				}
+			}
+		}
+	}
+	t.Run("figure1a", func(t *testing.T) {
+		g := gen.Figure1a()
+		for u := range g.N() {
+			for s := range strategies {
+				check(t, g, 1, []graph.NodeID{graph.NodeID(u)}, s)
+			}
+		}
+	})
+	t.Run("figure1b", func(t *testing.T) {
+		g := gen.Figure1b()
+		k := 0
+		for a := range g.N() {
+			for b := a + 1; b < g.N(); b++ {
+				check(t, g, 2, []graph.NodeID{graph.NodeID(a), graph.NodeID(b)}, k%len(strategies))
+				k++
+			}
+		}
+	})
+	if contested == 0 {
+		t.Fatal("no run contested a transcript: the tie-break between claim groups went unchecked")
 	}
 }

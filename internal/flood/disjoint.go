@@ -136,8 +136,14 @@ func appendCandidates(out []Receipt, st *ReceiptStore, fil Filter, seen map[grap
 	}
 	visit := func(i int32) {
 		r := st.receipts[i]
-		if fil.Body != AnyBody && st.bodyIDs[i] != fil.Body {
-			return
+		if fil.Body != AnyBody {
+			id := st.bodyIDs[i]
+			if id == unresolvedBody {
+				id = st.resolve(i)
+			}
+			if id != fil.Body {
+				return
+			}
 		}
 		if useMask {
 			if !ar.ExcludesInternalMask(r.PathID, exclMask) {

@@ -141,8 +141,9 @@ type Flooder struct {
 
 	arena *graph.PathArena
 	// plan is set on a flooder that runs on a compiled plan's arena
-	// (NewOnPlan): its value-body transmissions come pre-boxed from the
-	// plan's shared table (Plan.Box).
+	// (NewOnPlan): it boxes every transmission through Plan.Box — value
+	// bodies pre-boxed from the plan's shared table, anything else boxed
+	// per forward — and keeps no fwdCache.
 	plan *Plan
 	// ident interns body and slot identities for the integer dedup key and
 	// the receipt store's body index.
@@ -155,7 +156,9 @@ type Flooder struct {
 	seen []uint32
 	gen  uint32
 	// accepted holds the rule-(ii) keys taken in every other slot
-	// (Algorithm 2's reports); nil until one is.
+	// (Algorithm 2's reports and decisions); nil until one is, then sized
+	// to the store's reserved capacity (one key per receipt at most), so
+	// value-slot flooders never allocate it.
 	accepted map[uint64]struct{}
 	// initiatedBy[u] is true once an initiation (empty Π) was accepted
 	// from neighbor u, used by the default-message rule.
@@ -167,12 +170,15 @@ type Flooder struct {
 	// fwdBuf is the reused Deliver output buffer; its contents are valid
 	// until the next Deliver call.
 	fwdBuf []sim.Outgoing
-	// fwdCache caches the boxed transmissions a plan's table does not
-	// provide, by (body identity, own extended path): transmitting a body
-	// along a path always produces the same immutable Msg value, so the
-	// interface box is built once and reused across rounds, phases, and
-	// recycled sessions. Like the arena, the cache is pure
-	// value-deterministic identity state and survives Recycle.
+	// fwdCache caches a private-arena flooder's boxed transmissions by
+	// (body identity, own extended path): transmitting a body along a path
+	// always produces the same immutable Msg value, and value and vector
+	// bodies repeat phase over phase, so the interface box is built once
+	// and reused across rounds, phases, and recycled sessions. Like the
+	// arena, the cache is pure value-deterministic identity state and
+	// survives Recycle. Plan-backed flooders keep none: value bodies come
+	// from the plan's table, and their other bodies — Algorithm 2's reports
+	// and decisions — are forwarded once per (body, path) and never hit.
 	fwdCache map[uint64]sim.Payload
 }
 
@@ -209,7 +215,8 @@ func NewWithState(g *graph.Graph, me graph.NodeID, arena *graph.PathArena, ident
 
 // NewOnPlan creates a flooder for node me that runs the dynamic rules on
 // plan p's frozen arena — a delta-replay node, a churn node past its taint
-// frontier — and boxes its value-body transmissions from p's shared table.
+// frontier, an Algorithm 2 node — and boxes every transmission through p
+// (Plan.Box).
 // The arena holds every path the plan's world can carry and is safe for
 // any number of such flooders at once.
 func NewOnPlan(p *Plan, me graph.NodeID, ident *Ident) *Flooder {
@@ -218,15 +225,15 @@ func NewOnPlan(p *Plan, me graph.NodeID, ident *Ident) *Flooder {
 	return f
 }
 
-// boxedMsg returns the shared boxed Msg this node transmits for body when
-// its own extended path — the receipt path Π·me, or its single-node path
-// for an initiation — is ext. On a plan's arena value bodies come straight
-// from the plan's table; anything else is boxed on first use and cached
-// under the acceptKey packing of the body's key identity (not its slot):
-// two bodies with equal key identity are equal values, so the first-boxed
-// Msg represents both.
+// boxedMsg returns the boxed Msg this node transmits for body when its own
+// extended path — the receipt path Π·me, or its single-node path for an
+// initiation — is ext. A plan-backed flooder boxes through the plan
+// (Plan.Box), interning nothing. A private-arena flooder boxes on first
+// use and caches under the acceptKey packing of the body's key identity
+// (not its slot): two bodies with equal key identity are equal values, so
+// the first-boxed Msg represents both.
 func (f *Flooder) boxedMsg(body Body, ext graph.PathID) sim.Payload {
-	if _, ok := body.(ValueBody); ok && f.plan != nil {
+	if f.plan != nil {
 		return f.plan.Box(body, ext)
 	}
 	ck := acceptKey(int32(f.ident.BodyKeyID(body)), ext)
@@ -251,7 +258,7 @@ func (f *Flooder) take(slot SlotID, full graph.PathID) bool {
 			return false
 		}
 		if f.accepted == nil {
-			f.accepted = make(map[uint64]struct{})
+			f.accepted = make(map[uint64]struct{}, cap(f.store.receipts))
 		}
 		f.accepted[key] = struct{}{}
 		return true

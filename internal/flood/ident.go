@@ -9,10 +9,12 @@ import (
 
 // This file implements the integer message-identity layer: an Ident table
 // interns canonical body/message key strings (sim.Payload.Key renderings)
-// and slot strings into dense integer IDs, so the hot paths — receipt
-// recording, rule-(ii) dedup, body-key filters, transcript probes — compare
-// and hash small integers instead of building and hashing formatted
-// strings. Strings survive only at the trace boundary (golden encoding,
+// and slot strings into dense integer IDs, so the hot paths — rule-(ii)
+// dedup, body-key filters, transcript probes — compare and hash small
+// integers instead of building and hashing formatted strings. Receipt
+// recording interns no body: a ReceiptStore resolves a structured body's
+// identity on first read (ReceiptStore.BodyID), so only bodies something
+// compares ever reach the table. Strings survive only at the trace boundary (golden encoding,
 // observers) and on the wire, where a Byzantine sender may forge anything
 // and identity must be established by the receiver.
 //
@@ -287,13 +289,13 @@ func (t *Ident) SetNodeSlot(ns int32, u graph.NodeID, slot string) SlotID {
 // BodyKeyID returns the body's canonical identity, taking the cheapest
 // route available: fixed constants for ValueBody, the body's own
 // KeyInterner fast path, or interning the rendered Key(). The ValueBody
-// branch never touches the table, so it is valid on a nil receiver (the
-// ident-free planned-store case; see ReceiptStore.AddPlanned). A nil
-// table records AnyBody for every structured body: such a store carries
+// branch never touches the table, so it is valid on a nil receiver, the
+// table of an ident-free planned store (see ReceiptStore.AddPlanned). A
+// nil table resolves every structured body to AnyBody: such a store carries
 // no per-run ident state at all and must never be queried with a Body
 // filter (the vector replay group's planned views — their phase-end
 // reads project lane values out of receipt bodies directly and filter
-// by origin, path, and exclusion only).
+// by origin, path, and exclusion only, so they never resolve one).
 func (t *Ident) BodyKeyID(b Body) BodyID {
 	if vb, ok := b.(ValueBody); ok {
 		return ValueKeyID(vb.Value)

@@ -18,10 +18,13 @@ type ReceiptStore struct {
 	arena    *graph.PathArena
 	ident    *Ident
 	receipts []Receipt
-	// bodyIDs caches the interned Receipt.Body identity per receipt: body
-	// identities are compared on every Candidates call, and deriving them
-	// through the Ident table avoids rebuilding key strings (transcripts
-	// used to rebuild megabytes of them) on every Add.
+	// bodyIDs caches the interned Receipt.Body identity per receipt,
+	// resolved on first read: Add records a ValueBody's pre-reserved
+	// identity outright and unresolvedBody for anything else, and BodyID
+	// (or a Candidates call filtering on a body) interns the body only when
+	// asked. Most structured receipts are never compared by content —
+	// Algorithm 2 groups only the reports about non-neighbours — so they
+	// never pay for an identity.
 	bodyIDs []BodyID
 	// byOrigin[u] indexes the receipts whose path starts at u.
 	byOrigin [][]int32
@@ -42,6 +45,19 @@ type ReceiptStore struct {
 	// sharedIdx marks a PlannedView: byOrigin, byPath and next belong to the
 	// compile-time template and must never be mutated through this store.
 	sharedIdx bool
+}
+
+// unresolvedBody marks a bodyIDs entry not yet interned (see BodyID). No
+// Ident table ever issues it: real identities are non-negative.
+const unresolvedBody BodyID = -1
+
+// eagerBodyID returns the bodyIDs entry Add records for b: the
+// pre-reserved identity of a ValueBody, unresolvedBody for anything else.
+func eagerBodyID(b Body) BodyID {
+	if vb, ok := b.(ValueBody); ok {
+		return ValueKeyID(vb.Value)
+	}
+	return unresolvedBody
 }
 
 // pathSpan is one PathID's receipt chain: its first and last receipt
@@ -125,7 +141,7 @@ func (s *ReceiptStore) Reset() {
 func (s *ReceiptStore) Add(r Receipt) {
 	i := int32(len(s.receipts))
 	s.receipts = append(s.receipts, r)
-	s.bodyIDs = append(s.bodyIDs, s.ident.BodyKeyID(r.Body))
+	s.bodyIDs = append(s.bodyIDs, eagerBodyID(r.Body))
 	s.byOrigin[r.Origin] = append(s.byOrigin[r.Origin], i)
 	s.next = append(s.next, 0)
 	sp := s.span(r.PathID)
@@ -159,12 +175,28 @@ func (s *ReceiptStore) Len() int { return len(s.receipts) }
 // callers must not modify it.
 func (s *ReceiptStore) All() []Receipt { return s.receipts }
 
-// BodyID returns the interned canonical body identity of receipt index i.
-func (s *ReceiptStore) BodyID(i int) BodyID { return s.bodyIDs[i] }
+// BodyID returns the interned canonical body identity of receipt index i,
+// interning the body in the store's Ident table on first read.
+func (s *ReceiptStore) BodyID(i int) BodyID {
+	if id := s.bodyIDs[i]; id != unresolvedBody {
+		return id
+	}
+	return s.resolve(int32(i))
+}
+
+// resolve interns receipt i's body and records its identity. Only
+// structured bodies are ever unresolved, and the stores holding them are
+// per-node (a plan's shared templates hold value bodies only), so the
+// write never reaches shared state.
+func (s *ReceiptStore) resolve(i int32) BodyID {
+	id := s.ident.BodyKeyID(s.receipts[i].Body)
+	s.bodyIDs[i] = id
+	return id
+}
 
 // BodyKey returns the canonical body identity string of receipt index i
 // (the interned rendering — for traces and tests, not hot paths).
-func (s *ReceiptStore) BodyKey(i int) string { return s.ident.KeyString(s.bodyIDs[i]) }
+func (s *ReceiptStore) BodyKey(i int) string { return s.ident.KeyString(s.BodyID(i)) }
 
 // Path materializes the receipt's full origin→receiver path. The returned
 // slice is shared (see graph.PathArena.Path); callers must not modify it.
@@ -195,13 +227,13 @@ func (s *ReceiptStore) PlannedView(ident *Ident) *ReceiptStore {
 
 // AddPlanned appends a receipt whose index entries already exist in the
 // shared planned index (see PlannedView): only the receipt record and its
-// interned body identity are written, nothing is indexed. A view whose
-// receipts are all ValueBody (scalar value flooding) may carry a nil
-// Ident — ValueBody identities are pre-reserved constants that never touch
-// the table.
+// body identity — pre-reserved for a ValueBody, resolved on first read
+// otherwise — are written, nothing is indexed. A view whose receipts are
+// all ValueBody (scalar value flooding) may carry a nil Ident — ValueBody
+// identities are pre-reserved constants that never touch the table.
 func (s *ReceiptStore) AddPlanned(r Receipt) {
 	s.receipts = append(s.receipts, r)
-	s.bodyIDs = append(s.bodyIDs, s.ident.BodyKeyID(r.Body))
+	s.bodyIDs = append(s.bodyIDs, eagerBodyID(r.Body))
 }
 
 // ResetPlanned empties a planned view for the next phase, keeping its
