@@ -114,13 +114,15 @@ type VectorPhaseNode struct {
 	sharedStepB *stepBCache
 	// zvBuf/nvBuf/origBuf are the reusable phase-end scratch sets; scratch
 	// backs the disjoint-receipt queries; readsBuf/readsValid are the
-	// per-origin step-(b) read table; matchBuf and undecidedBuf serve the
-	// per-lane projections.
+	// per-origin step-(b) read table; lanes shares the per-lane searches
+	// of one query, and admitBuf (a lane's Av as a node-indexed table) and
+	// undecidedBuf serve the per-lane projections.
 	zvBuf, nvBuf, origBuf graph.Set
 	scratch               flood.QueryScratch
 	readsBuf              []VectorBody
 	readsValid            []bool
-	matchBuf              []flood.Receipt
+	lanes                 laneShare
+	admitBuf              []bool
 	undecidedBuf          []bool
 	// valsBuf, in phantom replay mode only, backs the published phase
 	// vector in place of a per-phase allocation; see replayStep.
@@ -368,21 +370,13 @@ func (nd *VectorPhaseNode) chosenPath(u graph.NodeID, excl graph.Set) graph.Path
 	return chosenStepBPath(nd.topo, nd.arena, nd.stepB, u, nd.me, excl)
 }
 
-// laneValue projects lane l's value out of a vector receipt body.
-func laneValue(b flood.Body, l int) (sim.Value, bool) {
-	vb, ok := b.(VectorBody)
-	if !ok || l >= len(vb.Values) {
-		return 0, false
-	}
-	return vb.Values[l], true
-}
-
 // endPhase runs steps (b) and (c) of the current phase for every lane.
-// The candidate receipts (origin- and exclusion-filtered, value-blind)
-// are gathered once per phase; each lane's queries then run over
-// projections of that one set, which reproduces the scalar behavior
-// exactly — rule (ii) admits one content per (slot, path), so filtering
-// by body before or after the path dedup selects the same receipts.
+// The candidate receipts (exclusion-filtered, value-blind) are gathered
+// once per phase; each lane's queries then run over projections of that
+// one set, which reproduces the scalar behavior exactly — rule (ii) admits
+// one content per (slot, path), so filtering by body before or after the
+// path dedup selects the same receipts. Lanes whose projections coincide
+// share one search (see laneShare).
 func (nd *VectorPhaseNode) endPhase() {
 	spec := nd.phases[nd.phaseIdx]
 	excl := spec.F.Union(spec.T)
@@ -422,7 +416,11 @@ func (nd *VectorPhaseNode) endPhase() {
 	// Step (c) candidates, shared across lanes and values: every receipt
 	// whose path excludes F∪T. Lane- and value-specific filtering happens
 	// inside the per-lane selection.
-	candidates := nd.scratch.Candidates(st, flood.Filter{Exclude: excl})
+	nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Exclude: excl}), n)
+	if cap(nd.admitBuf) < n {
+		nd.admitBuf = make([]bool, n)
+	}
+	admit := nd.admitBuf[:n]
 
 	for l := range nd.gammas {
 		// The per-lane sets live only within the lane's step (b)/(c); the
@@ -457,8 +455,16 @@ func (nd *VectorPhaseNode) endPhase() {
 		if !bv.Contains(nd.me) {
 			continue
 		}
+		// Did lane l receive delta along f+1 node-disjoint (except at
+		// this node) Avv-paths among the candidates? The lane projection
+		// of the step-(c) flood.ReceivedOnDisjointPaths query.
+		clear(admit)
+		for u := range av {
+			admit[u] = true
+		}
 		for _, delta := range []sim.Value{sim.Zero, sim.One} {
-			if nd.laneDisjointReceipts(candidates, av, l, delta) {
+			nd.lanes.signature(l, delta, admit)
+			if nd.lanes.search(&nd.scratch, nd.arena, nd.f+1, flood.DisjointExceptLast) {
 				nd.gammas[l] = delta
 				break
 			}
@@ -466,28 +472,11 @@ func (nd *VectorPhaseNode) endPhase() {
 	}
 }
 
-// laneDisjointReceipts reports whether lane l received delta along f+1
-// node-disjoint (except at this node) Avv-paths among the pre-filtered
-// candidates — the lane projection of the step-(c)
-// flood.ReceivedOnDisjointPaths query.
-func (nd *VectorPhaseNode) laneDisjointReceipts(candidates []flood.Receipt, av graph.Set, l int, delta sim.Value) bool {
-	match := nd.matchBuf[:0]
-	for _, r := range candidates {
-		if !av.Contains(r.Origin) {
-			continue
-		}
-		if v, ok := laneValue(r.Body, l); ok && v == delta {
-			match = append(match, r)
-		}
-	}
-	nd.matchBuf = match
-	return nd.scratch.SelectDisjoint(nd.arena, match, nd.f+1, flood.DisjointExceptLast)
-}
-
 // checkUnanimity applies the per-lane early-decision certificate: lane l
 // decides its phase-start value x if x was received from every other node
 // along f+1 internally node-disjoint paths. The per-origin candidate sets
-// are value-blind and gathered once; each lane projects its value.
+// are value-blind and gathered once; each lane projects its value, and
+// lanes with equal projections share one search.
 func (nd *VectorPhaseNode) checkUnanimity(st *flood.ReceiptStore) {
 	pending := 0
 	for l := range nd.gammas {
@@ -512,19 +501,13 @@ func (nd *VectorPhaseNode) checkUnanimity(st *flood.ReceiptStore) {
 		}
 		clear(orig)
 		orig.Add(u)
-		cands := nd.scratch.Candidates(st, flood.Filter{Origins: orig})
+		nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Origins: orig}), nd.g.N())
 		for l := range nd.gammas {
 			if !undecided[l] {
 				continue
 			}
-			match := nd.matchBuf[:0]
-			for _, r := range cands {
-				if v, ok := laneValue(r.Body, l); ok && v == nd.phaseStartGamma[l] {
-					match = append(match, r)
-				}
-			}
-			nd.matchBuf = match
-			if !nd.scratch.SelectDisjoint(nd.arena, match, nd.f+1, flood.InternallyDisjoint) {
+			nd.lanes.signature(l, nd.phaseStartGamma[l], nil)
+			if !nd.lanes.search(&nd.scratch, nd.arena, nd.f+1, flood.InternallyDisjoint) {
 				undecided[l] = false
 				pending--
 			}

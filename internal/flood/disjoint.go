@@ -63,47 +63,42 @@ type Filter struct {
 }
 
 // QueryScratch holds the reusable buffers of the disjoint-receipt
-// queries: the candidate gather (dedup map, output slice, origin-bucket
-// merge) and the backtracking selection (sorted copy, chosen stack). One
-// scratch serves one protocol node — the queries of a phase end reuse its
-// buffers instead of allocating per call. Results returned from scratch
-// methods are valid until the next call on the same scratch method family
-// (Candidates output until the next Candidates call, and so on). The zero
-// value is ready to use; a nil *QueryScratch falls back to per-call
-// allocation, reproducing the package-level functions exactly.
+// queries: the candidate output slice, the origin-membership table of a
+// multi-origin filter, and the backtracking selection's sorted copy and
+// chosen stack. One scratch serves one protocol node — the queries of a
+// phase end reuse its buffers instead of allocating per call. Results
+// returned from scratch methods are valid until the next call on the same
+// scratch method family (Candidates output until the next Candidates
+// call, and so on). The zero value is ready to use; the package-level
+// functions run on a fresh scratch.
+//
+// No query hashes or sorts per call in the common case. Candidates
+// deduplicates through the store's own per-path receipt chains and reads
+// several origin buckets in one acceptance-order pass, and SelectDisjoint
+// sorts by path length only when its input has a length inversion — which
+// only a forged out-of-schedule path produces.
 type QueryScratch struct {
-	seen   map[graph.PathID]struct{}
 	out    []Receipt
-	idxs   []int32
+	member []bool
 	cs     []Receipt
 	chosen []Receipt
 }
 
-// Candidates is the scratch-backed form of the package-level Candidates:
-// same receipts, same order, buffers reused. The returned slice is
-// invalidated by the scratch's next Candidates call.
+// Candidates returns the store's receipts matching fil, deduplicated by
+// path, in acceptance order; see the package-level Candidates. The
+// returned slice is invalidated by the scratch's next Candidates call.
 func (sc *QueryScratch) Candidates(st *ReceiptStore, fil Filter) []Receipt {
-	if sc == nil {
-		return Candidates(st, fil)
-	}
-	if sc.seen == nil {
-		sc.seen = make(map[graph.PathID]struct{})
-	} else {
-		clear(sc.seen)
-	}
-	sc.out = appendCandidates(sc.out[:0], st, fil, sc.seen, &sc.idxs)
+	sc.out, sc.member = appendCandidates(sc.out[:0], sc.member, st, fil)
 	return sc.out
 }
 
-// SelectDisjoint is the scratch-backed existence form of the package-level
-// SelectDisjoint: it reports whether k pairwise-disjoint candidate paths
-// exist, reusing the search buffers and returning no selection.
+// SelectDisjoint reports whether k pairwise-disjoint (under mode)
+// candidate paths exist, reusing the search buffers; see the package-level
+// SelectDisjoint. On success the first k entries of sc.chosen are one
+// selection.
 func (sc *QueryScratch) SelectDisjoint(ar *graph.PathArena, candidates []Receipt, k int, mode DisjointMode) bool {
 	if k <= 0 {
 		return true
-	}
-	if sc == nil {
-		return SelectDisjoint(ar, candidates, k, mode) != nil
 	}
 	var found bool
 	sc.cs, sc.chosen, found = selectDisjointInto(ar, candidates, k, mode, sc.cs[:0], sc.chosen[:0])
@@ -117,17 +112,38 @@ func (sc *QueryScratch) ReceivedOnDisjointPaths(st *ReceiptStore, fil Filter, k 
 }
 
 // Candidates returns the store's receipts matching fil, deduplicated by
-// path (the first accepted content for a path is the relevant one; rule
-// (ii) already guarantees at most one content per (sender, slot, path)).
-// When fil.Origins is set, only the matching origin buckets are visited.
+// path (the first accepted content for a path that passes the filter is
+// the relevant one; rule (ii) already guarantees at most one content per
+// (sender, slot, path)), in acceptance order. When fil.Origins is set,
+// only the matching origin buckets are visited.
 func Candidates(st *ReceiptStore, fil Filter) []Receipt {
-	return appendCandidates(nil, st, fil, make(map[graph.PathID]struct{}), new([]int32))
+	return new(QueryScratch).Candidates(st, fil)
 }
 
-// appendCandidates is the shared gather loop of Candidates and
-// QueryScratch.Candidates, appending matches into out with caller-owned
-// dedup and index-merge buffers.
-func appendCandidates(out []Receipt, st *ReceiptStore, fil Filter, seen map[graph.PathID]struct{}, idxsBuf *[]int32) []Receipt {
+// appendCandidates is the gather loop of QueryScratch.Candidates,
+// appending matches into out; member is the origin-membership table of a
+// multi-origin filter, returned for reuse.
+//
+// Dedup runs through the store's own per-path receipt chains. The origin
+// and exclusion tests depend on the path alone (a path determines its
+// origin and its interior), so of the receipts recorded along one path
+// only the body test tells them apart: receipt i is a duplicate exactly
+// when an earlier receipt on its path chain passes the body test — with
+// no body filter, when i is not the chain's head. Value flooding records
+// one receipt per path (rule (ii)), so the chain walk is a single head
+// comparison.
+//
+// With an origin filter, a single matching origin bucket is walked
+// directly. Several buckets — each in acceptance order — are read in one
+// pass over the store's receipts between the lowest bucket head and the
+// highest tail, testing each receipt's origin against a node-indexed
+// table: the output order is that of a flat scan of the whole store,
+// without sorting or materializing the filter. (A head-by-head merge of
+// the buckets gives the same order, but phase-end filters admit about
+// half the origins, and round-major acceptance interleaves the buckets
+// receipt by receipt, so the merge compares heads at every step and
+// measured slower.)
+func appendCandidates(out []Receipt, member []bool, st *ReceiptStore, fil Filter) ([]Receipt, []bool) {
 	ar := st.Arena()
 	useMask := ar.Exact() && fil.Exclude.Len() > 0
 	var exclMask uint64
@@ -135,16 +151,10 @@ func appendCandidates(out []Receipt, st *ReceiptStore, fil Filter, seen map[grap
 		exclMask = graph.SetMask(fil.Exclude)
 	}
 	visit := func(i int32) {
-		r := st.receipts[i]
-		if fil.Body != AnyBody {
-			id := st.bodyIDs[i]
-			if id == unresolvedBody {
-				id = st.resolve(i)
-			}
-			if id != fil.Body {
-				return
-			}
+		if fil.Body != AnyBody && st.bodyID(i) != fil.Body {
+			return
 		}
+		r := st.receipts[i]
 		if useMask {
 			if !ar.ExcludesInternalMask(r.PathID, exclMask) {
 				return
@@ -152,58 +162,53 @@ func appendCandidates(out []Receipt, st *ReceiptStore, fil Filter, seen map[grap
 		} else if fil.Exclude != nil && !ar.ExcludesInternal(r.PathID, fil.Exclude) {
 			return
 		}
-		if _, dup := seen[r.PathID]; dup {
-			return
-		}
-		seen[r.PathID] = struct{}{}
-		out = append(out, r)
-	}
-	if fil.Origins != nil {
-		if fil.Origins.Len() == 1 {
-			// Singleton origin filter — the checkUnanimity hot case. Pick
-			// the one bucket straight off the map; Origins.Slice() would
-			// allocate (and sort) a one-element slice per query.
-			for o := range fil.Origins {
-				if int(o) >= 0 && int(o) < len(st.byOrigin) {
-					for _, i := range st.byOrigin[o] {
-						visit(i)
-					}
+		if h := st.pathHead(r.PathID); h != i+1 {
+			if fil.Body == AnyBody {
+				return
+			}
+			for j := h; j != 0 && j <= i; j = st.next[j-1] {
+				if st.bodyID(j-1) == fil.Body {
+					return
 				}
 			}
-			return out
 		}
-		// Gather the matching origin buckets and merge them back into
-		// global acceptance order, so the output order is identical to
-		// the pre-index flat-slice scan. A single bucket (the common
-		// query) is already in acceptance order.
-		var buckets [][]int32
-		for _, o := range fil.Origins.Slice() {
-			if int(o) < 0 || int(o) >= len(st.byOrigin) || len(st.byOrigin[o]) == 0 {
-				continue
-			}
-			buckets = append(buckets, st.byOrigin[o])
+		out = append(out, r)
+	}
+	if fil.Origins == nil {
+		for i := range st.receipts {
+			visit(int32(i))
 		}
-		if len(buckets) == 1 {
-			for _, i := range buckets[0] {
-				visit(i)
-			}
-			return out
+		return out, member
+	}
+	n := len(st.byOrigin)
+	if cap(member) < n {
+		member = make([]bool, n)
+	}
+	member = member[:n]
+	var one []int32
+	buckets, lo, hi := 0, int32(len(st.receipts)), int32(-1)
+	for o := range fil.Origins {
+		if int(o) < 0 || int(o) >= n || len(st.byOrigin[o]) == 0 {
+			continue
 		}
-		idxs := (*idxsBuf)[:0]
-		for _, b := range buckets {
-			idxs = append(idxs, b...)
-		}
-		slices.Sort(idxs)
-		*idxsBuf = idxs
-		for _, i := range idxs {
+		one = st.byOrigin[o]
+		member[o] = true
+		buckets++
+		lo, hi = min(lo, one[0]), max(hi, one[len(one)-1])
+	}
+	if buckets == 1 {
+		for _, i := range one {
 			visit(i)
 		}
-		return out
+	} else {
+		for i := lo; i <= hi; i++ {
+			if member[st.receipts[i].Origin] {
+				visit(i)
+			}
+		}
 	}
-	for i := range st.receipts {
-		visit(int32(i))
-	}
-	return out
+	clear(member)
+	return out, member
 }
 
 // SelectDisjoint searches for k pairwise-disjoint (under mode) receipt
@@ -214,27 +219,39 @@ func SelectDisjoint(ar *graph.PathArena, candidates []Receipt, k int, mode Disjo
 	if k <= 0 {
 		return []Receipt{}
 	}
-	_, chosen, found := selectDisjointInto(ar, candidates, k, mode, nil, nil)
-	if !found {
+	var sc QueryScratch
+	if !sc.SelectDisjoint(ar, candidates, k, mode) {
 		return nil
 	}
-	out := make([]Receipt, k)
-	copy(out, chosen)
-	return out
+	return slices.Clone(sc.chosen[:k])
 }
 
 // selectDisjointInto is the backtracking core of SelectDisjoint, writing
 // its working state into caller-provided buffers (grown as needed and
 // returned for reuse). On success, the first k entries of the returned
 // chosen buffer are one disjoint selection. k must be positive.
-func selectDisjointInto(ar *graph.PathArena, candidates []Receipt, k int, mode DisjointMode, csBuf, chosenBuf []Receipt) (cs, chosen []Receipt, found bool) {
+//
+// Shorter paths conflict with fewer others, so the search tries them
+// first: it runs over the candidates stably sorted by path length. A
+// receipt accepted in flooding round r has r+1 nodes, so a store's
+// acceptance order — and any filtered subsequence of it — is already
+// length-sorted unless a faulty node injected an out-of-schedule path;
+// one linear pass detects that case, and only then is the input copied
+// and sorted. A stable sort of a sorted slice is the identity, so the
+// search order, and the selection found, are the same either way.
+func selectDisjointInto(ar *graph.PathArena, candidates []Receipt, k int, mode DisjointMode, csBuf, chosenBuf []Receipt) (sorted, chosen []Receipt, found bool) {
 	if len(candidates) < k {
 		return csBuf, chosenBuf, false
 	}
-	// Shorter paths conflict with fewer others; trying them first shrinks
-	// the search tree.
-	cs = append(csBuf, candidates...)
-	slices.SortStableFunc(cs, func(a, b Receipt) int { return ar.PathLen(a.PathID) - ar.PathLen(b.PathID) })
+	cs := candidates
+	for i := 1; i < len(candidates); i++ {
+		if ar.PathLen(candidates[i].PathID) < ar.PathLen(candidates[i-1].PathID) {
+			csBuf = append(csBuf, candidates...)
+			slices.SortStableFunc(csBuf, func(a, b Receipt) int { return ar.PathLen(a.PathID) - ar.PathLen(b.PathID) })
+			cs = csBuf
+			break
+		}
+	}
 
 	chosen = chosenBuf
 	var rec func(start int) bool
@@ -265,7 +282,8 @@ func selectDisjointInto(ar *graph.PathArena, candidates []Receipt, k int, mode D
 		}
 		return false
 	}
-	return cs, chosen, rec(0)
+	found = rec(0)
+	return csBuf, chosen, found
 }
 
 // ReceivedOnDisjointPaths reports whether the store contains k
@@ -273,5 +291,5 @@ func selectDisjointInto(ar *graph.PathArena, candidates []Receipt, k int, mode D
 // of step (c) ("v receives value δ along any f+1 node-disjoint Avv-paths
 // that exclude F") and of Definition C.1's third clause.
 func ReceivedOnDisjointPaths(st *ReceiptStore, fil Filter, k int, mode DisjointMode) bool {
-	return SelectDisjoint(st.Arena(), Candidates(st, fil), k, mode) != nil
+	return new(QueryScratch).ReceivedOnDisjointPaths(st, fil, k, mode)
 }

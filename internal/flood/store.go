@@ -177,11 +177,14 @@ func (s *ReceiptStore) All() []Receipt { return s.receipts }
 
 // BodyID returns the interned canonical body identity of receipt index i,
 // interning the body in the store's Ident table on first read.
-func (s *ReceiptStore) BodyID(i int) BodyID {
+func (s *ReceiptStore) BodyID(i int) BodyID { return s.bodyID(int32(i)) }
+
+// bodyID is BodyID for the query loops' int32 receipt indexes.
+func (s *ReceiptStore) bodyID(i int32) BodyID {
 	if id := s.bodyIDs[i]; id != unresolvedBody {
 		return id
 	}
-	return s.resolve(int32(i))
+	return s.resolve(i)
 }
 
 // resolve interns receipt i's body and records its identity. Only

@@ -84,6 +84,7 @@ type Node struct {
 	arena   *graph.PathArena // per-run path arena shared by all levels
 	ident   *flood.Ident     // per-run identity table shared by all levels
 	flooder *flood.Flooder
+	scratch flood.QueryScratch   // reused by every disjoint-path query
 	tree    map[string]sim.Value // label key -> learned value
 	labels  map[string]Label     // label key -> label (for traversal)
 
@@ -253,7 +254,7 @@ func (nd *Node) acceptClaim(receipts *flood.ReceiptStore, w graph.NodeID, beta L
 			Origins: graph.NewSet(w),
 			Body:    nd.ident.KeyID(EIGBody{Label: beta, Value: delta}.Key()),
 		}
-		if flood.ReceivedOnDisjointPaths(receipts, fil, nd.f+1, flood.InternallyDisjoint) {
+		if nd.scratch.ReceivedOnDisjointPaths(receipts, fil, nd.f+1, flood.InternallyDisjoint) {
 			return delta, true
 		}
 	}
