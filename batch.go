@@ -87,7 +87,6 @@ func NewBatch(g *Graph, instances []BatchInstance, opts ...Option) (*Batch, erro
 		Equivocators: spec.Equivocators,
 		Rounds:       spec.Rounds,
 		FullBudget:   spec.FullBudget,
-		Sequential:   spec.Sequential,
 		Observer:     spec.Observer,
 	}
 	for _, inst := range instances {

@@ -56,8 +56,7 @@ type goldenRun struct {
 const maxInlineTrace = 600
 
 // goldenScenario builds a fresh option list per run so that stateful
-// adversaries (tamper, forge) restart identically for the parallel and
-// sequential executions.
+// adversaries (tamper, forge) restart identically for every execution.
 type goldenScenario struct {
 	name  string
 	graph func() *Graph
@@ -151,15 +150,11 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 }
 
 // runGolden executes one scenario once and captures the full observable run.
-func runGolden(t *testing.T, sc goldenScenario, sequential bool) goldenRun {
+func runGolden(t *testing.T, sc goldenScenario) goldenRun {
 	t.Helper()
 	g := sc.graph()
 	rec := &TraceRecorder{}
-	opts := append(sc.opts(g), WithObserver(rec))
-	if sequential {
-		opts = append(opts, WithSequential())
-	}
-	s, err := NewSession(g, opts...)
+	s, err := NewSession(g, append(sc.opts(g), WithObserver(rec))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,17 +269,12 @@ func TestGoldenParity(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", sc.name+".json")
-			parallel := goldenJSON(t, runGolden(t, sc, false))
-			sequential := goldenJSON(t, runGolden(t, sc, true))
-			// Engine parallelism must never affect the execution.
-			if !bytes.Equal(parallel, sequential) {
-				t.Fatalf("parallel and sequential executions diverge:\nparallel:   %s\nsequential: %s", parallel, sequential)
-			}
+			got := goldenJSON(t, runGolden(t, sc))
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, parallel, 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -293,8 +283,8 @@ func TestGoldenParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (generate with -update-golden): %v", err)
 			}
-			if !bytes.Equal(parallel, want) {
-				t.Errorf("execution diverges from golden %s\ngot:  %s\nwant: %s", path, parallel, want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("execution diverges from golden %s\ngot:  %s\nwant: %s", path, got, want)
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func runAlgo2Model(t *testing.T, g *graph.Graph, f int, inputs []sim.Value, byz 
 		nodes[i] = en
 		honest = append(honest, en)
 	}
-	eng, err := sim.NewEngine(sim.Config{Topology: sim.GraphTopology{G: g}, Model: model, Equivocators: equivocators, Parallel: true}, nodes)
+	eng, err := sim.NewEngine(sim.Config{Topology: sim.GraphTopology{G: g}, Model: model, Equivocators: equivocators}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,9 +135,9 @@ func NewHybridNodeShared(topo *graph.Analysis, f, t int, me graph.NodeID, input 
 // newPhaseNode assembles a phase node. topo is read-only and may be shared
 // by every node of a run (and every instance of a batch); it is safe for
 // concurrent use. arena, when non-nil, is shared message-identity state:
-// it is NOT safe for concurrent use and may only be shared among nodes
-// that are stepped sequentially — in practice the co-located instances of
-// one batch node (same graph vertex). nil gives the node a private arena.
+// it is NOT safe for concurrent use and may only be shared among the nodes
+// of one run — in practice the co-located instances of one batch node
+// (same graph vertex). nil gives the node a private arena.
 func newPhaseNode(topo *graph.Analysis, f int, me graph.NodeID, input sim.Value, phases []PhaseSpec, arena *graph.PathArena) *PhaseNode {
 	g := topo.Graph()
 	// A nil arena stays nil until the first dynamic flooding round: a node

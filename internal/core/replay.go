@@ -22,8 +22,9 @@ import (
 // phase-start round, while reads of bodies[u] (installing receipts whose
 // origin is u, materializing forwards of u's body) happen in strictly
 // later rounds — the first arrival from u is at graph distance ≥ 1. The
-// engine's round barrier orders writes before reads, and within the
-// phase-start round each node writes only its own slot.
+// engine steps a run's nodes one after another on one goroutine, so
+// program order puts every write before the reads of later rounds, and
+// within the phase-start round each node writes only its own slot.
 
 // ReplayShared is the run-wide state of a replayed execution: the compiled
 // plan plus the per-phase origin-body blackboard. One ReplayShared serves
@@ -32,8 +33,8 @@ import (
 type ReplayShared struct {
 	plan *flood.Plan
 	// bodies[u] is the body node u floods in the current phase. Slots are
-	// overwritten phase over phase; see the file comment for why the round
-	// barrier makes this safe under parallel node stepping.
+	// overwritten phase over phase; see the file comment for why no
+	// read can see a slot before its phase's write.
 	bodies []flood.Body
 	// phantom switches the run's replayed outboxes to the phantom wire
 	// protocol (flood.Plan.ReplayRoundPhantom): transmissions carry the

@@ -60,8 +60,6 @@ type BatchSpec struct {
 	// FullBudget disables per-instance early termination: every instance
 	// runs the complete round budget.
 	FullBudget bool
-	// Sequential disables the engine's parallel round execution.
-	Sequential bool
 	// forceDynamic runs every group on the dynamic flooding path, on
 	// fresh unpooled state (see Spec.forceDynamic); the parity suites set
 	// it directly.
@@ -142,7 +140,6 @@ func (s BatchSpec) base() Spec {
 		Equivocators: s.Equivocators,
 		Rounds:       s.Rounds,
 		FullBudget:   s.FullBudget,
-		Sequential:   s.Sequential,
 	}
 }
 
@@ -533,7 +530,6 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		Model:        s.base.Model,
 		Equivocators: s.base.Equivocators,
 		Observer:     s.spec.Observer,
-		Parallel:     !s.base.Sequential,
 	}, nodes)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)

@@ -184,11 +184,10 @@ func MonteCarloContext(ctx context.Context, cfg MonteCarloConfig) (MonteCarloRes
 	results := make([]mcTrialResult, cfg.Trials)
 	if cfg.Batch > 1 {
 		groups := (cfg.Trials + cfg.Batch - 1) / cfg.Batch
-		sequential := effectiveWorkers(cfg.Workers, groups) > 1
 		RunPool(cfg.Workers, groups, func(gi int) {
 			lo := gi * cfg.Batch
 			hi := min(lo+cfg.Batch, cfg.Trials)
-			runMonteCarloBatch(ctx, cfg, topo, lo, hi, sequential, results[lo:hi])
+			runMonteCarloBatch(ctx, cfg, topo, lo, hi, results[lo:hi])
 		})
 	} else {
 		RunPool(cfg.Workers, cfg.Trials, func(trial int) {
@@ -492,10 +491,6 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 		F:         cfg.F,
 		Algorithm: cfg.Algorithm,
 		Churn:     mcChurnSchedule(cfg, trial),
-		// When trials run in parallel, stepping each trial's nodes
-		// sequentially avoids oversubscription; a single-worker sweep
-		// keeps node-level parallelism. Never affects results.
-		Sequential: effectiveWorkers(cfg.Workers, cfg.Trials) > 1,
 	}
 	var faulty []graph.NodeID
 	var strat string
@@ -524,7 +519,7 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 // through the scratch and strategy pools unless freshScaffolding is set.
 // OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
 // and violating instances are judged by the full path either way.
-func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, sequential bool, results []mcTrialResult) {
+func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, results []mcTrialResult) {
 	b := hi - lo
 	var instances []BatchInstance
 	var faulties [][]graph.NodeID
@@ -556,7 +551,6 @@ func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 		G:               cfg.G,
 		F:               cfg.F,
 		Algorithm:       cfg.Algorithm,
-		Sequential:      sequential,
 		OmitOKDecisions: true,
 		Instances:       instances,
 	}, topo)

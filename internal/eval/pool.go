@@ -53,7 +53,6 @@ type runShape struct {
 	equiv      string
 	rounds     int
 	fullBudget bool
-	sequential bool
 	// pattern is the canonical kind-marked Byzantine placement — per
 	// instance for a batch (see byzPattern), for the single execution of a
 	// session (see byzKindPattern); empty for all-benign sessions.
@@ -125,7 +124,6 @@ func sessionShape(spec Spec) runShape {
 		equiv:      spec.Equivocators.String(),
 		rounds:     spec.Rounds,
 		fullBudget: spec.FullBudget,
-		sequential: spec.Sequential,
 		pattern:    byzKindPattern(spec.Byzantine),
 		churn:      !spec.Churn.Empty(),
 	}
@@ -173,8 +171,9 @@ func byzKindPattern(byz map[graph.NodeID]sim.Node) string {
 // every replaying mode. Byzantine slots hold the caller's adversary nodes
 // and are re-plugged from the current spec on every reset (the pool key
 // pins their vertices and kinds, never their values). The engine is never
-// Closed while pooled — its worker pool stays warm; if the sync.Pool drops
-// the run under GC pressure, the engine's cleanup closes the pool.
+// Closed while pooled: it keeps its grown inboxes, and it holds no
+// goroutines, so a run the sync.Pool drops under GC pressure is simply
+// collected.
 type sessionRun struct {
 	mode  replayMode
 	nodes []sim.Node
@@ -313,7 +312,6 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		Model:        spec.Model,
 		Equivocators: spec.Equivocators,
 		Observer:     spec.Observer,
-		Parallel:     !spec.Sequential,
 	}, run.nodes)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)

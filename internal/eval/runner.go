@@ -89,9 +89,6 @@ type Spec struct {
 	// non-adversarial executions (see core.PhaseNode.EnableEarlyDecision
 	// for the soundness argument).
 	FullBudget bool
-	// Sequential disables the engine's goroutine-per-node round
-	// execution (useful for debugging and deterministic profiling).
-	Sequential bool
 	// forceDynamic runs the dynamic message-by-message flooding path, on
 	// fresh unpooled state, even for executions that qualify for
 	// compiled-plan replay. It is the reference side of the parity suites,
@@ -215,7 +212,7 @@ func (o Outcome) OK() bool { return o.Agreement && o.Validity && o.Termination }
 // per graph is enough for any number of nodes, runs, and batch
 // instances). arena, when non-nil, shares message-identity state between
 // the co-located instances of one batch node — it is not safe for
-// concurrent use and must be nil when nodes step in parallel; Algorithm 2
+// concurrent use, so it must never be shared across runs; Algorithm 2
 // nodes flood on topo's frozen plan arena instead, which every node of
 // every run shares. Unless the spec demands the full budget, phase-based
 // nodes are built with early decision enabled.
@@ -432,7 +429,7 @@ func (s *Session) Spec() Spec { return s.spec }
 // Replay-qualified specs draw their run state from the run pool (see
 // pool.go). A run goes back to the pool only after completing normally;
 // every other engine — unpooled, cancelled, or failing its reset — is
-// closed here, so no parked worker goroutines outlive the run.
+// closed here, returning its inbox arrays for the next engine.
 func (s *Session) Run(ctx context.Context) (Outcome, error) {
 	spec := s.spec
 	mode := spec.replayMode()

@@ -207,9 +207,8 @@ func (g Grid) Expand() ([]Cell, error) {
 
 // run executes one cell. All cell randomness (fault placement, inputs,
 // adversary seeds) comes from the cell's own seed, so the result is a
-// pure function of the cell; sequential only controls how the engine
-// schedules node steps and never affects the outcome.
-func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget, sequential bool) CellOutcome {
+// pure function of the cell.
+func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget bool) CellOutcome {
 	out := CellOutcome{Cell: c}
 	rng := rand.New(rand.NewSource(c.Seed))
 	n := c.g.N()
@@ -251,10 +250,6 @@ func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget, sequent
 		Model:        c.Model,
 		Equivocators: equiv,
 		FullBudget:   fullBudget,
-		// When the sweep pool is parallel, stepping a cell's nodes
-		// sequentially avoids oversubscription; a single-worker sweep
-		// keeps node-level parallelism instead.
-		Sequential: sequential,
 	}
 	s, err := newSessionShared(spec, topo)
 	if err != nil {
@@ -270,21 +265,6 @@ func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget, sequent
 	return out
 }
 
-// effectiveWorkers is RunPool's worker resolution: how many workers will
-// actually run n tasks under the given setting.
-func effectiveWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // RunPool runs fn(0..n-1) on a bounded worker pool. workers <= 0 selects
 // runtime.GOMAXPROCS(0). fn must write its result into its own index slot
 // of a pre-sized slice; the pool itself imposes no ordering, so result
@@ -294,7 +274,10 @@ func RunPool(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = effectiveWorkers(workers, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -335,9 +318,8 @@ func RunSweep(ctx context.Context, grid Grid, workers int) (SweepResult, error) 
 		}
 	}
 	outcomes := make([]CellOutcome, len(cells))
-	sequential := effectiveWorkers(workers, len(cells)) > 1
 	RunPool(workers, len(cells), func(i int) {
-		outcomes[i] = cells[i].run(ctx, analyses[cells[i].g], grid.FullBudget, sequential)
+		outcomes[i] = cells[i].run(ctx, analyses[cells[i].g], grid.FullBudget)
 	})
 	if err := ctx.Err(); err != nil {
 		return SweepResult{}, fmt.Errorf("eval: sweep canceled: %w", err)

@@ -8,9 +8,9 @@ import "sync"
 // node of a run walk the same n² pair results — sharing one cache across
 // the run's nodes computes each pair once instead of n times.
 //
-// The cache is safe for concurrent use (nodes step in parallel). Returned
-// path slices are shared: callers must treat them as read-only, which is
-// the module-wide convention for Path values.
+// The cache is safe for concurrent use (concurrent runs on one graph share
+// it). Returned path slices are shared: callers must treat them as
+// read-only, which is the module-wide convention for Path values.
 type DisjointPathsCache struct {
 	g  *Graph
 	mu sync.RWMutex

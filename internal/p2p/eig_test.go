@@ -24,7 +24,6 @@ func runEIG(t *testing.T, g *graph.Graph, f int, inputs []sim.Value, byz map[gra
 	eng, err := sim.NewEngine(sim.Config{
 		Topology: sim.GraphTopology{G: g},
 		Model:    sim.PointToPoint,
-		Parallel: true,
 	}, nodes)
 	if err != nil {
 		t.Fatal(err)

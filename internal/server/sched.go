@@ -61,13 +61,11 @@ func (s *sched) stop() {
 }
 
 // runGroup executes one packed group as a batched round loop and delivers
-// each request's outcome. Node-level stepping is sequential whenever the
-// pool has more than one worker (worker-level parallelism replaces it,
-// exactly like parallel sweep cells).
+// each request's outcome. The group's nodes step on this worker's
+// goroutine; parallelism comes from the pool's worker count alone.
 func (s *sched) runGroup(g *packGroup) {
 	started := time.Now()
 	spec := g.base
-	spec.Sequential = s.workers > 1
 	spec.Instances = make([]eval.BatchInstance, len(g.reqs))
 	for i, r := range g.reqs {
 		spec.Instances[i] = r.inst

@@ -32,8 +32,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"lbcast/internal/cliutil"
 )
 
 // Config tunes the daemon. The zero value of every field selects a
@@ -215,7 +213,7 @@ func clientID(r *http.Request) string {
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = cliutil.WriteJSON(w, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // maxRequestBytes bounds a decision request body.
@@ -283,7 +281,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = cliutil.WriteJSON(w, resp)
+		_ = json.NewEncoder(w).Encode(resp)
 	case <-r.Context().Done():
 		// The client went away; the decision still completes with its
 		// group (the buffered done channel absorbs it) and the slot is
@@ -337,7 +335,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	_ = cliutil.WriteJSON(w, h)
+	_ = json.NewEncoder(w).Encode(h)
 }
 
 // handleMetrics serves the Prometheus text exposition.

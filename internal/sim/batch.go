@@ -75,7 +75,7 @@ type LaneDecider interface {
 // vertex into a single engine node. All inner nodes must report the same
 // vertex id. Instances are stepped sequentially inside Step, so the inner
 // nodes may share single-threaded state with each other (one PathArena per
-// vertex) but not with other vertices' nodes.
+// vertex).
 //
 // BatchNode deliberately does not implement Decider: decisions are per
 // inner unit — read them from Instance(i) via Decider or LaneDecider; the

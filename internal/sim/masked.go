@@ -7,8 +7,8 @@ import (
 // MaskedTopology is a mutable link-mask view over a static graph: the
 // fault-injection engine's routing topology. It satisfies Topology, so an
 // engine built over it needs no special handling — the round loop mutates
-// the mask between Step calls (safe: the engine routes transmissions in its
-// own goroutine after the parallel node steps complete) and the next round's
+// the mask between Step calls (safe: the engine steps and routes on the
+// caller's goroutine, so no round is in flight then) and the next round's
 // transmissions are routed by the updated adjacency.
 //
 // Semantics: a down node transmits to nobody and is excluded from every

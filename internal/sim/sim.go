@@ -7,18 +7,19 @@
 // equivocate, all others are restricted to local broadcast).
 //
 // Nodes are deterministic state machines driven by the engine; each round
-// the nodes' Step calls are distributed over the engine's persistent
-// worker pool (goroutines that park between rounds), then the engine
+// the engine steps every node in index order on the calling goroutine, then
 // routes the collected transmissions through the configured transport.
-// Delivery order is canonicalized (ascending sender id, FIFO within a
-// sender's round output) so executions are reproducible — parallelism
-// never affects results.
+// Within a round no node sees another's output, so the stepping order
+// cannot change the execution; delivery order is canonicalized (ascending
+// sender id, FIFO within a sender's round output) so executions are
+// reproducible. Parallelism lives one level up: independent runs
+// (sweep cells, Monte Carlo trials, concurrent sessions) step on their own
+// goroutines.
 package sim
 
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"lbcast/internal/graph"
@@ -215,17 +216,15 @@ type Config struct {
 	// Observer, when set, receives round, transmission and decision
 	// events (see Observer). Use sim.Observers to combine several.
 	Observer Observer
-	// Parallel selects goroutine-per-node round execution (default true
-	// via NewEngine). Sequential execution is provided for debugging.
+	// Parallel is ignored: every engine steps its nodes in index order on
+	// the calling goroutine. The benchmark's probe kit still sets it; the
+	// field goes once that caller stops.
 	Parallel bool
 }
 
-// Engine drives a set of nodes through synchronous rounds.
-//
-// An engine running with Config.Parallel owns a persistent worker pool
-// (started lazily at the first round); Close releases it. Engines that are
-// dropped without Close are cleaned up by a finalizer, but deterministic
-// callers (eval.Session, benchmarks) should Close explicitly.
+// Engine drives a set of nodes through synchronous rounds on the calling
+// goroutine; it starts no goroutines of its own. Close returns its inbox
+// arrays to a process-wide pool for the next engine to reuse.
 type Engine struct {
 	cfg     Config
 	nodes   []Node
@@ -241,8 +240,6 @@ type Engine struct {
 	outboxes [][]Outgoing
 	// ignoreBuf is the reused per-round InboxIgnorer flags (see step).
 	ignoreBuf []bool
-
-	pool *workerPool
 }
 
 // deliveryPool recycles per-node inbox backing arrays across engines.
@@ -312,25 +309,10 @@ func (e *Engine) ReserveInbox(v graph.NodeID, n int) {
 	}
 }
 
-// lazyPool starts the persistent worker pool on first use. The pool spans
-// the engine's lifetime: workers park between rounds instead of the old
-// goroutine-per-node-per-round spawning. A cleanup releases the pool when
-// an unclosed engine is collected.
-func (e *Engine) lazyPool() *workerPool {
-	if e.pool == nil {
-		e.pool = newWorkerPool(len(e.nodes))
-		runtime.AddCleanup(e, func(p *workerPool) { p.close() }, e.pool)
-	}
-	return e.pool
-}
-
-// Close releases the engine's worker pool and returns its inbox arrays to
-// the delivery pool. It is idempotent and safe on engines that never ran.
-// The engine must not be stepped after Close.
+// Close returns the engine's inbox arrays to the delivery pool. It is
+// idempotent and safe on engines that never ran. The engine must not be
+// stepped after Close.
 func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-	}
 	for i := range e.inboxes {
 		putInbox(e.inboxes[i])
 		e.inboxes[i] = nil
@@ -344,8 +326,7 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 // topology: metrics and decision-edge state are zeroed, the observer is
 // replaced, and the inbox arrays are cleared (payloads
 // from the previous run's final round must not outlive it) but their
-// backing capacity — and the persistent worker pool with its parked
-// goroutines — is kept. The nodes themselves are NOT reset; callers
+// backing capacity is kept. The nodes themselves are NOT reset; callers
 // recycling protocol state across runs (eval's run pool) reset them
 // separately. Must not be called on a closed engine.
 func (e *Engine) Reset(obs Observer) {
@@ -437,22 +418,16 @@ func (e *Engine) emitDecisions(round int) {
 	}
 }
 
-// step runs a single round: every node consumes its inbox and produces an
-// outbox; the transport then routes the outboxes into the same inbox
-// slices, which the next round reads. The outbox collection and the inbox
-// slices are reused round over round (nodes must not retain inbox slices —
-// see Node).
+// step runs a single round: every node, in index order, consumes its inbox
+// and produces an outbox; the transport then routes the outboxes into the
+// same inbox slices, which the next round reads. The outbox collection and
+// the inbox slices are reused round over round (nodes must not retain inbox
+// slices — see Node).
 func (e *Engine) step(round int) {
 	n := len(e.nodes)
 	outboxes := e.outboxes
-	if e.cfg.Parallel {
-		e.lazyPool().run(n, func(i int) {
-			outboxes[i] = e.nodes[i].Step(round, e.inboxes[i])
-		})
-	} else {
-		for i := range e.nodes {
-			outboxes[i] = e.nodes[i].Step(round, e.inboxes[i])
-		}
+	for i, nd := range e.nodes {
+		outboxes[i] = nd.Step(round, e.inboxes[i])
 	}
 
 	// Every node has stepped: this round's inboxes are consumed, so the

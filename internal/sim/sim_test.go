@@ -175,7 +175,7 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 		ns[0].sends = []Outgoing{{To: Broadcast, Payload: textPayload("a1")}, {To: Broadcast, Payload: textPayload("a2")}}
 		ns[1].sends = []Outgoing{{To: Broadcast, Payload: textPayload("b")}}
 		ns[2].sends = []Outgoing{{To: Broadcast, Payload: textPayload("c")}}
-		eng, err := NewEngine(Config{Topology: GraphTopology{G: g}, Model: LocalBroadcast, Parallel: true}, asNodes(ns))
+		eng, err := NewEngine(Config{Topology: GraphTopology{G: g}, Model: LocalBroadcast}, asNodes(ns))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,12 +113,6 @@ func WithObserver(o Observer) Option {
 	return func(s *eval.Spec) { s.Observer = o }
 }
 
-// WithSequential runs nodes sequentially within each round instead of
-// goroutine-per-node (useful for debugging and profiling).
-func WithSequential() Option {
-	return func(s *eval.Spec) { s.Sequential = true }
-}
-
 // NewSession validates the graph and options and returns a reusable
 // Session. Defaults are applied once, here: zero Algorithm means
 // Algorithm1, zero Model means LocalBroadcast. Invalid configurations

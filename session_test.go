@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lbcast/internal/eval"
 )
 
 func TestSessionReuseAcrossRuns(t *testing.T) {
@@ -105,40 +107,61 @@ func (c *cancelObserver) RoundStart(round int) {
 	}
 }
 
-// TestCancelledRunsCloseEngines: a run cancelled mid-execution never goes
-// back to the run pool, so the driver must close its engine on the spot,
-// not leave the engine's parked worker goroutines to a GC-time cleanup.
-// Both runs replay a compiled plan (pooled) and step nodes in parallel.
-func TestCancelledRunsCloseEngines(t *testing.T) {
+// TestRunsLeaveNoGoroutines: once a run returns, none of its goroutines
+// remain — whether it completed (and went back to the run pool) or was
+// cancelled mid-execution (and had its engine closed on the spot).
+// Engines step nodes on the caller's goroutine, so a recycled run parked
+// in the pool holds none either.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
 	inputs := inputMap(0, 1, 0, 1, 0)
-	runs := []func(context.Context, Observer) error{
-		func(ctx context.Context, obs Observer) error {
-			s, err := NewSession(Figure1a(), WithFaults(1), WithInputs(inputs), WithObserver(obs))
-			if err == nil {
-				_, err = s.Run(ctx)
-			}
-			return err
-		},
-		func(ctx context.Context, obs Observer) error {
-			insts := []BatchInstance{{Inputs: inputs}, {Inputs: inputMap(1, 1, 0, 0, 1)}}
-			b, err := NewBatch(Figure1a(), insts, WithFaults(1), WithObserver(obs))
-			if err == nil {
-				_, err = b.Run(ctx)
-			}
-			return err
-		},
+	session := func(ctx context.Context, obs Observer) error {
+		s, err := NewSession(Figure1a(), WithFaults(1), WithInputs(inputs), WithObserver(obs))
+		if err == nil {
+			_, err = s.Run(ctx)
+		}
+		return err
 	}
-	for i, run := range runs {
+	batch := func(ctx context.Context, obs Observer) error {
+		insts := []BatchInstance{{Inputs: inputs}, {Inputs: inputMap(1, 1, 0, 0, 1)}}
+		b, err := NewBatch(Figure1a(), insts, WithFaults(1), WithObserver(obs))
+		if err == nil {
+			_, err = b.Run(ctx)
+		}
+		return err
+	}
+	monteCarlo := func(ctx context.Context, _ Observer) error {
+		_, err := eval.MonteCarloContext(ctx, eval.MonteCarloConfig{G: Figure1b(), F: 2, Trials: 8, FaultProb: 0.25, Seed: 3, Workers: 1})
+		return err
+	}
+	cases := []struct {
+		name      string
+		run       func(context.Context, Observer) error
+		cancelled bool
+	}{
+		{"session/cancelled", session, true},
+		{"batch/cancelled", batch, true},
+		{"session/completed", session, false},
+		{"batch/completed", batch, false},
+		{"montecarlo/completed", monteCarlo, false},
+	}
+	for _, c := range cases {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		if err := run(ctx, &cancelObserver{cancel: cancel, afterRound: 1}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		obs := &cancelObserver{cancel: cancel, afterRound: -1}
+		if c.cancelled {
+			obs.afterRound = 1
 		}
+		err := c.run(ctx, obs)
 		cancel()
+		if c.cancelled && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+		if !c.cancelled && err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("run %d: %d goroutines after the cancelled run, %d before: its engine was not closed",
-					i, runtime.NumGoroutine(), base)
+				t.Fatalf("%s: %d goroutines after the run, %d before", c.name, runtime.NumGoroutine(), base)
 			}
 		}
 	}
@@ -306,7 +329,6 @@ func TestSessionObserverEvents(t *testing.T) {
 		WithFaults(1),
 		WithInputs(inputMap(0, 1, 0, 1, 0)),
 		WithObserver(obs),
-		WithSequential(),
 	)
 	if err != nil {
 		t.Fatal(err)
