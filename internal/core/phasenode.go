@@ -64,7 +64,7 @@ type PhaseNode struct {
 	zvBuf, nvBuf, origBuf graph.Set
 	scratch               flood.QueryScratch
 	// expectHint, when set, seeds the first phase's receipt-store
-	// reservation (SetReceiptHint); later phases use the previous phase's
+	// reservation (UseDeltaReplay); later phases use the previous phase's
 	// actual count.
 	expectHint int
 
@@ -246,7 +246,7 @@ func (nd *PhaseNode) UseDeltaReplay(dp *flood.DeltaPlan) {
 // flooder and its receipt store on the dynamic path, the phase-end scratch
 // sets and query scratch, and every step-(b) cache (whose entries are
 // run-independent facts about the topology and stay valid). The run-level
-// wiring (UseReplay, SetReceiptHint, EnableEarlyDecision) is preserved, so
+// wiring (UseReplay, UseDeltaReplay, EnableEarlyDecision) is preserved, so
 // a reset node re-runs under exactly the configuration it was pooled with.
 func (nd *PhaseNode) Reset(input sim.Value) {
 	nd.gamma = input
@@ -257,13 +257,6 @@ func (nd *PhaseNode) Reset(input sim.Value) {
 	nd.earlyValue = 0
 	nd.phaseStartGamma = 0
 }
-
-// SetReceiptHint seeds the first phase's receipt-store reservation with an
-// expected receipt count — typically a compiled plan's exact per-node
-// count, which a dynamic node in a mixed (partly faulty) batch can use
-// even though it cannot replay. Later phases size from the previous
-// phase's actual count, as before.
-func (nd *PhaseNode) SetReceiptHint(n int) { nd.expectHint = n }
 
 // IgnoresInbox implements sim.InboxIgnorer: a replaying node draws every
 // arrival from the compiled plan and never reads its inbox. A node whose

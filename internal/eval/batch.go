@@ -3,22 +3,25 @@ package eval
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"lbcast/internal/core"
+	"lbcast/internal/faultinject"
 	"lbcast/internal/flood"
 	"lbcast/internal/graph"
 	"lbcast/internal/sim"
 )
 
-// This file implements the batched multi-instance engine: B independent
-// consensus instances — distinct input vectors and fault patterns — over
-// the same graph, executed in one round loop. Per-vertex batch nodes
-// multiplex all instances' transmissions (sim.BatchNode), topology-derived
-// state is computed once in a shared graph.Analysis, and instances that
-// finish retire from the loop individually. Decisions are identical to B
-// separate Session runs (see DESIGN.md §7 for the argument and
+// This file implements the one run driver: B independent consensus
+// instances — distinct input vectors and fault patterns — over the same
+// graph, executed in one round loop. A Session is a one-instance batch.
+// Benign instances of the phase-based algorithms share one value-vector
+// lane group; every other instance is a group of its own. With two or more
+// groups, per-vertex batch nodes multiplex the groups' transmissions
+// (sim.BatchNode); a single group is stepped by the engine directly.
+// Topology-derived state is computed once in a shared graph.Analysis, and
+// instances that finish retire from the loop individually. Decisions are
+// identical to B one-instance runs (see DESIGN.md §7 for the argument and
 // TestBatchMatchesIndependentSessions for the enforcement).
 
 // BatchInstance is the per-instance part of a batch: everything that may
@@ -73,12 +76,17 @@ type BatchSpec struct {
 	// decision maps per group only to throw them away was the judging
 	// path's dominant allocation.
 	OmitOKDecisions bool
-	// Observer, when set, receives the batch engine's events. Payloads are
-	// sim.BatchPayload multiplexes, and no Decision events fire (instance
-	// decisions are per instance; read them from the BatchOutcome).
+	// Observer, when set, receives the batch engine's events. With two or
+	// more lane groups, payloads are sim.BatchPayload multiplexes and no
+	// Decision events fire (read decisions from the BatchOutcome); a
+	// single-group batch reports its group's own payloads, and Decision
+	// events of scalar nodes, as a Session does.
 	Observer sim.Observer
 	// Instances are the per-instance configurations (at least one).
 	Instances []BatchInstance
+	// churn is a Session's fault-injection schedule (see Spec.Churn); only
+	// one-instance batches carry one.
+	churn *faultinject.Schedule
 }
 
 // BatchOutcome is the judged result of a batched execution.
@@ -126,6 +134,9 @@ type BatchSession struct {
 	// pattern is the batch's Byzantine placement rendered canonically; it
 	// completes the run-pool key (see byzPattern).
 	pattern string
+	// pooled marks batches whose run state recycles through the run pool:
+	// every instance engages a replay tier (see Spec.replayMode).
+	pooled bool
 }
 
 // base assembles the shared-parameter Spec of a batch (no inputs, no
@@ -140,6 +151,8 @@ func (s BatchSpec) base() Spec {
 		Equivocators: s.Equivocators,
 		Rounds:       s.Rounds,
 		FullBudget:   s.FullBudget,
+		forceDynamic: s.forceDynamic,
+		Churn:        s.churn,
 	}
 }
 
@@ -154,73 +167,108 @@ func NewBatchSession(spec BatchSpec) (*BatchSession, error) {
 // NewBatchSessionShared is NewBatchSession drawing topology state —
 // memoized BFS choices, disjoint-path layouts, and the compiled
 // propagation plan — from a caller-provided shared analysis of spec.G
-// (nil builds a private one). Long-lived callers that serve many batches
-// over the same graph (the lbcastd scheduler) memoize one analysis per
-// graph and pass it here, so steady-state traffic rides the compiled-plan
-// replay path instead of re-deriving per-graph state per batch. The
-// analysis must be of spec.G and is safe for any number of concurrent
-// sessions.
+// (nil selects the graph's canonical shared analysis). Long-lived callers
+// that serve many batches over the same graph (the lbcastd scheduler)
+// memoize one analysis per graph and pass it here, so steady-state traffic
+// rides the compiled-plan replay path instead of re-deriving per-graph
+// state per batch. The analysis must be of spec.G and is safe for any
+// number of concurrent sessions.
 func NewBatchSessionShared(spec BatchSpec, topo *graph.Analysis) (*BatchSession, error) {
 	return newBatchSessionShared(spec, topo)
 }
 
-// newBatchSessionShared is NewBatchSessionShared, the batched analogue of
-// newSessionShared: Monte Carlo trial groups share one analysis.
+// newBatchSessionShared is NewBatchSessionShared; Monte Carlo trial groups
+// share one analysis.
 func newBatchSessionShared(spec BatchSpec, topo *graph.Analysis) (*BatchSession, error) {
+	s := &BatchSession{}
+	if err := s.init(spec, topo, make([][]sim.Value, len(spec.Instances))); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init validates spec and fills s in place, converting each instance's
+// inputs into slabs[i]; a Session passes storage of its own, so that it
+// is built in one allocation.
+func (s *BatchSession) init(spec BatchSpec, topo *graph.Analysis, slabs [][]sim.Value) error {
 	if len(spec.Instances) == 0 {
-		return nil, fmt.Errorf("eval: batch has no instances")
+		return fmt.Errorf("eval: batch has no instances")
 	}
 	base := spec.base()
 	if err := base.normalize(); err != nil {
-		return nil, err
+		return err
 	}
-	slabs := make([][]sim.Value, len(spec.Instances))
+	pooled := true
 	for i, inst := range spec.Instances {
 		per := base
 		per.Inputs = inst.Inputs
 		per.InputSlab = inst.InputSlab
 		per.Byzantine = inst.Byzantine
 		if err := per.normalize(); err != nil {
-			return nil, fmt.Errorf("eval: batch instance %d: %w", i, err)
+			return fmt.Errorf("eval: batch instance %d: %w", i, err)
 		}
 		slabs[i] = inputSlab(base.G.N(), inst.InputSlab, inst.Inputs)
+		pooled = pooled && per.replayMode() != replayOff
 	}
 	if topo == nil {
 		topo = base.G.SharedAnalysis()
 	}
-	return &BatchSession{spec: spec, base: base, topo: topo, slabs: slabs, pattern: byzPattern(spec.Instances)}, nil
+	*s = BatchSession{spec: spec, base: base, topo: topo, slabs: slabs, pattern: byzPattern(spec.Instances), pooled: pooled}
+	return nil
 }
 
-// byzPattern renders the batch's Byzantine placement — which vertices each
-// instance overrides, and each fault's replay kind ('c' crash-from-start,
-// 'd' value-faulty; see appendByzKindPattern) — as a canonical string. Two
-// batches with equal patterns (and equal shared parameters) build
-// structurally identical run state: the same lane grouping, the same
-// replay wiring (the kind decides masked vs delta wiring for a faulty
-// instance's honest nodes), the same adversary slots; only inputs,
-// adversary node values, and the observer differ, all of which a recycled
-// run's reset pass re-applies. The pattern is therefore the
-// batch-specific part of the run-pool key.
-func byzPattern(instances []BatchInstance) string {
-	var sb strings.Builder
-	for i, inst := range instances {
-		if i > 0 {
-			sb.WriteByte(';')
+// modeOf classifies how instance inst engages the compiled plans.
+func (s *BatchSession) modeOf(inst BatchInstance) replayMode {
+	spec := s.base
+	spec.Byzantine = inst.Byzantine
+	return spec.replayMode()
+}
+
+// wire builds the replay wiring of one lane group in the given mode, byz
+// being the overrides of its instance (nil for the vector group): the
+// blackboard of a wholesale-replaying group, with its phantom toggle set,
+// or the delta fragment of a delta group. It hands the plan their honest
+// neighbours flood on to the group's adversaries that can use it.
+func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) (*core.ReplayShared, *flood.DeltaPlan) {
+	var rs *core.ReplayShared
+	switch mode {
+	case replayFull, replayChurn:
+		// A churn run replays the benign plan up to its taint frontier.
+		rs = core.NewReplayShared(flood.PlanFor(s.topo))
+	case replayMasked:
+		rs = core.NewReplayShared(flood.MaskedPlanFor(s.topo, byzSet(byz)))
+	case replayDelta:
+		dp := flood.DeltaPlanFor(s.topo, byzSet(byz))
+		sharePlan(byz, dp.Base())
+		return nil, dp
+	default:
+		if s.base.Algorithm == Algo2 {
+			// Algorithm 2's honest nodes flood on the benign plan's arena.
+			sharePlan(byz, flood.PlanFor(s.topo))
 		}
-		appendByzKindPattern(&sb, inst.Byzantine)
+		return nil, nil
 	}
-	return sb.String()
+	rs.SetPhantom(phantomOK(mode, byz, s.spec.Observer))
+	return rs, nil
 }
 
-// poolable reports whether the batch's run state recycles through the
-// analysis-anchored run pool: the phase-based algorithms, unless the spec
-// forces the dynamic path. Byzantine placements pool too — the adversary
-// nodes themselves are never pooled; every recycled run re-plugs the
-// current spec's caller-owned overrides into their slots (see
-// batchLoopState.reset) — but each distinct placement keys its own pool
-// via the pattern string.
-func (s *BatchSession) poolable() bool {
-	return !s.spec.forceDynamic && (s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3)
+// phantomOK decides the phantom-transmission toggle of a replaying group:
+// never with an observer attached (observers retain and render payloads),
+// always for benign replay, and for masked replay only while every fault
+// promises to ignore its inbox — the faults are the only non-replaying
+// consumers of a masked group's transmissions (demultiplexing isolates
+// groups by instance index). Delta and churn groups never phantom: their
+// honest nodes genuinely read inboxes.
+func phantomOK(mode replayMode, byz map[graph.NodeID]sim.Node, obs sim.Observer) bool {
+	switch {
+	case obs != nil:
+		return false
+	case mode == replayFull:
+		return true
+	case mode == replayMasked:
+		return allInboxIgnorers(byz)
+	}
+	return false
 }
 
 // scalarSlot locates one honest scalar-group protocol node for run
@@ -242,71 +290,90 @@ type byzSlot struct {
 }
 
 // batchLoopState is the complete working state of one batch execution:
-// lane grouping, replay blackboards, per-vertex batch nodes, the engine,
-// and the retirement bookkeeping. Poolable shapes recycle it
-// through the analysis's run pool (see pool.go); the reset pass restores
-// exactly the state a fresh construction would produce, while every
-// buffer — receipt stores, merge slabs, query scratch, the arena's
-// interned paths — keeps its high-water capacity.
+// lane grouping, replay wiring, the engine's nodes, and the retirement
+// bookkeeping. Pooled shapes recycle it through the analysis's run pool
+// (see pool.go); the reset pass restores exactly the state a fresh
+// construction would produce, while every buffer — receipt stores, merge
+// slabs, query scratch, the arena's interned paths — keeps its high-water
+// capacity.
 type batchLoopState struct {
-	groupOf, laneOf []int
-	vectorLanes     []int
-	inVector        []bool
-	groups          int
-	vecRS           *core.ReplayShared
-	scalarRS        []*core.ReplayShared
-	scalarDP        []*flood.DeltaPlan
-	honest          []graph.Set
-	honestInputs    []map[graph.NodeID]sim.Value
-	batchNodes      []*sim.BatchNode
-	nodes           []sim.Node
-	vnodes          []*core.VectorPhaseNode // per vertex; nil without a vector group
-	scalars         []scalarSlot
-	byz             []byzSlot
-	eng             *sim.Engine
-	laneLeft        []int
-	rounds          []int
-	retired         []bool
-	inputsBuf       []sim.Value
+	insts       []instState
+	groups      []groupState
+	vectorLanes []int // instances in the vector group (group 0), in order
+	// nodes are the engine's nodes; with two or more groups they are the
+	// batchNodes multiplexing the groups, with one group (batchNodes nil)
+	// the group's own nodes.
+	batchNodes []*sim.BatchNode
+	nodes      []sim.Node
+	vnodes     []*core.VectorPhaseNode // per vertex; nil without a vector group
+	scalars    []scalarSlot
+	byz        []byzSlot
+	eng        *sim.Engine
+	// churn drives the fault-injection schedule of a one-instance run
+	// routed through a masked topology; nil without a schedule.
+	churn     *churnRun
+	inputsBuf []sim.Value
+}
+
+// instState is one instance's place in a run: its lane group and lane,
+// its honest vertices and their inputs, and its retirement.
+type instState struct {
+	group, lane  int
+	vector       bool // a lane of the vector group (group 0)
+	honest       graph.Set
+	honestInputs map[graph.NodeID]sim.Value
+	retired      bool
+	rounds       int // rounds executed when the instance retired
+}
+
+// groupState is one lane group's replay wiring (see wire) and its count of
+// unretired lanes.
+type groupState struct {
+	mode     replayMode
+	rs       *core.ReplayShared
+	dp       *flood.DeltaPlan
+	laneLeft int
 }
 
 // reset re-arms a recycled run for the session's current spec: engine
 // counters, inboxes, and observer; the phantom and recycling toggles (the
-// observer may have appeared or vanished since the state was pooled);
-// every protocol node's inputs and round state; and the current spec's
-// Byzantine overrides. The pool key guarantees the structure — grouping,
-// replay wiring, adversary slots — already matches.
+// observer may have appeared or vanished since the state was pooled); the
+// fault-injection schedule and taint frontier; every protocol node's
+// inputs and round state; and the current spec's Byzantine overrides. The
+// pool key guarantees the structure — grouping, replay wiring, adversary
+// slots — already matches.
 func (st *batchLoopState) reset(s *BatchSession) error {
 	obs := s.spec.Observer
-	phantom := obs == nil
 	st.eng.Reset(obs)
-	if st.vecRS != nil {
-		st.vecRS.SetPhantom(phantom)
+	for g := range st.groups {
+		st.groups[g].laneLeft = 0
 	}
-	for i, inst := range s.spec.Instances {
-		if st.inVector[i] {
-			continue
+	for i := range st.insts {
+		in := &st.insts[i]
+		grp := &st.groups[in.group]
+		grp.laneLeft++
+		if grp.rs != nil {
+			// The pool key pins a masked group's crash-from-start kind, not
+			// its faults' promise to ignore their inboxes.
+			grp.rs.SetPhantom(phantomOK(grp.mode, s.spec.Instances[i].Byzantine, obs))
 		}
-		if rs := st.scalarRS[st.groupOf[i]]; rs != nil {
-			ph := phantom
-			if len(inst.Byzantine) > 0 {
-				// A masked group may only phantom while every fault in it
-				// still promises to ignore its inbox — the pool key pins
-				// the crash-from-start kind, not the ignore promise.
-				ph = ph && allInboxIgnorers(inst.Byzantine)
-			}
-			rs.SetPhantom(ph)
+		in.retired, in.rounds = false, 0
+		clear(in.honestInputs)
+		for u := range in.honest {
+			in.honestInputs[u] = s.slabs[i][u]
 		}
 	}
-	clear(st.rounds)
-	clear(st.retired)
-	clear(st.laneLeft)
-	for i := range st.groupOf {
-		st.laneLeft[st.groupOf[i]]++
+	frontier := 0
+	if st.churn != nil {
+		// The pool key marks churn presence, not schedule contents, so a
+		// recycled run may carry a different event list — and therefore a
+		// different taint frontier — than the run it was built for.
+		st.churn.reset(s.base.Churn)
+		frontier = churnFrontierPhase(s.base.G, s.base.Churn)
 	}
 	for _, bn := range st.batchNodes {
 		bn.ResetRetirements()
-		bn.SetRecycling(phantom)
+		bn.SetRecycling(obs == nil)
 	}
 	if st.vectorLanes != nil {
 		inputs := st.inputsBuf
@@ -319,160 +386,121 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	}
 	for _, sc := range st.scalars {
 		sc.pn.Reset(s.slabs[sc.inst][sc.u])
+		if st.churn != nil {
+			sc.pn.SetReplayFrontier(frontier)
+		}
 	}
 	for _, bz := range st.byz {
 		nd := s.spec.Instances[bz.inst].Byzantine[bz.u]
-		if dp := st.scalarDP[bz.grp]; dp != nil {
+		if dp := st.groups[bz.grp].dp; dp != nil {
 			handPlan(nd, dp.Base())
 		}
-		if err := st.batchNodes[bz.u].SetInstance(bz.grp, nd); err != nil {
-			return fmt.Errorf("eval: %w", err)
-		}
-	}
-	for i := range st.honestInputs {
-		clear(st.honestInputs[i])
-		for u := range st.honest[i] {
-			st.honestInputs[i][u] = s.slabs[i][u]
+		if err := st.plug(bz.u, bz.grp, nd); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// plug installs nd as group grp's node at vertex u.
+func (st *batchLoopState) plug(u graph.NodeID, grp int, nd sim.Node) error {
+	if st.batchNodes != nil {
+		if err := st.batchNodes[u].SetInstance(grp, nd); err != nil {
+			return fmt.Errorf("eval: %w", err)
+		}
+		return nil
+	}
+	if err := st.eng.SetNode(u, nd); err != nil {
+		return fmt.Errorf("eval: pooled run re-plug: %w", err)
+	}
+	st.nodes[u] = nd
+	return nil
+}
+
 // newBatchLoopState builds the run state of a batch from scratch.
 func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
-	b := len(s.spec.Instances)
 	g := s.base.G
 	n := g.N()
+	st := &batchLoopState{insts: make([]instState, len(s.spec.Instances))}
 
 	// Lane grouping: benign instances (no Byzantine overrides anywhere)
 	// of the phase-based algorithms have input-independent flooding
 	// structure, so they collapse into ONE value-vector lane group whose
 	// transmissions carry every benign lane's value at once
 	// (core.VectorPhaseNode); each remaining instance is its own scalar
-	// group. The sim.BatchNode multiplexes per group.
-	groupOf := make([]int, b) // instance -> group index
-	laneOf := make([]int, b)  // instance -> lane within its group
-	var vectorLanes []int     // instances in the vector group, in order
-	vectorizable := s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3
-	for i, inst := range s.spec.Instances {
-		if vectorizable && len(inst.Byzantine) == 0 {
-			vectorLanes = append(vectorLanes, i)
+	// group.
+	if s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3 {
+		for i, inst := range s.spec.Instances {
+			if len(inst.Byzantine) == 0 {
+				st.vectorLanes = append(st.vectorLanes, i)
+			}
 		}
 	}
-	if len(vectorLanes) < 2 {
-		vectorLanes = nil // a lone benign lane runs the scalar path
+	if len(st.vectorLanes) < 2 {
+		st.vectorLanes = nil // a lone benign lane runs the scalar path
 	}
 	groups := 0
-	if vectorLanes != nil {
-		for l, i := range vectorLanes {
-			groupOf[i] = 0
-			laneOf[i] = l
+	if st.vectorLanes != nil {
+		for l, i := range st.vectorLanes {
+			st.insts[i].lane, st.insts[i].vector = l, true
 		}
 		groups = 1
 	}
-	inVector := make([]bool, b)
-	for _, i := range vectorLanes {
-		inVector[i] = true
-	}
-	for i := range s.spec.Instances {
-		if !inVector[i] {
-			groupOf[i] = groups
-			laneOf[i] = 0
+	for i := range st.insts {
+		if in := &st.insts[i]; !in.vector {
+			in.group = groups
 			groups++
 		}
 	}
-
-	// Compiled-plan replay, per group: the vector group and every benign
-	// scalar instance replay the shared benign plan; crash-from-start
-	// placements replay a masked plan compiled for their silent set; every
-	// other faulty placement replays the benign plan's untainted delta
-	// fragment and floods only the tainted remainder dynamically. Each
-	// wholesale-replaying group gets its own body blackboard, shared
+	// Compiled-plan replay, per group: one wiring per group, chosen by its
+	// first instance's replay mode (a vector group's lanes are all benign).
+	// Each wholesale-replaying group gets its own body blackboard, shared
 	// across the vertices of the group.
-	var plan *flood.Plan
-	var vecRS *core.ReplayShared
-	scalarRS := make([]*core.ReplayShared, groups)
-	scalarDP := make([]*flood.DeltaPlan, groups)
-	if vectorizable && !s.spec.forceDynamic {
-		// Observer-free runs flood phantom payloads where sound: every
-		// consumer of the group's transmissions either replays too
-		// (demultiplexing isolates groups by instance index) or promises
-		// to ignore its inbox. Delta groups never phantom — their honest
-		// nodes genuinely read inboxes.
-		phantom := s.spec.Observer == nil
-		if vectorLanes != nil {
-			plan = flood.PlanFor(s.topo)
-			vecRS = core.NewReplayShared(plan)
-			vecRS.SetPhantom(phantom)
+	st.groups = make([]groupState, groups)
+	for i, inst := range s.spec.Instances {
+		in := &st.insts[i]
+		in.honest = graph.NewSet()
+		in.honestInputs = make(map[graph.NodeID]sim.Value)
+		grp := &st.groups[in.group]
+		if in.lane == 0 {
+			grp.mode = s.modeOf(inst)
+			grp.rs, grp.dp = s.wire(grp.mode, inst.Byzantine)
 		}
-		for i, inst := range s.spec.Instances {
-			if inVector[i] {
-				continue
-			}
-			grp := groupOf[i]
-			switch {
-			case len(inst.Byzantine) == 0:
-				if plan == nil {
-					plan = flood.PlanFor(s.topo)
-				}
-				rs := core.NewReplayShared(plan)
-				rs.SetPhantom(phantom)
-				scalarRS[grp] = rs
-			case allCrashedFromStart(inst.Byzantine):
-				rs := core.NewReplayShared(flood.MaskedPlanFor(s.topo, byzSet(inst.Byzantine)))
-				rs.SetPhantom(phantom && allInboxIgnorers(inst.Byzantine))
-				scalarRS[grp] = rs
-			default:
-				scalarDP[grp] = flood.DeltaPlanFor(s.topo, byzSet(inst.Byzantine))
-				sharePlan(inst.Byzantine, scalarDP[grp].Base())
-			}
-		}
+		grp.laneLeft++
 	}
-	if s.base.Algorithm == Algo2 {
-		// Algorithm 2's honest nodes flood on the benign plan's arena.
-		for _, inst := range s.spec.Instances {
-			sharePlan(inst.Byzantine, flood.PlanFor(s.topo))
-		}
+	engTopo := sim.Topology(sim.GraphTopology{G: g})
+	frontier := 0
+	if !s.base.Churn.Empty() {
+		// An injected world routes through the mutable link-mask view, which
+		// the round loop mutates only between engine steps.
+		masked := sim.NewMaskedTopology(g)
+		st.churn = newChurnRun(s.topo, masked, s.base.Churn)
+		engTopo = masked
+		frontier = churnFrontierPhase(g, s.base.Churn)
 	}
-
-	st := &batchLoopState{
-		groupOf:      groupOf,
-		laneOf:       laneOf,
-		vectorLanes:  vectorLanes,
-		inVector:     inVector,
-		groups:       groups,
-		vecRS:        vecRS,
-		scalarRS:     scalarRS,
-		scalarDP:     scalarDP,
-		honest:       make([]graph.Set, b),
-		honestInputs: make([]map[graph.NodeID]sim.Value, b),
-		batchNodes:   make([]*sim.BatchNode, n),
-		nodes:        make([]sim.Node, n),
-		vnodes:       make([]*core.VectorPhaseNode, n),
-		laneLeft:     make([]int, groups),
-		rounds:       make([]int, b),
-		retired:      make([]bool, b),
-		inputsBuf:    make([]sim.Value, len(vectorLanes)),
+	st.nodes = make([]sim.Node, n)
+	if groups > 1 {
+		st.batchNodes = make([]*sim.BatchNode, n)
 	}
-	honest := st.honest
-	honestInputs := st.honestInputs
-	for i := range honest {
-		honest[i] = graph.NewSet()
-		honestInputs[i] = make(map[graph.NodeID]sim.Value)
+	if st.vectorLanes != nil {
+		st.vnodes = make([]*core.VectorPhaseNode, n)
+		st.inputsBuf = make([]sim.Value, len(st.vectorLanes))
 	}
-	batchNodes := st.batchNodes
-	nodes := st.nodes
 	early := !s.base.FullBudget
+	inner := make([]sim.Node, groups)
 	for _, u := range g.Nodes() {
-		// One arena per vertex, shared by the vertex's co-located groups:
-		// they step sequentially inside the batch node, and the arena is
-		// pure message-identity state, so sharing reuses interned prefixes
-		// across groups without affecting results.
-		arena := graph.NewPathArena(g)
-		inner := make([]sim.Node, groups)
-		if vectorLanes != nil {
-			inputs := make([]sim.Value, len(vectorLanes))
-			for l, i := range vectorLanes {
+		// Multiplexed groups share one arena per vertex: they step
+		// sequentially inside the batch node, and the arena is pure
+		// message-identity state, so sharing reuses interned prefixes
+		// across groups without affecting results. A lone group's nodes
+		// keep private arenas.
+		var arena *graph.PathArena
+		if groups > 1 {
+			arena = graph.NewPathArena(g)
+		}
+		if st.vectorLanes != nil {
+			inputs := make([]sim.Value, len(st.vectorLanes))
+			for l, i := range st.vectorLanes {
 				inputs[l] = s.slabs[i][u]
 			}
 			var vn *core.VectorPhaseNode
@@ -484,87 +512,115 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			if early {
 				vn.EnableEarlyDecision()
 			}
-			if vecRS != nil {
-				vn.UseReplay(vecRS)
+			if rs := st.groups[0].rs; rs != nil {
+				vn.UseReplay(rs)
 			}
 			inner[0] = vn
 			st.vnodes[u] = vn
 		}
 		for i, inst := range s.spec.Instances {
-			if inVector[i] {
-				honest[i].Add(u)
-				honestInputs[i][u] = s.slabs[i][u]
+			in := &st.insts[i]
+			if in.vector {
+				in.honest.Add(u)
+				in.honestInputs[u] = s.slabs[i][u]
 				continue
 			}
 			if byz, ok := inst.Byzantine[u]; ok {
-				inner[groupOf[i]] = byz
-				st.byz = append(st.byz, byzSlot{inst: i, u: u, grp: groupOf[i]})
+				inner[in.group] = byz
+				st.byz = append(st.byz, byzSlot{inst: i, u: u, grp: in.group})
 				continue
 			}
-			in := s.slabs[i][u]
-			nd := s.base.NewHonestNode(s.topo, arena, u, in)
+			v := s.slabs[i][u]
+			nd := s.base.NewHonestNode(s.topo, arena, u, v)
 			if pn, ok := nd.(*core.PhaseNode); ok {
-				if rs := scalarRS[groupOf[i]]; rs != nil {
-					pn.UseReplay(rs)
-				} else if dp := scalarDP[groupOf[i]]; dp != nil {
-					pn.UseDeltaReplay(dp)
-				} else if plan != nil {
-					pn.SetReceiptHint(plan.NodeReceipts(u))
+				grp := st.groups[in.group]
+				if grp.rs != nil {
+					pn.UseReplay(grp.rs)
+				} else if grp.dp != nil {
+					pn.UseDeltaReplay(grp.dp)
+				}
+				if grp.mode == replayChurn {
+					pn.SetReplayFrontier(frontier)
 				}
 				st.scalars = append(st.scalars, scalarSlot{inst: i, u: u, pn: pn})
 			}
-			inner[groupOf[i]] = nd
-			honest[i].Add(u)
-			honestInputs[i][u] = in
+			inner[in.group] = nd
+			in.honest.Add(u)
+			in.honestInputs[u] = v
 		}
-		bn, err := sim.NewBatchNode(u, inner)
-		if err != nil {
-			return nil, fmt.Errorf("eval: %w", err)
+		st.nodes[u] = inner[0]
+		if st.batchNodes != nil {
+			bn, err := sim.NewBatchNode(u, inner)
+			if err != nil {
+				return nil, fmt.Errorf("eval: %w", err)
+			}
+			bn.SetRecycling(s.spec.Observer == nil)
+			st.batchNodes[u] = bn
+			st.nodes[u] = bn
 		}
-		bn.SetRecycling(s.spec.Observer == nil)
-		batchNodes[u] = bn
-		nodes[u] = bn
 	}
 	eng, err := sim.NewEngine(sim.Config{
-		Topology:     sim.GraphTopology{G: g},
+		Topology:     engTopo,
 		Model:        s.base.Model,
 		Equivocators: s.base.Equivocators,
 		Observer:     s.spec.Observer,
-	}, nodes)
+	}, st.nodes)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
 	st.eng = eng
-	for i := 0; i < b; i++ {
-		st.laneLeft[groupOf[i]]++
+	for _, grp := range st.groups {
+		if grp.dp != nil {
+			// Delta groups flood dynamically, so every inbox fills to about
+			// the benign plan's fan-in; size it once instead of regrowing it
+			// through the first phase.
+			for _, u := range g.Nodes() {
+				eng.ReserveInbox(u, grp.dp.Base().MaxRoundFanIn(u))
+			}
+			break
+		}
 	}
 	return st, nil
 }
 
 // Run executes every instance of the batch in one shared round loop and
-// judges each instance's outcome.
+// judges each instance's outcome. Each outcome's Metrics carries its
+// round count only: transmissions are shared by multiplexing, and the
+// engine totals are in BatchOutcome.Metrics.
 //
 // Unless the spec demands the full budget, each instance retires from the
 // loop as soon as all of its honest nodes have decided — its nodes stop
-// being stepped and stop transmitting, exactly like an independent
-// Session run that terminates early — and the loop ends when every
-// instance has retired or the round budget is exhausted. The context is
-// checked between rounds; cancellation aborts mid-execution.
+// being stepped and stop transmitting, exactly like a one-instance run
+// that terminates early — and the loop ends when every instance has
+// retired or the round budget is exhausted. The context is checked
+// between rounds; cancellation aborts mid-execution.
 //
-// Poolable shapes recycle their run state as Session.Run does: back to the
-// pool after a normal finish, every other engine closed here.
+// Replay-qualified batches draw their run state from the run pool (see
+// pool.go). It goes back to the pool only after a normal finish; every
+// other engine — unpooled, cancelled, or failing its reset — is closed
+// here, returning its inbox arrays for the next engine.
 func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
-	b := len(s.spec.Instances)
+	outs := make([]Outcome, len(s.spec.Instances))
+	m, err := s.run(ctx, outs)
+	if err != nil {
+		return BatchOutcome{}, err
+	}
+	return BatchOutcome{Outcomes: outs, Rounds: m.Rounds, Metrics: m}, nil
+}
+
+// run is Run judging into outs (one slot per instance); it returns the
+// engine totals.
+func (s *BatchSession) run(ctx context.Context, outs []Outcome) (sim.Metrics, error) {
 	var st *batchLoopState
 	var pl *sync.Pool
-	if s.poolable() {
-		pl = poolsFor(s.topo).pool(batchShape(s.base, s.pattern))
+	if s.pooled {
+		pl = poolsFor(s.topo).pool(s.shape())
 		if v := pl.Get(); v != nil {
 			poolHits.Add(1)
 			st = v.(*batchLoopState)
 			if err := st.reset(s); err != nil {
 				st.eng.Close()
-				return BatchOutcome{}, err
+				return sim.Metrics{}, err
 			}
 		} else {
 			poolMisses.Add(1)
@@ -573,7 +629,7 @@ func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
 	if st == nil {
 		var err error
 		if st, err = newBatchLoopState(s); err != nil {
-			return BatchOutcome{}, err
+			return sim.Metrics{}, err
 		}
 	}
 	recycle := false
@@ -589,62 +645,72 @@ func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
 	if budget == 0 {
 		budget = s.base.DefaultRounds()
 	}
-	// laneLeft[g] counts the group's unretired lanes; a group is retired
+	if st.churn != nil {
+		noteChurnInvalidation(s.base, budget)
+	}
+	// A group's laneLeft counts its unretired lanes; a group is retired
 	// from the engine only when its last lane retires.
 	eng := st.eng
-	active := b
+	active := len(outs)
 	for r := 0; r < budget && active > 0; r++ {
 		if err := ctx.Err(); err != nil {
-			return BatchOutcome{}, fmt.Errorf("eval: batch canceled after %d of %d rounds: %w",
+			return sim.Metrics{}, fmt.Errorf("eval: run canceled after %d of %d rounds: %w",
 				eng.Metrics().Rounds, budget, err)
+		}
+		if st.churn != nil {
+			st.churn.boundary(r)
 		}
 		eng.Step()
 		if s.base.FullBudget {
 			continue
 		}
-		for i := 0; i < b; i++ {
-			if st.retired[i] || !allDecided(st.batchNodes, st.honest[i], st.groupOf[i], st.laneOf[i]) {
+		for i := range st.insts {
+			in := &st.insts[i]
+			if in.retired || !st.allDecided(i) {
 				continue
 			}
-			st.retired[i] = true
-			st.rounds[i] = eng.Metrics().Rounds
+			in.retired = true
+			in.rounds = eng.Metrics().Rounds
 			active--
-			st.laneLeft[st.groupOf[i]]--
-			if st.laneLeft[st.groupOf[i]] == 0 {
+			grp := &st.groups[in.group]
+			grp.laneLeft--
+			if grp.laneLeft == 0 {
 				for _, bn := range st.batchNodes {
-					bn.Retire(st.groupOf[i])
+					bn.Retire(in.group)
 				}
 			}
 		}
 	}
-	out := BatchOutcome{
-		Outcomes: make([]Outcome, b),
-		Rounds:   eng.Metrics().Rounds,
-		Metrics:  eng.Metrics(),
-	}
-	for i := 0; i < b; i++ {
-		if !st.retired[i] {
-			st.rounds[i] = eng.Metrics().Rounds
+	m := eng.Metrics()
+	for i := range outs {
+		if !st.insts[i].retired {
+			st.insts[i].rounds = m.Rounds
 		}
 		if s.spec.OmitOKDecisions {
-			out.Outcomes[i] = judgeInstanceLean(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
+			outs[i] = st.judgeLean(i, budget)
 		} else {
-			out.Outcomes[i] = judgeInstance(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
+			outs[i] = st.judge(i, budget)
 		}
 	}
+	if st.churn != nil {
+		st.churn.finish(s.base, &outs[0])
+	}
 	if s.spec.Observer != nil {
-		s.spec.Observer.Done(eng.Metrics())
+		s.spec.Observer.Done(m)
 	}
 	recycle = pl != nil
-	return out, nil
+	return m, nil
 }
 
-// laneDecision reads instance decision state at one vertex: the lane
+// decision reads instance i's decision state at vertex u: the lane
 // projection for vector groups, the plain Decider path for scalar ones.
-func laneDecision(bn *sim.BatchNode, grp, lane int) (sim.Value, bool) {
-	nd := bn.Instance(grp)
+func (st *batchLoopState) decision(i int, u graph.NodeID) (sim.Value, bool) {
+	nd := st.nodes[u]
+	if st.batchNodes != nil {
+		nd = st.batchNodes[u].Instance(st.insts[i].group)
+	}
 	if ld, ok := nd.(sim.LaneDecider); ok {
-		return ld.LaneDecision(lane)
+		return ld.LaneDecision(st.insts[i].lane)
 	}
 	if d, ok := nd.(sim.Decider); ok {
 		return d.Decision()
@@ -652,42 +718,40 @@ func laneDecision(bn *sim.BatchNode, grp, lane int) (sim.Value, bool) {
 	return 0, false
 }
 
-// allDecided reports whether every honest node of the instance mapped to
-// (grp, lane) has decided.
-func allDecided(batchNodes []*sim.BatchNode, honest graph.Set, grp, lane int) bool {
-	for u := range honest {
-		if _, ok := laneDecision(batchNodes[u], grp, lane); !ok {
+// allDecided reports whether every honest node of instance i has decided.
+func (st *batchLoopState) allDecided(i int) bool {
+	for u := range st.insts[i].honest {
+		if _, ok := st.decision(i, u); !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// judgeInstance evaluates the consensus properties of one batch instance,
-// mirroring Judge over the instance's inner nodes. The instance metrics
-// carry only the round count; transmissions are shared batch-wide.
-func judgeInstance(batchNodes []*sim.BatchNode, honest graph.Set, honestInputs map[graph.NodeID]sim.Value, grp, lane, rounds, budget int) Outcome {
+// judge evaluates the consensus properties of instance i. The instance
+// metrics carry only the round count; transmissions are shared batch-wide.
+func (st *batchLoopState) judge(i, budget int) Outcome {
 	decisions := make(map[graph.NodeID]sim.Value)
 	term := true
-	for u := range honest {
-		v, ok := laneDecision(batchNodes[u], grp, lane)
+	for u := range st.insts[i].honest {
+		v, ok := st.decision(i, u)
 		if !ok {
 			term = false
 			continue
 		}
 		decisions[u] = v
 	}
-	return judgeOutcome(decisions, honestInputs, term, budget, sim.Metrics{Rounds: rounds})
+	return judgeOutcome(decisions, st.insts[i].honestInputs, term, budget, sim.Metrics{Rounds: st.insts[i].rounds})
 }
 
-// judgeInstanceLean is judgeInstance for the OmitOKDecisions path: it
-// computes the three consensus properties without materializing the honest
-// decisions map, and only when some property fails falls back to the full
-// judge — so violating instances carry exactly the Outcome the default
-// path would have produced, while the (overwhelmingly common) OK outcome
-// is built allocation-free with a nil Decisions. The property booleans are
+// judgeLean is judge for the OmitOKDecisions path: it computes the three
+// consensus properties without materializing the honest decisions map,
+// and only when some property fails falls back to the full judge — so
+// violating instances carry exactly the Outcome the default path would
+// have produced, while the (overwhelmingly common) OK outcome is built
+// allocation-free with a nil Decisions. The property booleans are
 // order-independent reductions, so skipping the map changes nothing.
-func judgeInstanceLean(batchNodes []*sim.BatchNode, honest graph.Set, honestInputs map[graph.NodeID]sim.Value, grp, lane, rounds, budget int) Outcome {
+func (st *batchLoopState) judgeLean(i, budget int) Outcome {
 	term, agreement, validity := true, true, true
 	var ref sim.Value
 	first := true
@@ -695,11 +759,11 @@ func judgeInstanceLean(batchNodes []*sim.BatchNode, honest graph.Set, honestInpu
 	// sim.Value is a uint8, so four words cover every possible value
 	// without allocating the validInputs map.
 	var valid [4]uint64
-	for _, v := range honestInputs {
+	for _, v := range st.insts[i].honestInputs {
 		valid[v>>6] |= 1 << (v & 63)
 	}
-	for u := range honest {
-		v, ok := laneDecision(batchNodes[u], grp, lane)
+	for u := range st.insts[i].honest {
+		v, ok := st.decision(i, u)
 		if !ok {
 			term = false
 			continue
@@ -714,8 +778,9 @@ func judgeInstanceLean(batchNodes []*sim.BatchNode, honest graph.Set, honestInpu
 		}
 	}
 	if !term || !agreement || !validity {
-		return judgeInstance(batchNodes, honest, honestInputs, grp, lane, rounds, budget)
+		return st.judge(i, budget)
 	}
+	rounds := st.insts[i].rounds
 	return Outcome{
 		Agreement:   true,
 		Validity:    true,
@@ -732,8 +797,8 @@ func RunBatch(ctx context.Context, spec BatchSpec) (BatchOutcome, error) {
 	return runBatchShared(ctx, spec, nil)
 }
 
-// runBatchShared is RunBatch over a caller-shared analysis (nil builds a
-// private one).
+// runBatchShared is RunBatch over a caller-shared analysis (nil selects
+// the graph's canonical shared analysis).
 func runBatchShared(ctx context.Context, spec BatchSpec, topo *graph.Analysis) (BatchOutcome, error) {
 	s, err := newBatchSessionShared(spec, topo)
 	if err != nil {

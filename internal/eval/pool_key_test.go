@@ -17,6 +17,15 @@ import (
 // benign world replays wholesale — wiring that reset cannot convert, so
 // each must key its own pool.
 
+// sessionShape is the run-pool key of spec's one-instance batch.
+func sessionShape(spec Spec) runShape {
+	s, err := NewSession(spec)
+	if err != nil {
+		panic(err)
+	}
+	return s.batch.shape()
+}
+
 // TestPoolKeySeparatesFaultShapes requires distinct pool keys for the
 // benign world, a crash mask, the same vertices value-faulty, and a
 // different crash mask — and equal keys for equal shapes.

@@ -7,7 +7,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"lbcast/internal/adversary"
 	"lbcast/internal/core"
@@ -250,18 +249,20 @@ func (s Spec) DefaultRounds() int {
 }
 
 // Session is a validated, reusable execution plan: one normalized Spec
-// that can be run any number of times. Each Run gets its own protocol
-// nodes and engine (pooled and reset when the spec replays, fresh
-// otherwise), and the Spec is never mutated after NewSession; runs are
-// therefore independent, except that the Spec's Observer and Byzantine
-// node instances are shared by every run — for concurrent Runs they must
-// be safe to share (stateless strategies, a mutex-guarded observer).
+// that can be run any number of times. A Session is a one-instance batch
+// (see BatchSession): each Run gets its own protocol nodes and engine
+// (pooled and reset when the spec replays, fresh otherwise), and the Spec
+// is never mutated after NewSession; runs are therefore independent,
+// except that the Spec's Observer and Byzantine node instances are shared
+// by every run — for concurrent Runs they must be safe to share (stateless
+// strategies, a mutex-guarded observer).
 type Session struct {
-	spec Spec
-	// topo is the session's shared topology analysis: memoized pure-graph
-	// computations (step-(b) BFS choices, disjoint-path layouts) reused by
-	// every node of every Run. Safe for concurrent Runs.
-	topo *graph.Analysis
+	spec  Spec
+	batch BatchSession
+	// inst and slab back batch's one instance, so that a Session is a
+	// single allocation.
+	inst [1]BatchInstance
+	slab [1][]sim.Value
 }
 
 // NewSession validates and normalizes the spec and returns a reusable
@@ -289,10 +290,26 @@ func newSessionShared(spec Spec, topo *graph.Analysis) (*Session, error) {
 	if spec.InputSlab == nil {
 		spec.InputSlab = inputSlab(spec.G.N(), nil, spec.Inputs)
 	}
-	if topo == nil {
-		topo = spec.G.SharedAnalysis()
+	s := &Session{spec: spec}
+	s.inst[0] = BatchInstance{InputSlab: spec.InputSlab, Byzantine: spec.Byzantine}
+	err := s.batch.init(BatchSpec{
+		G:            spec.G,
+		F:            spec.F,
+		T:            spec.T,
+		Algorithm:    spec.Algorithm,
+		Model:        spec.Model,
+		Equivocators: spec.Equivocators,
+		Rounds:       spec.Rounds,
+		FullBudget:   spec.FullBudget,
+		forceDynamic: spec.forceDynamic,
+		Observer:     spec.Observer,
+		Instances:    s.inst[:],
+		churn:        spec.Churn,
+	}, topo, s.slab[:])
+	if err != nil {
+		return nil, err
 	}
-	return &Session{spec: spec, topo: topo}, nil
+	return s, nil
 }
 
 // inputSlab returns the dense input vector of one instance: the caller's
@@ -418,79 +435,21 @@ func (s Spec) replayMode() replayMode {
 // Spec returns the session's normalized spec.
 func (s *Session) Spec() Spec { return s.spec }
 
-// Run executes one instance of the session's spec and judges the outcome.
-//
-// The engine is driven round by round. Unless the spec demands the full
-// budget, the run stops as soon as every honest node has decided — on
-// benign executions this cuts Algorithm 1's exponential budget down to a
-// couple of phases. The context is checked between rounds; cancellation
-// aborts the run mid-execution and returns ctx's error.
-//
-// Replay-qualified specs draw their run state from the run pool (see
-// pool.go). A run goes back to the pool only after completing normally;
-// every other engine — unpooled, cancelled, or failing its reset — is
-// closed here, returning its inbox arrays for the next engine.
+// Run executes one instance of the session's spec as a one-instance batch
+// (see BatchSession.Run) and judges the outcome; its Metrics are the
+// engine's full counters. Unless the spec demands the full budget, the run
+// stops as soon as every honest node has decided — on benign executions
+// this cuts Algorithm 1's exponential budget down to a couple of phases.
+// The context is checked between rounds; cancellation aborts the run
+// mid-execution and returns ctx's error.
 func (s *Session) Run(ctx context.Context) (Outcome, error) {
-	spec := s.spec
-	mode := spec.replayMode()
-	var pl *sync.Pool
-	var run *sessionRun
-	if mode != replayOff {
-		pl = poolsFor(s.topo).pool(sessionShape(spec))
-		if v := pl.Get(); v != nil {
-			poolHits.Add(1)
-			run = v.(*sessionRun)
-			if err := run.reset(spec); err != nil {
-				run.eng.Close()
-				return Outcome{}, err
-			}
-		} else {
-			poolMisses.Add(1)
-		}
+	var out [1]Outcome
+	m, err := s.batch.run(ctx, out[:])
+	if err != nil {
+		return Outcome{}, err
 	}
-	if run == nil {
-		var err error
-		if run, err = newSessionRun(s.topo, spec, mode); err != nil {
-			return Outcome{}, err
-		}
-	}
-	recycle := false
-	defer func() {
-		if recycle {
-			pl.Put(run)
-		} else {
-			run.eng.Close()
-		}
-	}()
-	budget := spec.Rounds
-	if budget == 0 {
-		budget = spec.DefaultRounds()
-	}
-	if run.churn != nil {
-		noteChurnInvalidation(spec, budget)
-	}
-	for r := 0; r < budget; r++ {
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, fmt.Errorf("eval: run canceled after %d of %d rounds: %w",
-				run.eng.Metrics().Rounds, budget, err)
-		}
-		if run.churn != nil {
-			run.churn.boundary(r)
-		}
-		run.eng.Step()
-		if !spec.FullBudget && run.eng.AllDecided(run.honest) {
-			break
-		}
-	}
-	out := Judge(run.eng, run.honest, run.honestInputs, budget)
-	if run.churn != nil {
-		run.churn.finish(spec, &out)
-	}
-	if spec.Observer != nil {
-		spec.Observer.Done(run.eng.Metrics())
-	}
-	recycle = pl != nil
-	return out, nil
+	out[0].Metrics = m
+	return out[0], nil
 }
 
 // Run executes the spec once and judges the outcome. It is the one-shot
