@@ -111,10 +111,10 @@ type Measurement struct {
 	// the field entirely.
 	ReplayHitRate *float64 `json:"replay_hit_rate,omitempty"`
 	// TrialPoolHits / AdversaryReuses are the Monte Carlo scaffolding
-	// counters accumulated over the whole measurement: trial-scratch pool
-	// hits (a recycled RNG + input slab + fault-list bundle) and adversary
-	// instances re-armed through the strategy pools instead of
-	// constructed. Zero (omitted) on workloads that never run Monte Carlo
+	// counters accumulated over the whole measurement: trial-scratch
+	// free-list hits (a recycled RNG + input slab + fault-list bundle) and
+	// adversary instances re-armed through the strategy free lists instead
+	// of constructed. Zero (omitted) on workloads that never run Monte Carlo
 	// trials; the CI smoke job asserts they engage on the faultprob
 	// workload.
 	TrialPoolHits   int64 `json:"trial_pool_hits,omitempty"`
@@ -149,11 +149,11 @@ const benchSchema = `output schema (BENCH_*.json):
     replay_hit_rate   (replay + delta) / (replay + delta + dynamic) session
                       fraction; present (possibly an explicit 0) whenever
                       any phase-node flooding session was counted
-    trial_pool_hits   Monte Carlo trial-scaffolding pool hits (recycled
-                      RNG/input-slab/fault-list bundles) over the whole
-                      measurement
+    trial_pool_hits   Monte Carlo trial-scaffolding free-list hits
+                      (recycled RNG/input-slab/fault-list bundles) over
+                      the whole measurement
     adversary_reuses  adversary instances recycled through the strategy
-                      pools instead of constructed, over the whole
+                      free lists instead of constructed, over the whole
                       measurement
     churn_events      fault-injection topology events applied at round
                       boundaries over the whole measurement
@@ -825,6 +825,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		// collection drains the run-state pools — sync.Pool empties over two
 		// GC cycles (live → victim → gone) — so every workload starts cold
 		// and its first-op pool misses are its own, not a predecessor's.
+		// The trial-scaffolding and adversary free lists do not depend on
+		// the collector: they stay warm across workloads.
 		runtime.GC()
 		runtime.GC()
 		before := flood.ReadPlanStats()

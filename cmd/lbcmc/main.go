@@ -21,8 +21,9 @@
 // With -json, everything outside the "diagnostics" object is a function of
 // the flags alone — identical for every -workers value and every run. The
 // "diagnostics" object holds what is not: trial_pool_hits and
-// adversary_reuses count sync.Pool hits, which depend on what earlier
-// trials (and the garbage collector) left in the pools.
+// adversary_reuses count free-list hits, which depend on how the workers'
+// trials interleave (not on the garbage collector), so they vary with
+// -workers.
 //
 // Usage:
 //
@@ -114,15 +115,15 @@ type mcJSON struct {
 	Canceled   bool              `json:"canceled,omitempty"`
 	Violations []mcViolationJSON `json:"violations,omitempty"`
 	// Diagnostics is kept apart from the result block above: its counters
-	// depend on sync.Pool contents, hence on worker count, scheduling and
-	// garbage collection, and nothing above it does.
+	// depend on how the workers' trials interleave, hence on worker count
+	// and scheduling, and nothing above it does.
 	Diagnostics mcDiagnosticsJSON `json:"diagnostics"`
 }
 
 // mcDiagnosticsJSON holds the trial-scaffolding deltas over the sweep:
-// scratch-pool hits (recycled RNG + input slab + fault-list bundles) and
-// adversary instances re-armed through the strategy pools instead of
-// constructed.
+// scratch free-list hits (recycled RNG + input slab + fault-list bundles)
+// and adversary instances re-armed through the strategy free lists instead
+// of constructed.
 type mcDiagnosticsJSON struct {
 	TrialPoolHits   int64 `json:"trial_pool_hits"`
 	AdversaryReuses int64 `json:"adversary_reuses"`

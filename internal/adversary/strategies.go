@@ -114,6 +114,14 @@ func (r *relay) emit(out []sim.Outgoing) []sim.Outgoing {
 // the node drop valid relays).
 func (r *relay) SetPlan(p *flood.Plan) { r.plan = p }
 
+// drop forgets the plan and the last step's transmissions, which hold the
+// plan's paths: a released node keeps neither alive.
+func (r *relay) drop() {
+	r.plan = nil
+	clear(r.out)
+	r.out = r.out[:0]
+}
+
 // over returns the plan the node relays over on graph g, replacing one left
 // over from another graph (pooled nodes are re-pointed).
 func (r *relay) over(g *graph.Graph) *flood.Plan {

@@ -222,13 +222,13 @@ type mcTrialResult struct {
 	err      error
 }
 
-// mcScratch is the pooled per-worker trial scaffolding: the RNG, the
+// mcScratch is the recycled per-worker trial scaffolding: the RNG, the
 // permutation buffer, and per-slot input slabs, fault lists, Byzantine
 // maps, and batch-instance records, all grown to high-water capacity and
 // recycled across trials, groups, sweeps, and graphs. Adversaries acquired
 // for the scratch's trials are tracked in acquired and returned to their
-// strategy pools on release — after the run has completed and the verdict
-// (which copies everything it keeps) has been extracted.
+// strategy free lists on release — after the run has completed and the
+// verdict (which copies everything it keeps) has been extracted.
 type mcScratch struct {
 	rng  *rand.Rand
 	perm []int
@@ -242,17 +242,25 @@ type mcScratch struct {
 	acquired  []sim.Node
 }
 
-var mcScratchPool sync.Pool
+// mcScratchFree lists released scratch, LIFO under a mutex: whether a
+// trial recycles depends only on the order of acquisitions and releases,
+// never on the garbage collector. A scratch is built only when none is
+// listed, so the list never holds more than the peak number in use at
+// once — one per worker.
+var mcScratchFree struct {
+	sync.Mutex
+	free []*mcScratch
+}
 
-// Trial-scaffolding pool counters (exported via ReadTrialPoolStats).
+// Trial-scaffolding recycling counters (exported via ReadTrialPoolStats).
 var (
 	trialPoolHits   atomic.Uint64
 	trialPoolMisses atomic.Uint64
 )
 
 // ReadTrialPoolStats returns the cumulative Monte Carlo trial-scaffolding
-// pool hit and miss counts: a hit recycled a worker's scratch (RNG,
-// permutation buffer, input slabs, fault lists), a miss built it fresh.
+// hit and miss counts: a hit recycled a worker's scratch (RNG, permutation
+// buffer, input slabs, fault lists), a miss built it fresh.
 func ReadTrialPoolStats() (hits, misses uint64) {
 	return trialPoolHits.Load(), trialPoolMisses.Load()
 }
@@ -261,9 +269,16 @@ func ReadTrialPoolStats() (hits, misses uint64) {
 // concurrent slots.
 func acquireMCScratch(n, slots int) *mcScratch {
 	var sc *mcScratch
-	if v := mcScratchPool.Get(); v != nil {
+	l := &mcScratchFree
+	l.Lock()
+	if n := len(l.free); n > 0 {
+		sc = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	}
+	l.Unlock()
+	if sc != nil {
 		trialPoolHits.Add(1)
-		sc = v.(*mcScratch)
 	} else {
 		trialPoolMisses.Add(1)
 		sc = &mcScratch{}
@@ -287,8 +302,8 @@ func acquireMCScratch(n, slots int) *mcScratch {
 	return sc
 }
 
-// release returns every acquired adversary to its strategy pool and the
-// scratch itself to the scaffolding pool. Callers must be done with the
+// release returns every acquired adversary to its strategy free list and
+// the scratch itself to the scaffolding list. Callers must be done with the
 // run AND with every reference into the scratch (verdicts copy what they
 // keep) before releasing.
 func (sc *mcScratch) release() {
@@ -297,7 +312,9 @@ func (sc *mcScratch) release() {
 		sc.acquired[i] = nil
 	}
 	sc.acquired = sc.acquired[:0]
-	mcScratchPool.Put(sc)
+	mcScratchFree.Lock()
+	mcScratchFree.free = append(mcScratchFree.free, sc)
+	mcScratchFree.Unlock()
 }
 
 // permInto is rand.Rand.Perm into a caller-owned buffer: it consumes the
@@ -315,9 +332,9 @@ func permInto(r *rand.Rand, m []int) {
 // setup is mcTrialSetup against recycled scaffolding: identical random
 // stream, identical placements and strategies, but the inputs land in the
 // slot's dense slab, the fault list and Byzantine map recycle the slot's
-// buffers, and the adversaries come from the strategy pools (their Reset
-// restores exactly the constructor's seeded stream). Any divergence from
-// mcTrialSetup is a bug the pooled-parity suite exists to catch.
+// buffers, and the adversaries come from the strategy free lists (their
+// Reset restores exactly the constructor's seeded stream). Any divergence
+// from mcTrialSetup is a bug the pooled-parity suite exists to catch.
 func (sc *mcScratch) setup(cfg MonteCarloConfig, trial, slot int) (slab []sim.Value, faulty []graph.NodeID, strat string, byz map[graph.NodeID]sim.Node) {
 	seed := cellSeed(cfg.Seed, trial)
 	if sc.rng == nil {
@@ -483,7 +500,7 @@ func mcChurnSchedule(cfg MonteCarloConfig, trial int) *faultinject.Schedule {
 // trial's own seed, while topology state (and compiled plans) come from
 // the sweep-wide shared analysis. By default the trial's scaffolding —
 // RNG, input slab, fault list, adversaries — is recycled through the
-// scratch and strategy pools; freshScaffolding reverts to per-trial
+// scratch and strategy free lists; freshScaffolding reverts to per-trial
 // construction (same verdicts, reference implementation).
 func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, trial int) mcTrialResult {
 	spec := Spec{
@@ -516,7 +533,8 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 // and writes each trial's verdict into its slot of results. The shared
 // analysis serves every group of the sweep; the group's scaffolding —
 // instance records, input slabs, fault lists, adversaries — recycles
-// through the scratch and strategy pools unless freshScaffolding is set.
+// through the scratch and strategy free lists unless freshScaffolding is
+// set.
 // OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
 // and violating instances are judged by the full path either way.
 func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, results []mcTrialResult) {
