@@ -10,7 +10,10 @@
 //   - every backticked code reference `Q.Name` or `Q.Name()` in DESIGN.md,
 //     README.md and EXPERIMENTS.md, where Q is a package or type declared
 //     in the module outside benchmark/, must name a top-level declaration
-//     of package Q or a field or method of type Q.
+//     of package Q or a field or method of type Q;
+//   - every backticked repository path in those files
+//     (`internal/flood/plan.go`, `testdata/golden/`, or package-relative
+//     under internal/, `flood/wire.go:12`) must exist.
 //
 // It exits non-zero listing each violation as file:line. Run it from the
 // module root:
@@ -245,14 +248,18 @@ var (
 	// codeRef matches a dotted identifier chain with an optional call:
 	// `eval.Spec`, `Flooder.DeliverDelta()`, `eval.Spec.Rounds`.
 	codeRef = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)+(\([^()]*\))?$`)
+	// repoPath matches a slash-separated path with an optional :line or
+	// :line-line suffix.
+	repoPath = regexp.MustCompile(`^([\w.*-]+(?:/[\w.*-]+)+/?|[\w.*-]+/)(?::\d+(?:-\d+)?)?$`)
 	// fileExts make a span such as `lbcast.go` a file name, not a reference.
 	fileExts = map[string]bool{"go": true, "md": true, "json": true, "mod": true, "yml": true, "sh": true, "txt": true}
 )
 
 // checkDocRefs reports every code reference in the markdown file at path
 // (called name in messages) whose qualifier is a known scope that does not
-// declare the name after it. Fenced code blocks are skipped; a missing file
-// is not an error.
+// declare the name after it, and every repository path that does not exist
+// (see missingPath; the file's directory is the repository root). Fenced
+// code blocks are skipped; a missing file is not an error.
 func checkDocRefs(path, name string, syms *symbols) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -267,6 +274,11 @@ func checkDocRefs(path, name string, syms *symbols) ([]string, error) {
 	var violations []string
 	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 		ref := text[m[2]:m[3]]
+		if missingPath(filepath.Dir(path), ref) {
+			violations = append(violations, fmt.Sprintf("%s:%d: `%s`: no such path in the repository",
+				name, strings.Count(text[:m[0]], "\n")+1, ref))
+			continue
+		}
 		if !codeRef.MatchString(ref) {
 			continue
 		}
@@ -284,6 +296,31 @@ func checkDocRefs(path, name string, syms *symbols) ([]string, error) {
 		}
 	}
 	return violations, nil
+}
+
+// missingPath reports whether ref names a repository path that does not
+// exist. A span is a path when its first segment is a directory at the
+// repository root or, as package-relative shorthand, under internal/;
+// anything else with a slash (benchmark names, ratios, import paths) is not.
+// Globs resolve when they match something.
+func missingPath(root, ref string) bool {
+	m := repoPath.FindStringSubmatch(ref)
+	if m == nil {
+		return false
+	}
+	p := filepath.FromSlash(strings.TrimSuffix(m[1], "/"))
+	first, _, _ := strings.Cut(m[1], "/")
+	isPath := false
+	for _, base := range []string{root, filepath.Join(root, "internal")} {
+		if fi, err := os.Stat(filepath.Join(base, first)); err != nil || !fi.IsDir() {
+			continue
+		}
+		isPath = true
+		if found, _ := filepath.Glob(filepath.Join(base, p)); len(found) > 0 {
+			return false
+		}
+	}
+	return isPath
 }
 
 // hasPackageDoc reports whether any file of the package documents the

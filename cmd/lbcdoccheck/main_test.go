@@ -137,6 +137,35 @@ func New()           {}
 	}
 }
 
+// TestCheckDocPaths runs one-line DESIGN.md documents against a scratch
+// tree: backticked paths resolve from the root or, as package-relative
+// shorthand, from internal/, with optional line suffixes and globs; spans
+// whose first segment is no directory there are not paths.
+func TestCheckDocPaths(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "internal", "flood", "plan.go"), "// Package flood is documented.\npackage flood\n")
+	write(t, filepath.Join(dir, "testdata", "golden", "a.sha256"), "")
+	for _, tc := range []struct{ doc, want string }{ // want "" means clean
+		{"`internal/flood/plan.go`, `flood/plan.go:12`, `internal/flood/plan.go:3-9`", ""},
+		{"`testdata/golden/`, `testdata/`, `testdata/golden/*.sha256`, `internal/flood`", ""},
+		{"`math/rand`, `session/algo1/figure1a/early`, `rounds=12/36`, `/v1/decide`, `lbcast/internal/gone`", ""},
+		{"`internal/flood/gone.go`", "DESIGN.md:1: `internal/flood/gone.go`: no such path in the repository"},
+		{"`flood/gone.go:4`", "`flood/gone.go:4`: no such path"},
+		{"`testdata/silver/`", "`testdata/silver/`: no such path"},
+		{"`testdata/golden/*.json`", "`testdata/golden/*.json`: no such path"},
+	} {
+		write(t, filepath.Join(dir, "DESIGN.md"), tc.doc)
+		violations, err := check(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.Join(violations, "\n")
+		if tc.want == "" && len(violations) != 0 || tc.want != "" && (len(violations) != 1 || !strings.Contains(joined, tc.want)) {
+			t.Errorf("%q: violations\n%s\nwant %q", tc.doc, joined, tc.want)
+		}
+	}
+}
+
 // TestCheckRepository pins the real repository to stay clean, mirroring
 // the CI gate.
 func TestCheckRepository(t *testing.T) {

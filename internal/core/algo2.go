@@ -737,9 +737,3 @@ func (nd *EfficientNode) valueAlongCleanPath(w graph.NodeID) (sim.Value, bool) {
 	}
 	return 0, false
 }
-
-// ReliableValueDebug exposes the Definition C.1 reliable-receive outcome
-// for experiment inspection and debugging.
-func (nd *EfficientNode) ReliableValueDebug(u graph.NodeID) (sim.Value, bool) {
-	return nd.reliableValue(u)
-}

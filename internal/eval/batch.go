@@ -279,14 +279,12 @@ type scalarSlot struct {
 	pn   *core.PhaseNode
 }
 
-// byzSlot locates one Byzantine override slot: group grp at vertex u
-// belongs to instance inst. Recycling re-plugs the current spec's
-// caller-owned adversary node into the slot on every run — adversary
-// state is never pooled.
+// byzSlot locates one Byzantine override slot: instance inst's node at
+// vertex u. Recycling re-plugs the current spec's caller-owned adversary
+// node into the slot on every run — adversary state is never pooled.
 type byzSlot struct {
 	inst int
 	u    graph.NodeID
-	grp  int
 }
 
 // batchLoopState is the complete working state of one batch execution:
@@ -392,28 +390,21 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	}
 	for _, bz := range st.byz {
 		nd := s.spec.Instances[bz.inst].Byzantine[bz.u]
-		if dp := st.groups[bz.grp].dp; dp != nil {
+		grp := st.insts[bz.inst].group
+		if dp := st.groups[grp].dp; dp != nil {
 			handPlan(nd, dp.Base())
 		}
-		if err := st.plug(bz.u, bz.grp, nd); err != nil {
-			return err
+		var err error
+		if st.batchNodes != nil {
+			err = st.batchNodes[bz.u].SetInstance(grp, nd)
+		} else {
+			err = st.eng.SetNode(bz.u, nd)
+			st.nodes[bz.u] = nd
+		}
+		if err != nil {
+			return fmt.Errorf("eval: pooled run re-plug: %w", err)
 		}
 	}
-	return nil
-}
-
-// plug installs nd as group grp's node at vertex u.
-func (st *batchLoopState) plug(u graph.NodeID, grp int, nd sim.Node) error {
-	if st.batchNodes != nil {
-		if err := st.batchNodes[u].SetInstance(grp, nd); err != nil {
-			return fmt.Errorf("eval: %w", err)
-		}
-		return nil
-	}
-	if err := st.eng.SetNode(u, nd); err != nil {
-		return fmt.Errorf("eval: pooled run re-plug: %w", err)
-	}
-	st.nodes[u] = nd
 	return nil
 }
 
@@ -527,7 +518,7 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			}
 			if byz, ok := inst.Byzantine[u]; ok {
 				inner[in.group] = byz
-				st.byz = append(st.byz, byzSlot{inst: i, u: u, grp: in.group})
+				st.byz = append(st.byz, byzSlot{inst: i, u: u})
 				continue
 			}
 			v := s.slabs[i][u]

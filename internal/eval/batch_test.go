@@ -136,27 +136,6 @@ func TestBatchMatchesIndependentSessions(t *testing.T) {
 	}
 }
 
-// TestBatchSingleInstanceMatchesSession pins the B=1 degenerate case the
-// golden parity argument leans on: a one-instance batch reproduces the
-// Session run exactly.
-func TestBatchSingleInstanceMatchesSession(t *testing.T) {
-	fx := batchFixture{g: gen.Figure1a(), f: 1, alg: Algo1, b: 1, seed: 5}
-	batch, err := RunBatch(context.Background(), BatchSpec{
-		G: fx.g, F: fx.f, Algorithm: fx.alg, Instances: fx.instances(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := fx.instances()[0]
-	solo, err := Run(Spec{G: fx.g, F: fx.f, Algorithm: fx.alg, Inputs: inst.Inputs, Byzantine: inst.Byzantine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := project(batch.Outcomes[0]), project(solo); !reflect.DeepEqual(got, want) {
-		t.Errorf("B=1 batch diverges:\nbatch:   %+v\nsession: %+v", got, want)
-	}
-}
-
 // TestBatchEarlyRetirementSavesRounds checks that a mixed batch retires
 // fast instances early: a fault-free instance must record fewer rounds
 // than the batch total when a slower instance keeps the loop alive.

@@ -181,19 +181,14 @@ func MonteCarloContext(ctx context.Context, cfg MonteCarloConfig) (MonteCarloRes
 	// call. The analysis is concurrency-safe; a compiled plan's frozen
 	// arena is read-only and shared by every replaying trial.
 	topo := cfg.G.SharedAnalysis()
+	// Unbatched sweeps run every trial as a one-instance batch.
 	results := make([]mcTrialResult, cfg.Trials)
-	if cfg.Batch > 1 {
-		groups := (cfg.Trials + cfg.Batch - 1) / cfg.Batch
-		RunPool(cfg.Workers, groups, func(gi int) {
-			lo := gi * cfg.Batch
-			hi := min(lo+cfg.Batch, cfg.Trials)
-			runMonteCarloBatch(ctx, cfg, topo, lo, hi, results[lo:hi])
-		})
-	} else {
-		RunPool(cfg.Workers, cfg.Trials, func(trial int) {
-			results[trial] = runMonteCarloTrial(ctx, cfg, topo, trial)
-		})
-	}
+	b := max(cfg.Batch, 1)
+	RunPool(cfg.Workers, (cfg.Trials+b-1)/b, func(gi int) {
+		lo := gi * b
+		hi := min(lo+b, cfg.Trials)
+		runMonteCarloBatch(ctx, cfg, topo, lo, hi, results[lo:hi])
+	})
 
 	res := MonteCarloResult{Trials: cfg.Trials}
 	for _, r := range results {
@@ -496,42 +491,11 @@ func mcChurnSchedule(cfg MonteCarloConfig, trial int) *faultinject.Schedule {
 	}
 }
 
-// runMonteCarloTrial executes one trial; all randomness derives from the
-// trial's own seed, while topology state (and compiled plans) come from
-// the sweep-wide shared analysis. By default the trial's scaffolding —
-// RNG, input slab, fault list, adversaries — is recycled through the
-// scratch and strategy free lists; freshScaffolding reverts to per-trial
-// construction (same verdicts, reference implementation).
-func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, trial int) mcTrialResult {
-	spec := Spec{
-		G:         cfg.G,
-		F:         cfg.F,
-		Algorithm: cfg.Algorithm,
-		Churn:     mcChurnSchedule(cfg, trial),
-	}
-	var faulty []graph.NodeID
-	var strat string
-	if cfg.freshScaffolding {
-		spec.Inputs, faulty, strat, spec.Byzantine = mcTrialSetup(cfg, trial)
-	} else {
-		sc := acquireMCScratch(cfg.G.N(), 1)
-		defer sc.release()
-		spec.InputSlab, faulty, strat, spec.Byzantine = sc.setup(cfg, trial, 0)
-	}
-	s, err := newSessionShared(spec, topo)
-	if err != nil {
-		return mcTrialResult{err: err}
-	}
-	run, err := s.Run(ctx)
-	if err != nil {
-		return mcTrialResult{err: err}
-	}
-	return mcVerdict(trial, faulty, strat, run)
-}
-
 // runMonteCarloBatch executes trials [lo, hi) as one multi-instance batch
-// and writes each trial's verdict into its slot of results. The shared
-// analysis serves every group of the sweep; the group's scaffolding —
+// and writes each trial's verdict into its slot of results. All randomness
+// derives from each trial's own seed, and a one-trial group carries the
+// trial's fault-injection schedule. The shared analysis serves every
+// group of the sweep; the group's scaffolding —
 // instance records, input slabs, fault lists, adversaries — recycles
 // through the scratch and strategy free lists unless freshScaffolding is
 // set.
@@ -571,6 +535,7 @@ func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 		Algorithm:       cfg.Algorithm,
 		OmitOKDecisions: true,
 		Instances:       instances,
+		churn:           mcChurnSchedule(cfg, lo),
 	}, topo)
 	if err != nil {
 		for i := range results {

@@ -105,32 +105,6 @@ func ReadPoolStats() (hits, misses uint64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// appendByzKindPattern renders one execution's Byzantine placement
-// canonically into sb, with a replay-kind marker per vertex: 'c' for
-// crash-from-start faults (the shape masked plans compile) and 'd' for
-// everything value-faulty (the shape delta replay covers). The marker is
-// part of every pool key: two placements on the same vertices but of
-// different kinds wire honest nodes differently and must never share
-// recycled run state.
-func appendByzKindPattern(sb *strings.Builder, byz map[graph.NodeID]sim.Node) {
-	vs := make([]int, 0, len(byz))
-	for u := range byz {
-		vs = append(vs, int(u))
-	}
-	sort.Ints(vs)
-	for i, u := range vs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		kind := byte('d')
-		if c, ok := byz[graph.NodeID(u)].(crashedFromStart); ok && c.CrashedFromStart() {
-			kind = 'c'
-		}
-		sb.WriteByte(kind)
-		sb.WriteString(strconv.Itoa(u))
-	}
-}
-
 // planSetter is the optional adversary capability delta and Algorithm 2
 // runs engage: the honest nodes of such a run flood on the benign plan's
 // frozen arena, and an
@@ -169,22 +143,39 @@ func (s *BatchSession) shape() runShape {
 	}
 }
 
-// byzPattern renders the batch's Byzantine placement — which vertices each
-// instance overrides, and each fault's replay kind — as a canonical string.
-// Two batches with equal patterns (and equal shared parameters) build
-// structurally identical run state: the same lane grouping, the same
-// replay wiring (the kind decides masked vs delta wiring for a faulty
-// instance's honest nodes), the same adversary slots; only inputs,
+// byzPattern renders the batch's Byzantine placement canonically: per
+// instance (';'-separated), its faulty vertices in ascending order, each
+// marked with its replay kind — 'c' for crash-from-start faults (the shape
+// masked plans compile), 'd' for everything value-faulty (the shape delta
+// replay covers). Two batches with equal patterns (and equal shared
+// parameters) build structurally identical run state: the same lane
+// grouping, the same replay wiring, the same adversary slots; only inputs,
 // adversary node values, and the observer differ, all of which a recycled
 // run's reset pass re-applies. The pattern is therefore the batch-specific
 // part of the run-pool key.
 func byzPattern(instances []BatchInstance) string {
 	var sb strings.Builder
+	var vs []int
 	for i, inst := range instances {
 		if i > 0 {
 			sb.WriteByte(';')
 		}
-		appendByzKindPattern(&sb, inst.Byzantine)
+		vs = vs[:0]
+		for u := range inst.Byzantine {
+			vs = append(vs, int(u))
+		}
+		sort.Ints(vs)
+		for k, u := range vs {
+			if k > 0 {
+				sb.WriteByte(',')
+			}
+			kind := byte('d')
+			if c, ok := inst.Byzantine[graph.NodeID(u)].(crashedFromStart); ok && c.CrashedFromStart() {
+				kind = 'c'
+			}
+			sb.WriteByte(kind)
+			sb.WriteString(strconv.Itoa(u))
+		}
 	}
 	return sb.String()
 }

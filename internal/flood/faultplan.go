@@ -191,10 +191,6 @@ func (dp *DeltaPlan) Base() *Plan { return dp.base }
 // Faulty returns the set of value-faulty nodes the delta excludes.
 func (dp *DeltaPlan) Faulty() graph.Set { return dp.faulty }
 
-// NodeEntries returns the number of untainted entries in node v's delta
-// schedule (diagnostic; the base plan's NodeReceipts bounds the store).
-func (dp *DeltaPlan) NodeEntries(v graph.NodeID) int { return len(dp.sched[v].idx) }
-
 // DeliverDelta is Deliver with the delta fast path: each delivery whose
 // provenance Π·u — resolved once, through the hint or by interning — is the
 // one the cursor over this round's untainted compiled entries expects, and

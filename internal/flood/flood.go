@@ -188,13 +188,6 @@ func New(g *graph.Graph, me graph.NodeID) *Flooder {
 	return NewWithState(g, me, graph.NewPathArena(g), NewIdent())
 }
 
-// NewWithArena creates a flooder sharing an existing arena and a private
-// identity table. Callers that also query body identities (Filter.Body)
-// should use NewWithState so their table and the store's agree.
-func NewWithArena(g *graph.Graph, me graph.NodeID, arena *graph.PathArena) *Flooder {
-	return NewWithState(g, me, arena, NewIdent())
-}
-
 // NewWithState creates a flooder sharing an existing arena and identity
 // table. Multi-phase protocols pass one per-run arena and one per-run
 // Ident to every phase's flooder, so interned prefixes are reused, and

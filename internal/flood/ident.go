@@ -262,9 +262,6 @@ func (t *Ident) SlotIDOf(s string) SlotID {
 // SlotString returns the slot string of an interned slot identity.
 func (t *Ident) SlotString(id SlotID) string { return t.slots[id] }
 
-// Slots returns the number of interned slot strings.
-func (t *Ident) Slots() int { return len(t.slots) }
-
 func nodeSlotKey(ns int32, u graph.NodeID) uint64 {
 	return uint64(uint32(ns))<<32 | uint64(uint32(u))
 }

@@ -177,9 +177,6 @@ func (bn *BatchNode) ResetRetirements() { clear(bn.retired) }
 // instances' executions stay mutually consistent.
 func (bn *BatchNode) Retire(i int) { bn.retired[i] = true }
 
-// Retired reports whether instance i has been retired.
-func (bn *BatchNode) Retired(i int) bool { return bn.retired[i] }
-
 // IgnoresInbox reports whether every live inner instance ignores its
 // inbox (see InboxIgnorer): the vertex then needs no demultiplexed
 // deliveries at all. Retiring a dynamic instance can turn this on
