@@ -136,6 +136,45 @@ func TestBatchMatchesIndependentSessions(t *testing.T) {
 	}
 }
 
+// TestSingleGroupBatchesStepNodesDirectly pins where sim.BatchNode is
+// built: only when two or more lane groups share the engine. A one-instance
+// batch, benign or faulty, and an all-benign batch (one vector group) step
+// their group's nodes directly.
+func TestSingleGroupBatchesStepNodesDirectly(t *testing.T) {
+	fx := func(f, b int) []BatchInstance {
+		return batchFixture{g: gen.Figure1a(), f: f, alg: Algo1, b: b, seed: 3}.instances()
+	}
+	for _, tc := range []struct {
+		name      string
+		f         int
+		instances []BatchInstance
+		multiplex bool
+	}{
+		{"benign-one", 1, fx(1, 1), false},
+		{"faulty-one", 1, fx(1, 2)[1:], false},
+		{"all-benign", 0, fx(0, 4), false},
+		{"mixed", 1, fx(1, 4), true},
+	} {
+		s, err := NewBatchSession(BatchSpec{G: gen.Figure1a(), F: tc.f, Algorithm: Algo1, Instances: tc.instances})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := newBatchLoopState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.eng.Close()
+		if got := st.batchNodes != nil; got != tc.multiplex {
+			t.Errorf("%s: built batch nodes %v, want %v", tc.name, got, tc.multiplex)
+		}
+		for u, nd := range st.nodes {
+			if _, ok := nd.(*sim.BatchNode); ok != tc.multiplex {
+				t.Errorf("%s: engine node %d is a batch node: %v, want %v", tc.name, u, ok, tc.multiplex)
+			}
+		}
+	}
+}
+
 // TestBatchEarlyRetirementSavesRounds checks that a mixed batch retires
 // fast instances early: a fault-free instance must record fewer rounds
 // than the batch total when a slower instance keeps the loop alive.

@@ -181,9 +181,8 @@ func MonteCarloContext(ctx context.Context, cfg MonteCarloConfig) (MonteCarloRes
 	// call. The analysis is concurrency-safe; a compiled plan's frozen
 	// arena is read-only and shared by every replaying trial.
 	topo := cfg.G.SharedAnalysis()
-	// Unbatched sweeps run every trial as a one-instance batch.
 	results := make([]mcTrialResult, cfg.Trials)
-	b := max(cfg.Batch, 1)
+	b := max(cfg.Batch, 1) // an unbatched sweep runs one-trial batches
 	RunPool(cfg.Workers, (cfg.Trials+b-1)/b, func(gi int) {
 		lo := gi * b
 		hi := min(lo+b, cfg.Trials)
@@ -494,12 +493,10 @@ func mcChurnSchedule(cfg MonteCarloConfig, trial int) *faultinject.Schedule {
 // runMonteCarloBatch executes trials [lo, hi) as one multi-instance batch
 // and writes each trial's verdict into its slot of results. All randomness
 // derives from each trial's own seed, and a one-trial group carries the
-// trial's fault-injection schedule. The shared analysis serves every
-// group of the sweep; the group's scaffolding —
-// instance records, input slabs, fault lists, adversaries — recycles
-// through the scratch and strategy free lists unless freshScaffolding is
-// set.
-// OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
+// trial's fault-injection schedule. The shared analysis serves every group
+// of the sweep; the group's scaffolding — instance records, input slabs,
+// fault lists, adversaries — recycles through the scratch and strategy
+// free lists unless freshScaffolding is set. OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
 // and violating instances are judged by the full path either way.
 func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, results []mcTrialResult) {
 	b := hi - lo
