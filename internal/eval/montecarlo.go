@@ -496,8 +496,9 @@ func mcChurnSchedule(cfg MonteCarloConfig, trial int) *faultinject.Schedule {
 // trial's fault-injection schedule. The shared analysis serves every group
 // of the sweep; the group's scaffolding — instance records, input slabs,
 // fault lists, adversaries — recycles through the scratch and strategy
-// free lists unless freshScaffolding is set. OmitOKDecisions is safe in both modes: Monte Carlo discards OK outcomes,
-// and violating instances are judged by the full path either way.
+// free lists unless freshScaffolding is set. OmitOKDecisions is safe in
+// both modes: Monte Carlo discards OK outcomes, and violating instances
+// are judged by the full path either way.
 func runMonteCarloBatch(ctx context.Context, cfg MonteCarloConfig, topo *graph.Analysis, lo, hi int, results []mcTrialResult) {
 	b := hi - lo
 	var instances []BatchInstance
