@@ -1,0 +1,333 @@
+package core
+
+import (
+	"lbcast/internal/flood"
+	"lbcast/internal/graph"
+	"lbcast/internal/sim"
+)
+
+// phaseCore is the step-(a) driver shared by PhaseNode and VectorPhaseNode.
+// A phase of Algorithms 1 and 3 is one value-blind flooding session
+// followed by the node's phase-end reads, so everything but the flooded
+// body and the phase end is common to the scalar node and the lane group:
+// the phase/round clock, the flooder's lifecycle, the choice between the
+// dynamic, delta and replay paths (and the taint frontier between them),
+// the step-(b) path choice and the phase-end scratch. The embedding node
+// supplies the rest through phaseBody.
+type phaseCore struct {
+	g      *graph.Graph
+	me     graph.NodeID
+	f      int
+	phases []PhaseSpec
+	// topo is the shared read-only topology analysis the step-(b) path
+	// choices are drawn from. It is immutable and safe to share across
+	// all nodes of a run and across the instances of a batch.
+	topo *graph.Analysis
+	// node is the embedding node's phase body and phase end.
+	node phaseBody
+
+	phaseIdx     int
+	roundInPhase int
+	done         bool
+	// flooder serves every dynamic phase, recycled at each phase start.
+	flooder *flood.Flooder
+	// store holds the current phase's receipts: the flooder's store on the
+	// dynamic path, a plan-sized store filled by bulk installation on the
+	// replay path. The phase end reads only the store, so the two paths
+	// share every phase-end computation.
+	store *flood.ReceiptStore
+
+	// replay, when non-nil, switches the node's flooding sessions from the
+	// dynamic message-by-message path to schedule replay over the shared
+	// compiled plan (see UseReplay). replayStore is the run's planned store
+	// view, recycled phase over phase; replayBuf is the reused outbox
+	// buffer of the replay path, the fwdBuf analogue.
+	replay      *ReplayShared
+	replayStore *flood.ReceiptStore
+	replayBuf   []sim.Outgoing
+	// replayFrontier is the taint frontier of an injected-world run: phases
+	// strictly before it replay the compiled plan, phases from it onward run
+	// the dynamic path (see SetReplayFrontier). UseReplay sets it past every
+	// phase — an un-churned replay run never crosses it.
+	replayFrontier int
+	// delta, when non-nil, keeps the node on the dynamic flooding path but
+	// routes each delivery through the delta plan's matched-arrival fast
+	// path (see UseDeltaReplay). Mutually exclusive with replay.
+	delta *flood.DeltaPlan
+	// expectHint, when set, seeds the first phase's receipt-store
+	// reservation (UseDeltaReplay); later phases reuse the recycled
+	// flooder's grown store.
+	expectHint int
+
+	// arena is the per-run path arena shared by every phase's flooding
+	// session: interned prefixes are reused phase over phase and PathIDs
+	// stay stable, which lets stepB cache chosen paths as integers. ident
+	// is the per-run identity table, shared by the phases the same way.
+	arena *graph.PathArena
+	ident *flood.Ident
+	// stepB caches the deterministic step-(b) path choice per (origin,
+	// exclusion set): a private instance over a private arena, created by
+	// the first phase end, or the analysis-wide cache of the plan whose
+	// frozen arena a replaying or delta node adopts.
+	stepB *stepBCache
+
+	// zvBuf/nvBuf/origBuf are the reusable phase-end scratch sets, and
+	// scratch backs the phase-end disjoint-receipt queries.
+	zvBuf, nvBuf, origBuf graph.Set
+	scratch               flood.QueryScratch
+	// earlyOK enables the observed-unanimity rule (EnableEarlyDecision).
+	earlyOK bool
+}
+
+// phaseBody is what a phase node adds to phaseCore: its state, the body it
+// floods, and its steps (b)/(c).
+type phaseBody interface {
+	// openPhase records the phase-start state and returns the body the
+	// node floods this phase. reuse reports that nothing outside the run
+	// retains the body past the phase (phantom replay), so its backing
+	// storage may be overwritten at the next phase start.
+	openPhase(reuse bool) flood.Body
+	// defaultBody returns the default message substituted for a silent
+	// neighbour's initiation.
+	defaultBody(graph.NodeID) flood.Body
+	// endPhase runs steps (b) and (c) of the current phase over store.
+	endPhase()
+}
+
+// newPhaseCore assembles the driver. topo is read-only and may be shared
+// by every node of a run (and every instance of a batch); it is safe for
+// concurrent use. arena, when non-nil, is shared message-identity state:
+// it is NOT safe for concurrent use and may only be shared among the nodes
+// of one run — in practice the co-located instances of one batch node
+// (same graph vertex). A nil arena stays nil until the first dynamic
+// flooding round: a node switched to replay adopts the plan's frozen arena
+// instead and never touches a private one.
+func newPhaseCore(topo *graph.Analysis, f int, me graph.NodeID, phases []PhaseSpec, arena *graph.PathArena, node phaseBody) phaseCore {
+	return phaseCore{g: topo.Graph(), me: me, f: f, phases: phases, topo: topo, arena: arena, node: node}
+}
+
+// ID returns the node id.
+func (c *phaseCore) ID() graph.NodeID { return c.me }
+
+// rewind returns the clock to the first phase; every buffer, the flooder
+// and the run wiring (UseReplay, UseDeltaReplay, EnableEarlyDecision) are
+// kept, and every step-(b) cache entry stays valid (it is a fact about the
+// topology).
+func (c *phaseCore) rewind() {
+	c.phaseIdx, c.roundInPhase, c.done = 0, 0, false
+}
+
+// UseReplay switches the node's step-(a) flooding sessions to replay mode
+// over the shared compiled plan: receipts are bulk-installed from the
+// plan's schedule and outboxes materialized from its templates, with the
+// phase bodies drawn from the run's ReplayShared blackboard. The node
+// adopts the plan's frozen arena as its run arena (every path it will ever
+// look up is already interned there). Replay is an execution strategy, not
+// a semantics change — it is only sound when the whole flood is fault-free
+// (every node initiates, every relay forwards correctly), which the caller
+// asserts by calling this; eval enables it exactly for executions with no
+// Byzantine overrides, and for a vector lane group, whose lanes are benign
+// by construction, even when the batch also carries faulty scalar
+// instances. Must be called before the first Step, and every honest node
+// (or lane-group vertex) of the run must share the same ReplayShared.
+func (c *phaseCore) UseReplay(rs *ReplayShared) {
+	c.replay = rs
+	c.replayFrontier = len(c.phases)
+	c.arena = rs.plan.Arena()
+	c.stepB = replayStepBCache(c.topo, rs.plan)
+	c.replayBuf = make([]sim.Outgoing, 0, rs.plan.MaxRoundReceipts(c.me))
+}
+
+// SetReplayFrontier caps plan replay at phase index frontier: phases
+// [0, frontier) replay the compiled plan, phases [frontier, ...) run the
+// dynamic message-by-message path. This is the per-run taint frontier of
+// fault injection — a topology event at engine round R invalidates the plan
+// from the phase containing R onward (the plan's schedule assumes the static
+// adjacency), while every earlier phase's transmissions were routed unmasked
+// and replay byte-identically. The switch at a phase boundary is clean: the
+// dynamic path's phase-start round reads no inbox, the frozen plan arena
+// already holds every simple path the masked flood can traverse, and the
+// step-(b) choices are drawn from the static topology on both paths.
+//
+// A node with a finite frontier no longer promises sim.InboxIgnorer (its
+// dynamic phases genuinely read deliveries), so the engine materializes its
+// inbox throughout — including the replayed prefix, where the deliveries are
+// simply never read. Must be called after UseReplay and before the first
+// Step; pooled runs re-arm it on every reset (schedules differ per run).
+func (c *phaseCore) SetReplayFrontier(frontier int) {
+	c.replayFrontier = min(max(frontier, 0), len(c.phases))
+}
+
+// UseDeltaReplay switches the node's step-(a) flooding sessions to delta
+// replay over the given plan fragment: the node still runs its full
+// dynamic flooder (tamper and equivocation are value-dependent, so every
+// arrival must be inspected), but deliveries matching the next untainted
+// compiled record are installed and forwarded straight from the benign
+// plan — see flood.DeliverDelta. The node adopts the benign plan's frozen
+// arena (it holds every simple path of the graph, so all interning hits)
+// and the plan's shared step-(b) cache, and seeds its store reservation
+// with the benign receipt count, an upper bound for any fault pattern.
+// Must be called before the first Step; mutually exclusive with UseReplay.
+func (c *phaseCore) UseDeltaReplay(dp *flood.DeltaPlan) {
+	c.delta = dp
+	c.arena = dp.Base().Arena()
+	c.stepB = replayStepBCache(c.topo, dp.Base())
+	c.expectHint = dp.Base().NodeReceipts(c.me)
+}
+
+// IgnoresInbox implements sim.InboxIgnorer: a replaying node draws every
+// arrival from the compiled plan and never reads its inbox. A node whose
+// replay is capped by a taint frontier (SetReplayFrontier) reads deliveries
+// in its dynamic phases, so it does not qualify — and the contract is
+// monotone (false may become true, never the reverse), which the frontier
+// respects because it is set before the first Step and only lowered.
+func (c *phaseCore) IgnoresInbox() bool {
+	return c.replay != nil && c.replayFrontier >= len(c.phases)
+}
+
+// EnableEarlyDecision lets the node decide before the final phase via the
+// observed-unanimity rule: at the end of a phase, if the node received the
+// value x it flooded this phase from every other node along f+1 internally
+// node-disjoint paths, then (with at most f actual faults) at least one
+// path per node is fault-free, so every non-faulty node's state was x at
+// the start of the phase. Unanimity of the non-faulty states is preserved
+// by step (c) under any Byzantine behavior — adopting ¬x would require a
+// receipt of ¬x along f+1 node-disjoint paths, one of which would be
+// fault-free with a non-faulty origin — so the final decision is already
+// determined to be x and the node may report it now. A lane group applies
+// the rule lane by lane.
+//
+// The node keeps executing all phases identically after deciding early
+// (so other nodes' executions are byte-for-byte unchanged); only the
+// decision it reports is affected. The engine layer stops the run once
+// every honest node reports a decision.
+func (c *phaseCore) EnableEarlyDecision() { c.earlyOK = true }
+
+// Step advances the node by one synchronous round: step (a) on the replay
+// or dynamic path, then, at the phase's last round, the node's phase end.
+func (c *phaseCore) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
+	if c.done || c.phaseIdx >= len(c.phases) {
+		c.done = true
+		return nil
+	}
+	var out []sim.Outgoing
+	if c.replay != nil && c.phaseIdx < c.replayFrontier {
+		out = c.replayStep()
+	} else {
+		out = c.dynamicStep(inbox)
+	}
+	c.roundInPhase++
+	if c.roundInPhase == PhaseRounds(c.g.N()) {
+		c.node.endPhase()
+		c.roundInPhase = 0
+		c.phaseIdx++
+		if c.phaseIdx == len(c.phases) {
+			c.done = true
+		}
+	}
+	return out
+}
+
+// dynamicStep runs one round of the message-by-message flooding path.
+func (c *phaseCore) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
+	switch c.roundInPhase {
+	case 0:
+		// Step (a): initiate flooding of the phase body. One flooder
+		// serves every phase: flooding structure repeats phase over phase,
+		// so recycling it (receipts and acceptance state cleared, index
+		// capacity kept) leaves every append of the new phase landing in
+		// pre-grown storage. The first phase sizes from the hint, when one
+		// was provided (a compiled plan's exact per-node count).
+		if c.delta != nil {
+			flood.NoteDeltaReplaySession()
+		} else {
+			flood.NoteDynamicSession()
+		}
+		if c.flooder == nil {
+			c.ident = flood.NewIdent()
+			switch {
+			case c.delta != nil:
+				c.flooder = flood.NewOnPlan(c.delta.Base(), c.me, c.ident)
+			case c.replay != nil: // past the taint frontier
+				c.flooder = flood.NewOnPlan(c.replay.plan, c.me, c.ident)
+			default:
+				if c.arena == nil {
+					c.arena = graph.NewPathArena(c.g)
+				}
+				c.flooder = flood.NewWithState(c.g, c.me, c.arena, c.ident)
+			}
+			c.flooder.Expect(c.expectHint)
+		} else {
+			c.flooder.Recycle()
+		}
+		// Re-point the receipt store every phase: a taint-frontier node
+		// arrives here with store still on its replay store from the
+		// replayed prefix, and must read this phase's receipts from the
+		// flooder instead.
+		c.store = c.flooder.Store()
+		return c.flooder.Start(c.node.openPhase(false))
+	case 1:
+		// Initiations arrive now; after processing, substitute the
+		// default message for silent neighbors.
+		return c.flooder.AppendMissing(c.deliver(inbox), c.node.defaultBody)
+	default:
+		return c.deliver(inbox)
+	}
+}
+
+// deliver routes one round's inbox through the flooder: the delta
+// matched-arrival path when delta replay is wired, the plain dynamic rules
+// otherwise. Both produce byte-identical outcomes; delta only changes how
+// much per-message work the untainted majority costs.
+func (c *phaseCore) deliver(inbox []sim.Delivery) []sim.Outgoing {
+	if c.delta != nil {
+		return c.flooder.DeliverDelta(c.delta, c.roundInPhase, inbox)
+	}
+	return c.flooder.Deliver(inbox)
+}
+
+// replayStep runs one round of the plan-replay path: at phase start it
+// publishes this node's body to the run blackboard and opens an
+// exact-sized store; every round then bulk-installs the plan's scheduled
+// arrivals and materializes the precompiled outbox. The emitted
+// transmissions are byte-identical to the dynamic path's, so observers,
+// metrics, and any dynamically-flooding co-instances of a batch see the
+// same execution.
+func (c *phaseCore) replayStep() []sim.Outgoing {
+	plan := c.replay.plan
+	if c.roundInPhase == 0 {
+		flood.NoteReplaySession()
+		// The planned view takes the node's Ident, nil unless a dynamic
+		// phase ran first: value bodies carry pre-reserved identities, and
+		// no vector phase-end query filters by body identity (step (b)
+		// reads by path, step (c) and the unanimity certificate project
+		// lanes Go-side), so a replaying node never interns a body.
+		if c.replayStore == nil {
+			c.replayStore = plan.PlannedStore(c.me, c.ident)
+		} else {
+			c.replayStore.ResetPlanned()
+		}
+		c.store = c.replayStore
+		c.replay.bodies[c.me] = c.node.openPhase(c.replay.phantom)
+	}
+	var out []sim.Outgoing
+	if c.replay.phantom {
+		out = plan.ReplayRoundPhantom(c.me, c.roundInPhase, c.replay.bodies, c.store, c.replayBuf[:0])
+	} else {
+		out = plan.ReplayRound(c.me, c.roundInPhase, c.replay.bodies, c.store, c.replayBuf[:0])
+	}
+	c.replayBuf = out
+	return out
+}
+
+// chosenPath returns the interned step-(b) path choice for origin u under
+// exclusion set excl, NoPath if none exists: the deterministic
+// BFS-shortest uv-path excluding excl, identical across phases, runs and
+// lanes, so the batched and independent executions can never choose
+// different paths.
+func (c *phaseCore) chosenPath(u graph.NodeID, excl graph.Set) graph.PathID {
+	if c.stepB == nil {
+		c.stepB = newStepBCache()
+	}
+	return c.stepB.chosen(c.topo, c.arena, u, c.me, excl)
+}

@@ -79,41 +79,43 @@ func (rs *ReplayShared) SetPhantom(on bool) { rs.phantom = on }
 // plan's arena must never be served to nodes replaying another's.
 type stepBCacheKey struct{ plan *flood.Plan }
 
-// sharedStepBKey identifies one step-(b) choice across all nodes: origin,
-// choosing node, and the exclusion set (mask when exact, canonical string
-// otherwise).
-type sharedStepBKey struct {
+// stepBChoice identifies one step-(b) choice: origin, choosing node, and
+// the exclusion set (mask when exact, canonical string otherwise).
+type stepBChoice struct {
 	u, me graph.NodeID
 	mask  uint64
 	excl  string
 }
 
-// stepBCache is the step-(b) path-choice memo shared by every REPLAYING
-// node, run, trial, and sweep cell over one analysis. Replaying nodes all
-// draw PathIDs from the same frozen plan arena, so the interned choice for
-// (u, me, excl) is a global constant of the analysis — unlike dynamic
-// nodes, whose private arenas make the IDs node-local (they keep their
-// per-node stepB maps). Guarded for concurrent trials; after the first
-// run every access is a read.
+// stepBCache memoizes step-(b) path choices as PathIDs of one arena, so
+// phases with equal F∪T (every Algorithm 3 run has many) skip the BFS and
+// the receipt read is an O(1) index lookup. A node flooding on a private
+// arena keeps a private instance (its PathIDs are node-local). Every node
+// on a plan's frozen arena — replaying, delta, or past a taint frontier —
+// shares that plan's instance on the analysis (replayStepBCache), since
+// the interned choice for (u, me, excl) is then a constant across nodes,
+// runs, trials and sweep cells. Guarded for concurrent trials; after the
+// first run every access is a read.
 type stepBCache struct {
 	mu sync.RWMutex
-	m  map[sharedStepBKey]graph.PathID
+	m  map[stepBChoice]graph.PathID
 }
 
-// replayStepBCache returns the analysis's shared replay step-(b) cache for
-// the given plan's arena.
+func newStepBCache() *stepBCache {
+	return &stepBCache{m: make(map[stepBChoice]graph.PathID)}
+}
+
+// replayStepBCache returns the analysis's shared step-(b) cache for the
+// given plan's arena.
 func replayStepBCache(topo *graph.Analysis, plan *flood.Plan) *stepBCache {
-	return topo.Memo(stepBCacheKey{plan: plan}, func() any {
-		return &stepBCache{m: make(map[sharedStepBKey]graph.PathID)}
-	}).(*stepBCache)
+	return topo.Memo(stepBCacheKey{plan: plan}, func() any { return newStepBCache() }).(*stepBCache)
 }
 
 // chosen returns the interned step-(b) path choice for (u, me, excl) over
-// the frozen plan arena, computing and caching it on first use. The BFS is
-// deterministic and the arena frozen, so concurrent fills store identical
-// values.
+// arena, computing and caching it on first use. The BFS is deterministic,
+// so concurrent fills of a shared cache store identical values.
 func (c *stepBCache) chosen(topo *graph.Analysis, arena *graph.PathArena, u, me graph.NodeID, excl graph.Set) graph.PathID {
-	k := sharedStepBKey{u: u, me: me}
+	k := stepBChoice{u: u, me: me}
 	if arena.Exact() {
 		k.mask = graph.SetMask(excl)
 	} else {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"lbcast/internal/flood"
@@ -80,62 +81,27 @@ var (
 )
 
 // VectorPhaseNode runs Algorithm 1 (t = 0) or Algorithm 3 phases for many
-// benign lanes at once. It mirrors PhaseNode exactly, lane by lane: the
-// flooding work is shared, the per-lane state (γ, early decision) and the
-// phase-end computations are per lane. It is not a sim.Decider — lanes
+// benign lanes at once. It shares PhaseNode's step-(a) driver (phaseCore)
+// and mirrors its phase end exactly, lane by lane: the flooding work is
+// shared, the per-lane state (γ, early decision) and the phase-end
+// computations are per lane. It is not a sim.Decider — lanes
 // decide individually; see LaneDecision.
 type VectorPhaseNode struct {
-	g      *graph.Graph
-	me     graph.NodeID
-	f      int
-	phases []PhaseSpec
-	topo   *graph.Analysis
-
-	gammas       []sim.Value
-	phaseIdx     int
-	roundInPhase int
-	flooder      *flood.Flooder
-	// store holds the current phase's receipts (the flooder's store on the
-	// dynamic path, a plan-sized bulk-installed store on the replay path);
-	// the phase-end lane computations read only the store.
-	store *flood.ReceiptStore
-	done  bool
-
-	// replay, when non-nil, selects plan replay for the group's shared
-	// flooding session — the lane group is benign by construction, so its
-	// flood is fault-free whatever the rest of the batch does. replayStore
-	// is the run's planned store view, recycled phase over phase;
-	// replayBuf is the reused replay outbox buffer.
-	replay      *ReplayShared
-	replayStore *flood.ReceiptStore
-	replayBuf   []sim.Outgoing
-	// sharedStepB replaces the private stepB map for replaying groups; see
-	// PhaseNode.sharedStepB.
-	sharedStepB *stepBCache
-	// zvBuf/nvBuf/origBuf are the reusable phase-end scratch sets; scratch
-	// backs the disjoint-receipt queries; readsBuf/readsValid are the
-	// per-origin step-(b) read table; lanes shares the per-lane searches
-	// of one query, and admitBuf (a lane's Av as a node-indexed table) and
-	// undecidedBuf serve the per-lane projections.
-	zvBuf, nvBuf, origBuf graph.Set
-	scratch               flood.QueryScratch
-	readsBuf              []VectorBody
-	readsValid            []bool
-	lanes                 laneShare
-	admitBuf              []bool
-	undecidedBuf          []bool
+	phaseCore
+	gammas []sim.Value
+	// readsBuf/readsValid are the per-origin step-(b) read table; lanes
+	// shares the per-lane searches of one query, and admitBuf (a lane's Av
+	// as a node-indexed table) and undecidedBuf serve the per-lane
+	// projections.
+	readsBuf     []VectorBody
+	readsValid   []bool
+	lanes        laneShare
+	admitBuf     []bool
+	undecidedBuf []bool
 	// valsBuf, in phantom replay mode only, backs the published phase
-	// vector in place of a per-phase allocation; see replayStep.
+	// vector in place of a per-phase allocation; see openPhase.
 	valsBuf []sim.Value
 
-	arena *graph.PathArena
-	ident *flood.Ident
-	// stepB caches the step-(b) path choice per (origin, exclusion set),
-	// exactly as PhaseNode does — the choice is topology-only, so one
-	// entry serves every lane. Created lazily by the dynamic path.
-	stepB map[stepBKey]graph.PathID
-
-	earlyOK         bool
 	earlyDecided    []bool
 	earlyValues     []sim.Value
 	phaseStartGamma []sim.Value
@@ -148,7 +114,7 @@ var (
 )
 
 // NewVectorAlgo1Node builds a multi-lane Algorithm 1 node over the given
-// per-lane inputs. topo and arena follow the newPhaseNode sharing
+// per-lane inputs. topo and arena follow the newPhaseCore sharing
 // contract; arena may be nil for a private arena.
 func NewVectorAlgo1Node(topo *graph.Analysis, f int, me graph.NodeID, inputs []sim.Value, arena *graph.PathArena) *VectorPhaseNode {
 	return newVectorPhaseNode(topo, f, me, inputs, algo1PhasesShared(topo, f), arena)
@@ -160,36 +126,24 @@ func NewVectorHybridNode(topo *graph.Analysis, f, t int, me graph.NodeID, inputs
 }
 
 func newVectorPhaseNode(topo *graph.Analysis, f int, me graph.NodeID, inputs []sim.Value, phases []PhaseSpec, arena *graph.PathArena) *VectorPhaseNode {
-	g := topo.Graph()
-	// A nil arena stays nil until the first dynamic flooding round; see
-	// newPhaseNode.
-	gammas := make([]sim.Value, len(inputs))
-	copy(gammas, inputs)
-	return &VectorPhaseNode{
-		g:               g,
-		me:              me,
-		f:               f,
-		phases:          phases,
-		topo:            topo,
-		gammas:          gammas,
-		arena:           arena,
+	nd := &VectorPhaseNode{
+		gammas:          slices.Clone(inputs),
 		earlyDecided:    make([]bool, len(inputs)),
 		earlyValues:     make([]sim.Value, len(inputs)),
 		phaseStartGamma: make([]sim.Value, len(inputs)),
 	}
+	nd.phaseCore = newPhaseCore(topo, f, me, phases, arena, nd)
+	return nd
 }
-
-// ID returns the node id.
-func (nd *VectorPhaseNode) ID() graph.NodeID { return nd.me }
 
 // Lanes returns the number of lanes.
 func (nd *VectorPhaseNode) Lanes() int { return len(nd.gammas) }
 
 // Reset returns the node to its initial protocol state over a fresh lane
 // input vector, recycling every buffer grown during previous runs (the
-// planned store view, replay and query scratch, read tables). The run
-// wiring (UseReplay, EnableEarlyDecision) is preserved; the lane count may
-// change between runs.
+// planned store view, the flooder, replay and query scratch, read
+// tables). The run wiring (UseReplay, EnableEarlyDecision) is preserved;
+// the lane count may change between runs.
 func (nd *VectorPhaseNode) Reset(inputs []sim.Value) {
 	b := len(inputs)
 	if cap(nd.gammas) < b {
@@ -207,32 +161,8 @@ func (nd *VectorPhaseNode) Reset(inputs []sim.Value) {
 	clear(nd.earlyDecided)
 	clear(nd.earlyValues)
 	clear(nd.phaseStartGamma)
-	nd.phaseIdx = 0
-	nd.roundInPhase = 0
-	nd.done = false
+	nd.rewind()
 }
-
-// UseReplay switches the group's shared flooding sessions to plan replay;
-// see PhaseNode.UseReplay for the contract. The vector group's lanes are
-// all benign (that is what admits them to the group), so its flood is
-// fault-free and replayable even when the batch also carries faulty scalar
-// instances — those stay dynamic, and the multiplexed transmissions remain
-// byte-identical. One ReplayShared serves all vertices of the group.
-func (nd *VectorPhaseNode) UseReplay(rs *ReplayShared) {
-	nd.replay = rs
-	nd.arena = rs.plan.Arena()
-	nd.sharedStepB = replayStepBCache(nd.topo, rs.plan)
-	nd.replayBuf = make([]sim.Outgoing, 0, rs.plan.MaxRoundReceipts(nd.me))
-}
-
-// IgnoresInbox implements sim.InboxIgnorer: a replaying group draws every
-// arrival from the compiled plan and never reads its inbox.
-func (nd *VectorPhaseNode) IgnoresInbox() bool { return nd.replay != nil }
-
-// EnableEarlyDecision enables the per-lane observed-unanimity rule; see
-// PhaseNode.EnableEarlyDecision for the soundness argument, which applies
-// lane-wise unchanged.
-func (nd *VectorPhaseNode) EnableEarlyDecision() { nd.earlyOK = true }
 
 // LaneDecision reports lane l's decided output: after all phases
 // complete, or as soon as the lane's early-decision rule fires.
@@ -246,128 +176,34 @@ func (nd *VectorPhaseNode) LaneDecision(l int) (sim.Value, bool) {
 	return 0, false
 }
 
-// Step advances the node by one synchronous round, mirroring
-// PhaseNode.Step with one flooding session shared by every lane.
-func (nd *VectorPhaseNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
-	if nd.done || nd.phaseIdx >= len(nd.phases) {
-		nd.done = true
-		return nil
-	}
-	var out []sim.Outgoing
-	if nd.replay != nil {
-		out = nd.replayStep()
+// openPhase floods the lane vector.
+func (nd *VectorPhaseNode) openPhase(reuse bool) flood.Body {
+	copy(nd.phaseStartGamma, nd.gammas)
+	var vals []sim.Value
+	if reuse {
+		// Phantom mode materializes no payloads, so the only holders of
+		// the published body are the group's own planned stores, all of
+		// which reset before the next phase publishes: the backing array
+		// can be overwritten phase over phase. With an observer
+		// (non-phantom), retained payloads forbid this.
+		if cap(nd.valsBuf) < len(nd.gammas) {
+			nd.valsBuf = make([]sim.Value, len(nd.gammas))
+		}
+		vals = nd.valsBuf[:len(nd.gammas)]
 	} else {
-		out = nd.dynamicStep(inbox)
+		vals = make([]sim.Value, len(nd.gammas))
 	}
-	nd.roundInPhase++
-	if nd.roundInPhase == PhaseRounds(nd.g.N()) {
-		nd.endPhase()
-		nd.roundInPhase = 0
-		nd.phaseIdx++
-		if nd.phaseIdx == len(nd.phases) {
-			nd.done = true
-		}
-	}
-	return out
+	copy(vals, nd.gammas)
+	return VectorBody{Values: vals}
 }
 
-// dynamicStep runs one round of the message-by-message flooding path,
-// mirroring PhaseNode.dynamicStep with the lane-vector body.
-func (nd *VectorPhaseNode) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
-	var out []sim.Outgoing
-	switch nd.roundInPhase {
-	case 0:
-		flood.NoteDynamicSession()
-		if nd.arena == nil {
-			nd.arena = graph.NewPathArena(nd.g)
-		}
-		if nd.ident == nil {
-			nd.ident = flood.NewIdent()
-		}
-		expect := 0
-		if nd.flooder != nil {
-			expect = nd.flooder.Store().Len()
-		}
-		nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
-		nd.flooder.Expect(expect)
-		nd.store = nd.flooder.Store()
-		copy(nd.phaseStartGamma, nd.gammas)
-		vals := make([]sim.Value, len(nd.gammas))
-		copy(vals, nd.gammas)
-		out = nd.flooder.Start(VectorBody{Values: vals})
-	case 1:
-		out = nd.flooder.Deliver(inbox)
-		out = nd.flooder.AppendMissing(out, func(graph.NodeID) flood.Body {
-			vals := make([]sim.Value, len(nd.gammas))
-			for i := range vals {
-				vals[i] = sim.DefaultValue
-			}
-			return VectorBody{Values: vals}
-		})
-	default:
-		out = nd.flooder.Deliver(inbox)
+// defaultBody is the all-default lane vector.
+func (nd *VectorPhaseNode) defaultBody(graph.NodeID) flood.Body {
+	vals := make([]sim.Value, len(nd.gammas))
+	for i := range vals {
+		vals[i] = sim.DefaultValue
 	}
-	return out
-}
-
-// replayStep runs one round of the plan-replay path, mirroring
-// PhaseNode.replayStep: the published phase body is the group's lane
-// vector, shared by every receipt installed from this origin.
-func (nd *VectorPhaseNode) replayStep() []sim.Outgoing {
-	plan := nd.replay.plan
-	if nd.roundInPhase == 0 {
-		flood.NoteReplaySession()
-		// The planned view carries a nil Ident: no vector phase-end query
-		// filters by body identity (step (b) reads by path, step (c) and
-		// the unanimity certificate project lanes Go-side), so the interned
-		// IDs are never compared and AnyBody suffices. This also keeps
-		// recycled runs from accreting per-vector table state — a pooled
-		// ident would intern every distinct lane vector it ever saw.
-		if nd.replayStore == nil {
-			nd.replayStore = plan.PlannedStore(nd.me, nil)
-		} else {
-			nd.replayStore.ResetPlanned()
-		}
-		nd.store = nd.replayStore
-		copy(nd.phaseStartGamma, nd.gammas)
-		var vals []sim.Value
-		if nd.replay.phantom {
-			// Phantom mode materializes no payloads, so the only holders
-			// of the published body are the group's own planned stores,
-			// all of which reset before the next phase publishes: the
-			// backing array can be overwritten phase over phase. With an
-			// observer (non-phantom), retained payloads forbid this.
-			if cap(nd.valsBuf) < len(nd.gammas) {
-				nd.valsBuf = make([]sim.Value, len(nd.gammas))
-			}
-			vals = nd.valsBuf[:len(nd.gammas)]
-		} else {
-			vals = make([]sim.Value, len(nd.gammas))
-		}
-		copy(vals, nd.gammas)
-		nd.replay.bodies[nd.me] = VectorBody{Values: vals}
-	}
-	var out []sim.Outgoing
-	if nd.replay.phantom {
-		out = plan.ReplayRoundPhantom(nd.me, nd.roundInPhase, nd.replay.bodies, nd.store, nd.replayBuf[:0])
-	} else {
-		out = plan.ReplayRound(nd.me, nd.roundInPhase, nd.replay.bodies, nd.store, nd.replayBuf[:0])
-	}
-	nd.replayBuf = out
-	return out
-}
-
-// chosenPath returns the interned step-(b) path choice for origin u under
-// excl, mirroring PhaseNode.chosenPath (shared analysis-wide cache when
-// replaying, private memo otherwise).
-func (nd *VectorPhaseNode) chosenPath(u graph.NodeID, excl graph.Set) graph.PathID {
-	if nd.sharedStepB != nil {
-		return nd.sharedStepB.chosen(nd.topo, nd.arena, u, nd.me, excl)
-	}
-	if nd.stepB == nil {
-		nd.stepB = make(map[stepBKey]graph.PathID)
-	}
-	return chosenStepBPath(nd.topo, nd.arena, nd.stepB, u, nd.me, excl)
+	return VectorBody{Values: vals}
 }
 
 // endPhase runs steps (b) and (c) of the current phase for every lane.

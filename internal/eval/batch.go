@@ -314,14 +314,14 @@ type batchLoopState struct {
 }
 
 // instState is one instance's place in a run: its lane group and lane,
-// its honest vertices and their inputs, and its retirement.
+// its honest vertices, and its retirement. The honest inputs are read from
+// the session's input slab when the instance is judged.
 type instState struct {
-	group, lane  int
-	vector       bool // a lane of the vector group (group 0)
-	honest       graph.Set
-	honestInputs map[graph.NodeID]sim.Value
-	retired      bool
-	rounds       int // rounds executed when the instance retired
+	group, lane int
+	vector      bool // a lane of the vector group (group 0)
+	honest      graph.Set
+	retired     bool
+	rounds      int // rounds executed when the instance retired
 }
 
 // groupState is one lane group's replay wiring (see wire) and its count of
@@ -356,10 +356,6 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 			grp.rs.SetPhantom(phantomOK(grp.mode, s.spec.Instances[i].Byzantine, obs))
 		}
 		in.retired, in.rounds = false, 0
-		clear(in.honestInputs)
-		for u := range in.honest {
-			in.honestInputs[u] = s.slabs[i][u]
-		}
 	}
 	frontier := 0
 	if st.churn != nil {
@@ -451,7 +447,6 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	for i, inst := range s.spec.Instances {
 		in := &st.insts[i]
 		in.honest = graph.NewSet()
-		in.honestInputs = make(map[graph.NodeID]sim.Value)
 		grp := &st.groups[in.group]
 		if in.lane == 0 {
 			grp.mode = s.modeOf(inst)
@@ -513,7 +508,6 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			in := &st.insts[i]
 			if in.vector {
 				in.honest.Add(u)
-				in.honestInputs[u] = s.slabs[i][u]
 				continue
 			}
 			if byz, ok := inst.Byzantine[u]; ok {
@@ -537,7 +531,6 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			}
 			inner[in.group] = nd
 			in.honest.Add(u)
-			in.honestInputs[u] = v
 		}
 		st.nodes[u] = inner[0]
 		if st.batchNodes != nil {
@@ -678,9 +671,9 @@ func (s *BatchSession) run(ctx context.Context, outs []Outcome) (sim.Metrics, er
 			st.insts[i].rounds = m.Rounds
 		}
 		if s.spec.OmitOKDecisions {
-			outs[i] = st.judgeLean(i, budget)
+			outs[i] = st.judgeLean(i, budget, s.slabs[i])
 		} else {
-			outs[i] = st.judge(i, budget)
+			outs[i] = st.judge(i, budget, s.slabs[i])
 		}
 	}
 	if st.churn != nil {
@@ -719,9 +712,20 @@ func (st *batchLoopState) allDecided(i int) bool {
 	return true
 }
 
-// judge evaluates the consensus properties of instance i. The instance
-// metrics carry only the round count; transmissions are shared batch-wide.
-func (st *batchLoopState) judge(i, budget int) Outcome {
+// honestValues returns the set of instance i's honest inputs, read from
+// its input slab.
+func (st *batchLoopState) honestValues(i int, slab []sim.Value) valueSet {
+	var valid valueSet
+	for u := range st.insts[i].honest {
+		valid.add(slab[u])
+	}
+	return valid
+}
+
+// judge evaluates the consensus properties of instance i, whose inputs are
+// slab. The instance metrics carry only the round count; transmissions are
+// shared batch-wide.
+func (st *batchLoopState) judge(i, budget int, slab []sim.Value) Outcome {
 	decisions := make(map[graph.NodeID]sim.Value)
 	term := true
 	for u := range st.insts[i].honest {
@@ -732,7 +736,7 @@ func (st *batchLoopState) judge(i, budget int) Outcome {
 		}
 		decisions[u] = v
 	}
-	return judgeOutcome(decisions, st.insts[i].honestInputs, term, budget, sim.Metrics{Rounds: st.insts[i].rounds})
+	return judgeOutcome(decisions, st.honestValues(i, slab), term, budget, sim.Metrics{Rounds: st.insts[i].rounds})
 }
 
 // judgeLean is judge for the OmitOKDecisions path: it computes the three
@@ -742,17 +746,11 @@ func (st *batchLoopState) judge(i, budget int) Outcome {
 // have produced, while the (overwhelmingly common) OK outcome is built
 // allocation-free with a nil Decisions. The property booleans are
 // order-independent reductions, so skipping the map changes nothing.
-func (st *batchLoopState) judgeLean(i, budget int) Outcome {
+func (st *batchLoopState) judgeLean(i, budget int, slab []sim.Value) Outcome {
 	term, agreement, validity := true, true, true
 	var ref sim.Value
 	first := true
-	// valid is a 256-bit presence mask over the honest input values —
-	// sim.Value is a uint8, so four words cover every possible value
-	// without allocating the validInputs map.
-	var valid [4]uint64
-	for _, v := range st.insts[i].honestInputs {
-		valid[v>>6] |= 1 << (v & 63)
-	}
+	valid := st.honestValues(i, slab)
 	for u := range st.insts[i].honest {
 		v, ok := st.decision(i, u)
 		if !ok {
@@ -764,12 +762,12 @@ func (st *batchLoopState) judgeLean(i, budget int) Outcome {
 		} else if v != ref {
 			agreement = false
 		}
-		if valid[v>>6]&(1<<(v&63)) == 0 {
+		if !valid.has(v) {
 			validity = false
 		}
 	}
 	if !term || !agreement || !validity {
-		return st.judge(i, budget)
+		return st.judge(i, budget, slab)
 	}
 	rounds := st.insts[i].rounds
 	return Outcome{

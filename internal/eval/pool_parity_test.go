@@ -51,29 +51,16 @@ func TestPooledSessionTraceParity(t *testing.T) {
 
 	topo := graph.NewAnalysis(g)
 	hits0, _ := ReadPoolStats()
-	var observedOutcome string
-	for i := 0; i < poolParityIters; i++ {
-		if i%3 == 2 {
-			// Observer-free runs flood phantom payloads on the same pooled
-			// state; their judged outcome must still match the observed
-			// runs'.
-			s, err := newSessionShared(spec, topo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := s.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%+v", out); got != observedOutcome {
-				t.Fatalf("iter %d: observer-free outcome diverges:\ngot:  %s\nwant: %s", i, got, observedOutcome)
-			}
-			continue
-		}
-		rec := &sim.Recorder{}
-		obsSpec := spec
-		obsSpec.Observer = rec
-		s, err := newSessionShared(obsSpec, topo)
+	for i := 0; i < poolParityIters/3; i++ {
+		// Two observed runs back to back, then an observer-free run that
+		// floods phantom payloads on the same pooled state: each run can
+		// recycle its predecessor's state before GC drops it from the pool.
+		// The traces are rendered only after the three runs, since
+		// rendering one in between allocates enough to collect the pooled
+		// state.
+		recA, outA := runRecordedShared(t, spec, topo)
+		recB, outB := runRecordedShared(t, spec, topo)
+		s, err := newSessionShared(spec, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,10 +68,17 @@ func TestPooledSessionTraceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := traceDigest(traceString(rec, out)); d != fresh {
+		if d := traceDigest(traceString(recA, outA)); d != fresh {
+			t.Fatalf("iter %d: trace digest %s != fresh-state %s", i, d, fresh)
+		}
+		if d := traceDigest(traceString(recB, outB)); d != fresh {
 			t.Fatalf("iter %d: recycled-state trace digest %s != fresh-state %s", i, d, fresh)
 		}
-		observedOutcome = fmt.Sprintf("%+v", out)
+		// The observer-free run's judged outcome must match the observed
+		// runs'.
+		if got, want := fmt.Sprintf("%+v", out), fmt.Sprintf("%+v", outB); got != want {
+			t.Fatalf("iter %d: observer-free outcome diverges:\ngot:  %s\nwant: %s", i, got, want)
+		}
 	}
 	if hits1, _ := ReadPoolStats(); hits1 == hits0 {
 		t.Fatal("run pool never hit: recycling path was not exercised")

@@ -168,7 +168,9 @@ func runRecordedShared(t *testing.T, spec Spec, topo *graph.Analysis) (*sim.Reco
 // instances stay on dynamic scalar nodes — one physical transmission then
 // multiplexes plan-materialized parts and dynamically-flooded parts. The
 // complete multiplexed trace and every instance outcome must be
-// byte-identical with replay on and off.
+// byte-identical with replay on and off, both with early decision and over
+// the full budget, where every phase of the lane group's dynamic path (one
+// flooder recycled phase over phase) is held to replay.
 func TestBatchMixedReplayParity(t *testing.T) {
 	g := gen.Figure1b()
 	n := g.N()
@@ -188,10 +190,10 @@ func TestBatchMixedReplayParity(t *testing.T) {
 		insts[3].Byzantine = map[graph.NodeID]sim.Node{5: &adversary.SilentNode{Me: 5}}
 		return insts
 	}
-	runBatchTraced := func(disable bool) string {
+	runBatchTraced := func(disable, full bool) string {
 		rec := &sim.Recorder{}
 		out, err := RunBatch(context.Background(), BatchSpec{
-			G: g, F: 2, Algorithm: Algo1, Observer: rec,
+			G: g, F: 2, Algorithm: Algo1, Observer: rec, FullBudget: full,
 			forceDynamic: disable, Instances: mkInstances(),
 		})
 		if err != nil {
@@ -204,10 +206,12 @@ func TestBatchMixedReplayParity(t *testing.T) {
 		sb = fmt.Appendf(sb, "outcome %+v\n", out)
 		return string(sb)
 	}
-	replayed := runBatchTraced(false)
-	dynamic := runBatchTraced(true)
-	if replayed != dynamic {
-		t.Fatal("mixed batch: replayed and dynamic executions diverge")
+	for _, full := range []bool{false, true} {
+		replayed := runBatchTraced(false, full)
+		dynamic := runBatchTraced(true, full)
+		if replayed != dynamic {
+			t.Fatalf("mixed batch (full budget %v): replayed and dynamic executions diverge", full)
+		}
 	}
 }
 

@@ -477,13 +477,25 @@ func Judge(eng *sim.Engine, honest graph.Set, honestInputs map[graph.NodeID]sim.
 		}
 		decisions[u] = v
 	}
-	return judgeOutcome(decisions, honestInputs, term, budget, eng.Metrics())
+	var valid valueSet
+	for _, v := range honestInputs {
+		valid.add(v)
+	}
+	return judgeOutcome(decisions, valid, term, budget, eng.Metrics())
 }
 
+// valueSet is a presence set over sim.Value: a uint8, so four words cover
+// every possible value without allocating.
+type valueSet [4]uint64
+
+func (s *valueSet) add(v sim.Value)      { s[v>>6] |= 1 << (v & 63) }
+func (s *valueSet) has(v sim.Value) bool { return s[v>>6]&(1<<(v&63)) != 0 }
+
 // judgeOutcome evaluates the three consensus properties over collected
-// honest decisions — the shared core of Judge and the batch runner's
-// per-instance judging, so the two paths can never diverge.
-func judgeOutcome(decisions map[graph.NodeID]sim.Value, honestInputs map[graph.NodeID]sim.Value, term bool, budget int, metrics sim.Metrics) Outcome {
+// honest decisions and the set of honest inputs — the shared core of Judge
+// and the batch runner's per-instance judging, so the two paths can never
+// diverge.
+func judgeOutcome(decisions map[graph.NodeID]sim.Value, valid valueSet, term bool, budget int, metrics sim.Metrics) Outcome {
 	agreement := true
 	var ref sim.Value
 	first := true
@@ -497,13 +509,9 @@ func judgeOutcome(decisions map[graph.NodeID]sim.Value, honestInputs map[graph.N
 			break
 		}
 	}
-	validInputs := map[sim.Value]bool{}
-	for _, v := range honestInputs {
-		validInputs[v] = true
-	}
 	validity := true
 	for _, v := range decisions {
-		if !validInputs[v] {
+		if !valid.has(v) {
 			validity = false
 			break
 		}
