@@ -164,6 +164,9 @@ func (nd *VectorPhaseNode) Reset(inputs []sim.Value) {
 	nd.rewind()
 }
 
+// LaneGamma returns lane l's current state γ.
+func (nd *VectorPhaseNode) LaneGamma(l int) sim.Value { return nd.gammas[l] }
+
 // LaneDecision reports lane l's decided output: after all phases
 // complete, or as soon as the lane's early-decision rule fires.
 func (nd *VectorPhaseNode) LaneDecision(l int) (sim.Value, bool) {

@@ -645,6 +645,9 @@ func (s *BatchSession) run(ctx context.Context, outs []Outcome) (sim.Metrics, er
 			st.churn.boundary(r)
 		}
 		eng.Step()
+		if phaseEndHook != nil && (r+1)%core.PhaseRounds(s.base.G.N()) == 0 {
+			phaseEndHook(s, st, (r+1)/core.PhaseRounds(s.base.G.N())-1)
+		}
 		if s.base.FullBudget {
 			continue
 		}
@@ -685,6 +688,15 @@ func (s *BatchSession) run(ctx context.Context, outs []Outcome) (sim.Metrics, er
 	recycle = pl != nil
 	return m, nil
 }
+
+// phaseEndHook, when non-nil, runs after the last round of every phase,
+// before that round's retirements, with the index of the phase that just
+// ended. Tests install it to check the proof's phase structure at every
+// phase end; it is nil in product runs. A checker must pass over runs with
+// link churn: the facts it checks are about the faulty set F*, and a
+// churned node or link makes the set of nodes that behave faultily change
+// from round to round, so no phase's candidate set is F* throughout.
+var phaseEndHook func(s *BatchSession, st *batchLoopState, phase int)
 
 // decision reads instance i's decision state at vertex u: the lane
 // projection for vector groups, the plain Decider path for scalar ones.

@@ -258,6 +258,7 @@ func TestNewBatchSessionValidation(t *testing.T) {
 // groups produce exactly the unbatched verdicts: same OK tally and the
 // same violations in the same trial slots.
 func TestMonteCarloBatchedMatchesUnbatched(t *testing.T) {
+	checkPhaseStructure(t)
 	cfg := MonteCarloConfig{
 		G: gen.Figure1a(), F: 1, Algorithm: Algo1, Trials: 24, Seed: 9,
 	}

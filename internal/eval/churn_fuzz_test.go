@@ -25,6 +25,7 @@ func FuzzChurnReplayParity(f *testing.F) {
 	f.Add(int64(5), uint8(3), uint16(3), uint8(0), uint8(200))  // churn past the decision horizon
 	f.Add(int64(99), uint8(1), uint16(17), uint8(1), uint8(40)) // late partition, never healed
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, edgeBits uint16, kind, startRaw uint8) {
+		checkPhaseStructure(t)
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + int(nRaw)%5
 		g := graph.New(n)

@@ -21,6 +21,7 @@ import (
 // runs under -race in CI, where it also exercises the concurrent
 // acquire/release of scratch and adversaries across workers.
 func TestMonteCarloPooledScaffoldingParity(t *testing.T) {
+	checkPhaseStructure(t)
 	configs := []struct {
 		name string
 		cfg  MonteCarloConfig
@@ -76,6 +77,7 @@ func TestMonteCarloPooledScaffoldingParity(t *testing.T) {
 // -race this crosses concurrent scratch acquire/release with concurrent
 // adversary recycling.
 func TestMonteCarloPooledScaffoldingParallelParity(t *testing.T) {
+	checkPhaseStructure(t)
 	base := MonteCarloConfig{G: gen.Figure1a(), F: 2, Algorithm: Algo1, Trials: 16, Seed: 5}
 	for _, batch := range []int{0, 4} {
 		fresh := base

@@ -7,6 +7,7 @@ import (
 )
 
 func TestMonteCarloCleanOnFeasibleGraph(t *testing.T) {
+	checkPhaseStructure(t)
 	res, err := MonteCarlo(MonteCarloConfig{
 		G:         gen.Figure1a(),
 		F:         1,

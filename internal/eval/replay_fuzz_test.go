@@ -28,6 +28,7 @@ func FuzzReplayParity(f *testing.F) {
 	f.Add(int64(5), uint8(4), uint16(700), uint16(1<<15|42), uint8(2)) // forger pair: delta replay
 	f.Add(int64(99), uint8(1), uint16(3), uint16(1<<14|27), uint8(9))  // mixed crash+tamper: delta replay
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, edgeBits, faultBits uint16, strat uint8) {
+		checkPhaseStructure(t)
 		world := decodeFuzzWorld(seed, nRaw, edgeBits, faultBits, strat)
 
 		on, errOn := runFuzzTraced(world, false)

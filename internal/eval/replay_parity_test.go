@@ -78,6 +78,7 @@ func TestSessionReplayParityRandomGraphs(t *testing.T) {
 		for _, seq := range []bool{false, true} {
 			for _, full := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed%d-n%d-seq%v-full%v", seed, n, seq, full), func(t *testing.T) {
+					checkPhaseStructure(t)
 					spec := Spec{G: g, F: 1, Algorithm: Algo1, Inputs: inputs, FullBudget: full}
 					checkSessionReplayParity(t, spec)
 					if seq {
@@ -107,6 +108,7 @@ func TestSessionReplayParityAlgo3(t *testing.T) {
 // occasional fault injections — exercised with the exact per-trial
 // derivation MonteCarlo uses.
 func TestMonteCarloReplayParityRareFaults(t *testing.T) {
+	checkPhaseStructure(t)
 	cfg := MonteCarloConfig{G: gen.Figure1b(), F: 2, Algorithm: Algo1, Trials: 24, FaultProb: 0.25, Seed: 17,
 		Strategies: []string{"silent", "tamper", "equivocate", "forge"}}
 	if _, err := MonteCarlo(cfg); err != nil {

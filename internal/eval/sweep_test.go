@@ -161,6 +161,7 @@ func TestRunSweepHybridCells(t *testing.T) {
 }
 
 func TestMonteCarloDeterministicAcrossWorkerCounts(t *testing.T) {
+	checkPhaseStructure(t)
 	run := func(workers int) MonteCarloResult {
 		res, err := MonteCarlo(MonteCarloConfig{
 			G:         gen.Figure1a(),
