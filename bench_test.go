@@ -367,7 +367,7 @@ func BenchmarkDisjointPaths(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(g.DisjointPaths(0, 9, 9, nil)) != 9 {
+		if len(g.DisjointPaths(0, 9, 9, 0)) != 9 {
 			b.Fatal("path extraction failed")
 		}
 	}

@@ -40,23 +40,23 @@ func HybridDegreeAttack(g *graph.Graph, f, t int, sSet graph.Set, rounds int, fa
 	wSet := graph.NewSet(g.Nodes()...).Minus(sSet).Minus(graph.NewSet(nbrs...))
 
 	cn := NewCloneNet(g)
-	for u := range sSet {
+	for u := range sSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 	}
-	for u := range f1 {
+	for u := range f1.All() {
 		cn.AddClone(u, 0, sim.Zero)
 	}
-	for u := range f2 {
+	for u := range f2.All() {
 		cn.AddClone(u, 0, sim.One)
 	}
-	for u := range rSet {
+	for u := range rSet.All() {
 		cn.AddClone(u, 0, sim.One)
 	}
-	for u := range tSet {
+	for u := range tSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 		cn.AddClone(u, 1, sim.One)
 	}
-	for u := range wSet {
+	for u := range wSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 		cn.AddClone(u, 1, sim.One)
 	}
@@ -91,7 +91,7 @@ func HybridDegreeAttack(g *graph.Graph, f, t int, sSet graph.Set, rounds int, fa
 		for _, u := range all {
 			in[u] = def
 		}
-		for u := range zeroSet {
+		for u := range zeroSet.All() {
 			in[u] = sim.Zero
 		}
 		return in
@@ -100,7 +100,7 @@ func HybridDegreeAttack(g *graph.Graph, f, t int, sSet graph.Set, rounds int, fa
 		faulty := graph.NewSet()
 		byz := make(map[graph.NodeID]sim.Node)
 		for _, s := range sets {
-			for u := range s {
+			for u := range s.All() {
 				faulty.Add(u)
 				byz[u] = &ReplayNode{Me: u, Script: scripts[CloneID{Orig: u, Side: 0}]}
 			}
@@ -113,12 +113,12 @@ func HybridDegreeAttack(g *graph.Graph, f, t int, sSet graph.Set, rounds int, fa
 	// E2: F¹ faulty (non-equivocating) plus T equivocating: toward S the
 	// T₀ transcript, toward everyone else the T₁ transcript.
 	e2Faulty, e2Byz := replay(f1)
-	for u := range tSet {
+	for u := range tSet.All() {
 		e2Faulty.Add(u)
 		e2Byz[u] = &SplitReplayNode{
 			G:       g,
 			Me:      u,
-			ClassA:  sSet.Clone(),
+			ClassA:  sSet,
 			ScriptA: scripts[CloneID{Orig: u, Side: 0}],
 			ScriptB: scripts[CloneID{Orig: u, Side: 1}],
 		}
@@ -132,21 +132,21 @@ func HybridDegreeAttack(g *graph.Graph, f, t int, sSet graph.Set, rounds int, fa
 			{
 				Name:               "E1",
 				Faulty:             e1Faulty,
-				Inputs:             mkInputs(sim.Zero, nil),
+				Inputs:             mkInputs(sim.Zero, 0),
 				Byzantine:          e1Byz,
 				ExpectHonestOutput: valuePtr(sim.Zero),
 			},
 			{
 				Name:         "E2",
 				Faulty:       e2Faulty,
-				Equivocators: tSet.Clone(),
+				Equivocators: tSet,
 				Inputs:       mkInputs(sim.One, sSet),
 				Byzantine:    e2Byz,
 			},
 			{
 				Name:               "E3",
 				Faulty:             e3Faulty,
-				Inputs:             mkInputs(sim.One, nil),
+				Inputs:             mkInputs(sim.One, 0),
 				Byzantine:          e3Byz,
 				ExpectHonestOutput: valuePtr(sim.One),
 			},
@@ -177,15 +177,15 @@ func HybridCutAttack(g *graph.Graph, f, t int, aSet, bSet, cut graph.Set, rounds
 	}
 
 	cn := NewCloneNet(g)
-	for u := range aSet.Union(bSet).Union(rSet).Union(tSet) {
+	for u := range aSet.Union(bSet).Union(rSet).Union(tSet).All() {
 		v0 := sim.Zero
 		cn.AddClone(u, 0, v0)
 		cn.AddClone(u, 1, sim.One)
 	}
-	for u := range c1 {
+	for u := range c1.All() {
 		cn.AddClone(u, 0, sim.Zero)
 	}
-	for u := range c2.Union(c3) {
+	for u := range c2.Union(c3).All() {
 		cn.AddClone(u, 0, sim.One)
 	}
 
@@ -266,7 +266,7 @@ func HybridCutAttack(g *graph.Graph, f, t int, aSet, bSet, cut graph.Set, rounds
 		for _, u := range all {
 			in[u] = def
 		}
-		for u := range zeroSet {
+		for u := range zeroSet.All() {
 			in[u] = sim.Zero
 		}
 		return in
@@ -275,20 +275,20 @@ func HybridCutAttack(g *graph.Graph, f, t int, aSet, bSet, cut graph.Set, rounds
 		faulty := graph.NewSet()
 		byz := make(map[graph.NodeID]sim.Node)
 		for _, s := range sets {
-			for u := range s {
+			for u := range s.All() {
 				faulty.Add(u)
 				byz[u] = &ReplayNode{Me: u, Script: scripts[CloneID{Orig: u, Side: 0}]}
 			}
 		}
 		return faulty, byz
 	}
-	split := func(byz map[graph.NodeID]sim.Node, faulty graph.Set, equivSet, classA graph.Set, sideA int) {
-		for u := range equivSet {
+	split := func(byz map[graph.NodeID]sim.Node, faulty *graph.Set, equivSet, classA graph.Set, sideA int) {
+		for u := range equivSet.All() {
 			faulty.Add(u)
 			byz[u] = &SplitReplayNode{
 				G:       g,
 				Me:      u,
-				ClassA:  classA.Clone(),
+				ClassA:  classA,
 				ScriptA: scripts[CloneID{Orig: u, Side: sideA}],
 				ScriptB: scripts[CloneID{Orig: u, Side: 1 - sideA}],
 			}
@@ -297,13 +297,13 @@ func HybridCutAttack(g *graph.Graph, f, t int, aSet, bSet, cut graph.Set, rounds
 
 	// E1: C²∪C³ replay, T equivocates (toward A: T₁; else T₀).
 	e1Faulty, e1Byz := replay(c2, c3)
-	split(e1Byz, e1Faulty, tSet, aSet, 1)
+	split(e1Byz, &e1Faulty, tSet, aSet, 1)
 	// E2: C¹∪C³ replay, R equivocates (toward A: R₀; else R₁).
 	e2Faulty, e2Byz := replay(c1, c3)
-	split(e2Byz, e2Faulty, rSet, aSet, 0)
+	split(e2Byz, &e2Faulty, rSet, aSet, 0)
 	// E3: C¹∪C² replay, T equivocates (toward B: T₁; else T₀).
 	e3Faulty, e3Byz := replay(c1, c2)
-	split(e3Byz, e3Faulty, tSet, bSet, 1)
+	split(e3Byz, &e3Faulty, tSet, bSet, 1)
 
 	return &Attack{
 		Rounds: rounds,
@@ -311,23 +311,23 @@ func HybridCutAttack(g *graph.Graph, f, t int, aSet, bSet, cut graph.Set, rounds
 			{
 				Name:               "E1",
 				Faulty:             e1Faulty,
-				Equivocators:       tSet.Clone(),
-				Inputs:             mkInputs(sim.Zero, nil),
+				Equivocators:       tSet,
+				Inputs:             mkInputs(sim.Zero, 0),
 				Byzantine:          e1Byz,
 				ExpectHonestOutput: valuePtr(sim.Zero),
 			},
 			{
 				Name:         "E2",
 				Faulty:       e2Faulty,
-				Equivocators: rSet.Clone(),
+				Equivocators: rSet,
 				Inputs:       mkInputs(sim.One, aSet),
 				Byzantine:    e2Byz,
 			},
 			{
 				Name:               "E3",
 				Faulty:             e3Faulty,
-				Equivocators:       tSet.Clone(),
-				Inputs:             mkInputs(sim.One, nil),
+				Equivocators:       tSet,
+				Inputs:             mkInputs(sim.One, 0),
 				Byzantine:          e3Byz,
 				ExpectHonestOutput: valuePtr(sim.One),
 			},

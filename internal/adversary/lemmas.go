@@ -87,13 +87,13 @@ func DegreeAttack(g *graph.Graph, f int, z graph.NodeID, rounds int, factory Hon
 	// copies W₀/W₁ of everything else.
 	cn := NewCloneNet(g)
 	cn.AddClone(z, 0, sim.Zero)
-	for u := range f1 {
+	for u := range f1.All() {
 		cn.AddClone(u, 0, sim.Zero)
 	}
-	for u := range f2 {
+	for u := range f2.All() {
 		cn.AddClone(u, 0, sim.One)
 	}
-	for u := range wSet {
+	for u := range wSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 		cn.AddClone(u, 1, sim.One)
 	}
@@ -134,27 +134,27 @@ func DegreeAttack(g *graph.Graph, f int, z graph.NodeID, rounds int, factory Hon
 	}
 	replaySet := func(s graph.Set) map[graph.NodeID]sim.Node {
 		out := make(map[graph.NodeID]sim.Node, s.Len())
-		for u := range s {
+		for u := range s.All() {
 			out[u] = &ReplayNode{Me: u, Script: scripts[CloneID{Orig: u, Side: 0}]}
 		}
 		return out
 	}
 
-	f1z := f1.Clone()
+	f1z := f1
 	f1z.Add(z)
 	return &Attack{
 		Rounds: rounds,
 		Executions: []AttackExecution{
 			{
 				Name:               "E1",
-				Faulty:             f2.Clone(),
+				Faulty:             f2,
 				Inputs:             mkInputs(sim.Zero, nil),
 				Byzantine:          replaySet(f2),
 				ExpectHonestOutput: valuePtr(sim.Zero),
 			},
 			{
 				Name:      "E2",
-				Faulty:    f1.Clone(),
+				Faulty:    f1,
 				Inputs:    mkInputs(sim.One, map[graph.NodeID]sim.Value{z: sim.Zero}),
 				Byzantine: replaySet(f1),
 			},
@@ -190,21 +190,21 @@ func CutAttack(g *graph.Graph, f int, aSet, bSet, cut graph.Set, rounds int, fac
 	}
 
 	cn := NewCloneNet(g)
-	for u := range aSet {
+	for u := range aSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 		cn.AddClone(u, 1, sim.One)
 	}
-	for u := range bSet {
+	for u := range bSet.All() {
 		cn.AddClone(u, 0, sim.Zero)
 		cn.AddClone(u, 1, sim.One)
 	}
-	for u := range c1 {
+	for u := range c1.All() {
 		cn.AddClone(u, 0, sim.Zero)
 	}
-	for u := range c2 {
+	for u := range c2.All() {
 		cn.AddClone(u, 0, sim.One)
 	}
-	for u := range c3 {
+	for u := range c3.All() {
 		cn.AddClone(u, 0, sim.One)
 	}
 	// Which side of A (resp. B) each receiver hears.
@@ -256,7 +256,7 @@ func CutAttack(g *graph.Graph, f int, aSet, bSet, cut graph.Set, rounds int, fac
 		for _, u := range all {
 			in[u] = def
 		}
-		for u := range zeroSide {
+		for u := range zeroSide.All() {
 			in[u] = sim.Zero
 		}
 		return in
@@ -265,7 +265,7 @@ func CutAttack(g *graph.Graph, f int, aSet, bSet, cut graph.Set, rounds int, fac
 		faulty := graph.NewSet()
 		byz := make(map[graph.NodeID]sim.Node)
 		for _, s := range sets {
-			for u := range s {
+			for u := range s.All() {
 				faulty.Add(u)
 				byz[u] = &ReplayNode{Me: u, Script: scripts[CloneID{Orig: u, Side: 0}]}
 			}
@@ -282,7 +282,7 @@ func CutAttack(g *graph.Graph, f int, aSet, bSet, cut graph.Set, rounds int, fac
 			{
 				Name:               "E1",
 				Faulty:             f1,
-				Inputs:             mkInputs(sim.Zero, nil),
+				Inputs:             mkInputs(sim.Zero, 0),
 				Byzantine:          b1,
 				ExpectHonestOutput: valuePtr(sim.Zero),
 			},
@@ -295,7 +295,7 @@ func CutAttack(g *graph.Graph, f int, aSet, bSet, cut graph.Set, rounds int, fac
 			{
 				Name:               "E3",
 				Faulty:             f3,
-				Inputs:             mkInputs(sim.One, nil),
+				Inputs:             mkInputs(sim.One, 0),
 				Byzantine:          b3,
 				ExpectHonestOutput: valuePtr(sim.One),
 			},

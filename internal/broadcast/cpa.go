@@ -68,7 +68,6 @@ func New(g *graph.Graph, f int, me, source graph.NodeID, input sim.Value) *Node 
 		source: source,
 		input:  input,
 		votes:  make(map[sim.Value]graph.Set),
-		voted:  graph.NewSet(),
 	}
 }
 
@@ -106,11 +105,10 @@ func (nd *Node) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 			nd.commit(m.Value)
 			continue
 		}
-		if nd.votes[m.Value] == nil {
-			nd.votes[m.Value] = graph.NewSet()
-		}
-		nd.votes[m.Value].Add(d.From)
-		if nd.votes[m.Value].Len() >= nd.f+1 {
+		vs := nd.votes[m.Value]
+		vs.Add(d.From)
+		nd.votes[m.Value] = vs
+		if vs.Len() >= nd.f+1 {
 			nd.commit(m.Value)
 		}
 	}

@@ -330,7 +330,7 @@ func (nd *EfficientNode) Decision() (sim.Value, bool) {
 func (nd *EfficientNode) TypeA() bool { return nd.typeA }
 
 // Identified returns the set of faulty nodes identified in phase 2.
-func (nd *EfficientNode) Identified() graph.Set { return nd.identified.Clone() }
+func (nd *EfficientNode) Identified() graph.Set { return nd.identified }
 
 // Step advances the node one synchronous round.
 func (nd *EfficientNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {

@@ -56,7 +56,7 @@ func (n *pathTamper) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 
 func runAlgo2(t *testing.T, g *graph.Graph, f int, inputs []sim.Value, byz map[graph.NodeID]sim.Node) ([]*EfficientNode, map[graph.NodeID]sim.Value) {
 	t.Helper()
-	return runAlgo2Model(t, g, f, inputs, byz, sim.LocalBroadcast, nil)
+	return runAlgo2Model(t, g, f, inputs, byz, sim.LocalBroadcast, 0)
 }
 
 // runAlgo2Model is runAlgo2 under a given transport model and equivocator
@@ -233,7 +233,7 @@ func TestAlgo2ForgerNeverConvictsHonest(t *testing.T) {
 			}
 			assertAgreementValidity(t, dec, honestInputs, g.N()-1)
 			for _, h := range honest {
-				for u := range h.Identified() {
+				for u := range h.Identified().All() {
 					if u != faulty {
 						t.Fatalf("seed=%d faulty=%d: node %d convicted honest node %d",
 							seed, faulty, h.ID(), u)
@@ -295,7 +295,7 @@ func TestAlgo2FaultIdentificationProperties(t *testing.T) {
 		honest, _ := runAlgo2(t, g, f, inputs, byz)
 		for _, h := range honest {
 			id := h.Identified()
-			for u := range id {
+			for u := range id.All() {
 				if !faultSet.Contains(u) {
 					t.Fatalf("%s at %v, inputs %v: node %d identified honest node %d (identified %v)",
 						st.name, faulty, inputs, h.ID(), u, id)
@@ -352,7 +352,7 @@ func TestAlgo2HybridEquivocationBreaksSoundness(t *testing.T) {
 	byz := map[graph.NodeID]sim.Node{faulty: &adversary.EquivocatorNode{G: g, Me: faulty, PhaseLen: PhaseRounds(g.N())}}
 	honest, _ := runAlgo2Model(t, g, 1, []sim.Value{0, 1, 0, 1, 0}, byz, sim.Hybrid, graph.NewSet(faulty))
 	for _, h := range honest {
-		for u := range h.Identified() {
+		for u := range h.Identified().All() {
 			if u != faulty {
 				return
 			}

@@ -72,7 +72,7 @@ func TestAlgo3AllHonestK5(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []sim.Value{0, 1, 1, 0, 1}
-	dec := runHybrid(t, g, 1, 1, inputs, nil, nil)
+	dec := runHybrid(t, g, 1, 1, inputs, nil, 0)
 	assertAgreementValidity(t, dec, map[sim.Value]bool{0: true, 1: true}, 5)
 }
 
@@ -109,7 +109,7 @@ func TestAlgo3ToleratesSilentNonEquivocating(t *testing.T) {
 	faulty := graph.NodeID(2)
 	byz := map[graph.NodeID]sim.Node{faulty: &silent{me: faulty}}
 	inputs := []sim.Value{0, 0, 1, 0, 0}
-	dec := runHybrid(t, g, 1, 1, inputs, byz, nil)
+	dec := runHybrid(t, g, 1, 1, inputs, byz, 0)
 	assertAgreementValidity(t, dec, map[sim.Value]bool{0: true}, 4)
 }
 

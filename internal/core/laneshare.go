@@ -106,8 +106,8 @@ func (ls *laneShare) group(cands []flood.Receipt, n int) {
 }
 
 // signature builds lane l's signature: the groups whose lane-l value is
-// want and, when admit is non-nil, whose origin admit marks.
-func (ls *laneShare) signature(l int, want sim.Value, admit []bool) {
+// want and, when admit is not empty, whose origin is in admit.
+func (ls *laneShare) signature(l int, want sim.Value, admit graph.Set) {
 	if cap(ls.sig) < ls.words {
 		ls.sig = make([]uint64, ls.words)
 	}
@@ -115,7 +115,7 @@ func (ls *laneShare) signature(l int, want sim.Value, admit []bool) {
 	clear(ls.sig)
 	for g := range ls.groups {
 		grp := &ls.groups[g]
-		if l < len(grp.vals) && grp.vals[l] == want && (admit == nil || admit[grp.origin]) {
+		if l < len(grp.vals) && grp.vals[l] == want && (admit == 0 || admit.Contains(grp.origin)) {
 			ls.sig[g>>6] |= 1 << (g & 63)
 		}
 	}

@@ -86,7 +86,7 @@ func referenceLaneEndPhase(nd *VectorPhaseNode) (gammas []sim.Value, decided []b
 	match := func(cands []flood.Receipt, l int, want sim.Value, admit graph.Set) []flood.Receipt {
 		var out []flood.Receipt
 		for _, r := range cands {
-			if admit != nil && !admit.Contains(r.Origin) {
+			if admit != 0 && !admit.Contains(r.Origin) {
 				continue
 			}
 			if v, ok := laneValue(r.Body, l); ok && v == want {
@@ -105,7 +105,7 @@ func referenceLaneEndPhase(nd *VectorPhaseNode) (gammas []sim.Value, decided []b
 				continue
 			}
 			cands := flood.Candidates(st, flood.Filter{Origins: graph.NewSet(u)})
-			if flood.SelectDisjoint(nd.arena, match(cands, l, nd.phaseStartGamma[l], nil), nd.f+1, flood.InternallyDisjoint) == nil {
+			if flood.SelectDisjoint(nd.arena, match(cands, l, nd.phaseStartGamma[l], 0), nd.f+1, flood.InternallyDisjoint) == nil {
 				all = false
 				break
 			}
@@ -141,7 +141,7 @@ func referenceLaneEndPhase(nd *VectorPhaseNode) (gammas []sim.Value, decided []b
 			}
 		}
 		av, bv := selectAvBv(zv, nv, spec.F, nd.f, nd.f-spec.T.Len())
-		if !bv.Contains(nd.me) {
+		if !bv.Contains(nd.me) || av == 0 {
 			continue
 		}
 		for _, delta := range []sim.Value{sim.Zero, sim.One} {

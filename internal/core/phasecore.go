@@ -12,13 +12,15 @@ import (
 // body and the phase end is common to the scalar node and the lane group:
 // the phase/round clock, the flooder's lifecycle, the choice between the
 // dynamic, delta and replay paths (and the taint frontier between them),
-// the step-(b) path choice and the phase-end scratch. The embedding node
-// supplies the rest through phaseBody.
+// the step-(b) path choice and the phase-end query scratch. The embedding
+// node supplies the rest through phaseBody.
 type phaseCore struct {
 	g      *graph.Graph
 	me     graph.NodeID
 	f      int
 	phases []PhaseSpec
+	// all is the set of the graph's nodes.
+	all graph.Set
 	// topo is the shared read-only topology analysis the step-(b) path
 	// choices are drawn from. It is immutable and safe to share across
 	// all nodes of a run and across the instances of a batch.
@@ -71,10 +73,8 @@ type phaseCore struct {
 	// frozen arena a replaying or delta node adopts.
 	stepB *stepBCache
 
-	// zvBuf/nvBuf/origBuf are the reusable phase-end scratch sets, and
 	// scratch backs the phase-end disjoint-receipt queries.
-	zvBuf, nvBuf, origBuf graph.Set
-	scratch               flood.QueryScratch
+	scratch flood.QueryScratch
 	// earlyOK enables the observed-unanimity rule (EnableEarlyDecision).
 	earlyOK bool
 }
@@ -103,7 +103,8 @@ type phaseBody interface {
 // flooding round: a node switched to replay adopts the plan's frozen arena
 // instead and never touches a private one.
 func newPhaseCore(topo *graph.Analysis, f int, me graph.NodeID, phases []PhaseSpec, arena *graph.PathArena, node phaseBody) phaseCore {
-	return phaseCore{g: topo.Graph(), me: me, f: f, phases: phases, topo: topo, arena: arena, node: node}
+	g := topo.Graph()
+	return phaseCore{g: g, me: me, f: f, phases: phases, all: graph.NewSet(g.Nodes()...), topo: topo, arena: arena, node: node}
 }
 
 // ID returns the node id.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lbcast/internal/combin"
 	"lbcast/internal/flood"
@@ -122,7 +123,6 @@ func (*PhaseNode) defaultBody(graph.NodeID) flood.Body {
 // endPhase runs steps (b) and (c) of the current phase.
 func (nd *PhaseNode) endPhase() {
 	spec := nd.phases[nd.phaseIdx]
-	excl := spec.F.Union(spec.T)
 	st := nd.store
 	if nd.earlyOK && !nd.earlyDecided && nd.observedUnanimity(st) {
 		nd.earlyDecided = true
@@ -132,26 +132,23 @@ func (nd *PhaseNode) endPhase() {
 	// Step (b): for each u ∈ V−T pick the (deterministic) uv-path Puv
 	// that excludes F∪T and read the value received along it. Zv collects
 	// the nodes whose value arrived as 0; everything else (including
-	// nodes whose Puv delivered nothing) lands in Nv. The sets live only
-	// within this phase end, so the buffers are reused phase over phase.
-	zv := resetSet(&nd.zvBuf)
-	nv := resetSet(&nd.nvBuf)
+	// nodes whose Puv delivered nothing) lands in Nv.
+	var zv graph.Set
 	for _, u := range nd.g.Nodes() {
 		if spec.T.Contains(u) {
 			continue
 		}
-		val, ok := nd.valueAlongChosenPath(u, excl, st)
-		if ok && val == sim.Zero {
+		if val, ok := nd.valueAlongChosenPath(u, spec.Excl, st); ok && val == sim.Zero {
 			zv.Add(u)
-		} else {
-			nv.Add(u)
 		}
 	}
+	nv := nd.all &^ spec.T &^ zv
 
-	// Step (c): select Av/Bv by the four cases, using ϕ = f − |T|.
+	// Step (c): select Av/Bv by the four cases, using ϕ = f − |T|. An
+	// empty Av admits no path, so γ stays (the query filter would read the
+	// empty set as "any origin").
 	av, bv := selectAvBv(zv, nv, spec.F, nd.f, nd.f-spec.T.Len())
-
-	if !bv.Contains(nd.me) {
+	if !bv.Contains(nd.me) || av == 0 {
 		return
 	}
 	// If γ was received along f+1 node-disjoint Avv-paths excluding F∪T,
@@ -161,7 +158,7 @@ func (nd *PhaseNode) endPhase() {
 		fil := flood.Filter{
 			Origins: av,
 			Body:    flood.ValueKeyID(delta),
-			Exclude: excl,
+			Exclude: spec.Excl,
 		}
 		if nd.scratch.ReceivedOnDisjointPaths(st, fil, nd.f+1, flood.DisjointExceptLast) {
 			nd.gamma = delta
@@ -179,15 +176,12 @@ func (nd *PhaseNode) endPhase() {
 // node's state is x.
 func (nd *PhaseNode) observedUnanimity(st *flood.ReceiptStore) bool {
 	want := flood.ValueKeyID(nd.phaseStartGamma)
-	orig := resetSet(&nd.origBuf)
 	for _, u := range nd.g.Nodes() {
 		if u == nd.me {
 			continue
 		}
-		clear(orig)
-		orig.Add(u)
 		fil := flood.Filter{
-			Origins: orig,
+			Origins: graph.NewSet(u),
 			Body:    want,
 		}
 		if !nd.scratch.ReceivedOnDisjointPaths(st, fil, nd.f+1, flood.InternallyDisjoint) {
@@ -205,14 +199,7 @@ func (nd *PhaseNode) observedUnanimity(st *flood.ReceiptStore) bool {
 //	case 3: |Zv∩F| > ⌊ϕ/2⌋ and |Zv| > f  → Av = Zv, Bv = Nv
 //	case 4: |Zv∩F| > ⌊ϕ/2⌋ and |Zv| ≤ f  → Av = Nv, Bv = Zv
 func selectAvBv(zv, nv, fSet graph.Set, f, phi int) (av, bv graph.Set) {
-	// Count |Zv∩F| directly: materializing the intersection set would
-	// allocate once per lane per phase end on the replay hot path.
-	zf := 0
-	for u := range zv {
-		if fSet.Contains(u) {
-			zf++
-		}
-	}
+	zf := bits.OnesCount64(uint64(zv & fSet))
 	switch {
 	case zf <= phi/2 && nv.Len() > f:
 		return nv, zv

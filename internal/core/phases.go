@@ -7,10 +7,11 @@ import (
 
 // PhaseSpec identifies one phase of Algorithm 1/3: a candidate
 // non-equivocating fault set F and a candidate equivocating fault set T
-// (T is empty in every phase of Algorithm 1).
+// (T is empty in every phase of Algorithm 1), with Excl = F ∪ T, the set
+// every step-(b) and step-(c) path of the phase excludes.
 type PhaseSpec struct {
-	F graph.Set
-	T graph.Set
+	F, T graph.Set
+	Excl graph.Set
 }
 
 // Algo1Phases enumerates the phases of Algorithm 1 on an n-node graph with
@@ -21,7 +22,7 @@ func Algo1Phases(n, f int) []PhaseSpec {
 	nodes := graph.New(n).Nodes()
 	var out []PhaseSpec
 	combin.SubsetsUpTo(nodes, f, func(s graph.Set) bool {
-		out = append(out, PhaseSpec{F: s, T: graph.NewSet()})
+		out = append(out, PhaseSpec{F: s, Excl: s})
 		return true
 	})
 	return out
@@ -33,7 +34,7 @@ func HybridPhases(n, f, t int) []PhaseSpec {
 	nodes := graph.New(n).Nodes()
 	var out []PhaseSpec
 	combin.FTPairs(nodes, f, t, func(fSet, tSet graph.Set) bool {
-		out = append(out, PhaseSpec{F: fSet, T: tSet})
+		out = append(out, PhaseSpec{F: fSet, T: tSet, Excl: fSet | tSet})
 		return true
 	})
 	return out

@@ -52,7 +52,7 @@ type ReplayShared struct {
 // own slot), so the prefill survives pooled reuse.
 func NewReplayShared(plan *flood.Plan) *ReplayShared {
 	rs := &ReplayShared{plan: plan, bodies: make([]flood.Body, plan.Graph().N())}
-	for u := range plan.Mask() {
+	for u := range plan.Mask().All() {
 		rs.bodies[u] = flood.CanonValueBody(sim.DefaultValue)
 	}
 	return rs
@@ -80,11 +80,10 @@ func (rs *ReplayShared) SetPhantom(on bool) { rs.phantom = on }
 type stepBCacheKey struct{ plan *flood.Plan }
 
 // stepBChoice identifies one step-(b) choice: origin, choosing node, and
-// the exclusion set (mask when exact, canonical string otherwise).
+// the exclusion set.
 type stepBChoice struct {
 	u, me graph.NodeID
-	mask  uint64
-	excl  string
+	excl  graph.Set
 }
 
 // stepBCache memoizes step-(b) path choices as PathIDs of one arena, so
@@ -115,12 +114,7 @@ func replayStepBCache(topo *graph.Analysis, plan *flood.Plan) *stepBCache {
 // arena, computing and caching it on first use. The BFS is deterministic,
 // so concurrent fills of a shared cache store identical values.
 func (c *stepBCache) chosen(topo *graph.Analysis, arena *graph.PathArena, u, me graph.NodeID, excl graph.Set) graph.PathID {
-	k := stepBChoice{u: u, me: me}
-	if arena.Exact() {
-		k.mask = graph.SetMask(excl)
-	} else {
-		k.excl = excl.String()
-	}
+	k := stepBChoice{u, me, excl}
 	c.mu.RLock()
 	pid, ok := c.m[k]
 	c.mu.RUnlock()
@@ -141,16 +135,4 @@ func (c *stepBCache) chosen(topo *graph.Analysis, arena *graph.PathArena, u, me 
 	c.m[k] = pid
 	c.mu.Unlock()
 	return pid
-}
-
-// resetSet clears and returns the reusable set at *s, allocating it on
-// first use — the phase-end scratch sets (Zv/Nv, singleton origin
-// filters) are rebuilt every phase, and clearing beats reallocating.
-func resetSet(s *graph.Set) graph.Set {
-	if *s == nil {
-		*s = graph.NewSet()
-	} else {
-		clear(*s)
-	}
-	return *s
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"lbcast/internal/flood"
 	"lbcast/internal/graph"
+	"lbcast/internal/graph/gen"
+	"lbcast/internal/sim"
 )
 
 // TestSelectAvBvFourCases pins each branch of the step-(c) case analysis
@@ -66,5 +69,55 @@ func TestSelectAvBvHybridPhi(t *testing.T) {
 	av, bv := selectAvBv(zv, nv, fSet, 2, 1)
 	if !av.Equal(nv) || !bv.Equal(zv) {
 		t.Fatalf("phi=1: Av = %v Bv = %v", av, bv)
+	}
+}
+
+// TestStepCEmptyAvKeepsGamma pins the empty-Av rule of the phase end: when
+// step (c) selects Av = ∅ and the node is in Bv, no Av-path exists, so γ
+// must stay. The receipt query reads an empty origin set as "any origin",
+// so a phase end that passed the empty Av on would adopt 0 here: on K6
+// with T = {0, 1, 2} and f = 3, Zv is empty (nodes 3, 4 and 5 read as 1),
+// case 2 gives Av = Zv = ∅ and Bv = {3, 4, 5}, and node 3 holds 0 along
+// f+1 = 4 paths disjoint except at 3 ([0 3], [1 3], [2 3], [4 5 3]).
+func TestStepCEmptyAvKeepsGamma(t *testing.T) {
+	g, err := gen.Complete(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := graph.NewAnalysis(g)
+	const f, me = 3, graph.NodeID(3)
+	phases := []PhaseSpec{{T: graph.NewSet(0, 1, 2), Excl: graph.NewSet(0, 1, 2)}}
+	receipts := []struct {
+		path graph.Path
+		v    sim.Value
+	}{
+		{graph.Path{3}, sim.One}, {graph.Path{4, 3}, sim.One}, {graph.Path{5, 3}, sim.One},
+		{graph.Path{0, 3}, sim.Zero}, {graph.Path{1, 3}, sim.Zero}, {graph.Path{2, 3}, sim.Zero},
+		{graph.Path{4, 5, 3}, sim.Zero},
+	}
+	store := func(arena *graph.PathArena, body func(sim.Value) flood.Body) *flood.ReceiptStore {
+		st := flood.NewReceiptStore(arena, flood.NewIdent())
+		for _, r := range receipts {
+			st.Add(flood.Receipt{Origin: r.path[0], PathID: arena.Intern(r.path), Body: body(r.v)})
+		}
+		return st
+	}
+
+	arena := graph.NewPathArena(g)
+	nd := newPhaseNode(topo, f, me, sim.One, phases, arena)
+	nd.store = store(arena, flood.CanonValueBody)
+	nd.endPhase()
+	if nd.Gamma() != sim.One {
+		t.Errorf("scalar phase end: γ = %v after a phase with Av = ∅, want 1", nd.Gamma())
+	}
+
+	arena = graph.NewPathArena(g)
+	vn := newVectorPhaseNode(topo, f, me, []sim.Value{sim.One, sim.One}, phases, arena)
+	vn.store = store(arena, func(v sim.Value) flood.Body { return VectorBody{Values: []sim.Value{v, v}} })
+	vn.endPhase()
+	for l := range 2 {
+		if vn.LaneGamma(l) != sim.One {
+			t.Errorf("vector phase end: lane %d γ = %v after a phase with Av = ∅, want 1", l, vn.LaneGamma(l))
+		}
 	}
 }

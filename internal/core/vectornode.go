@@ -90,13 +90,11 @@ type VectorPhaseNode struct {
 	phaseCore
 	gammas []sim.Value
 	// readsBuf/readsValid are the per-origin step-(b) read table; lanes
-	// shares the per-lane searches of one query, and admitBuf (a lane's Av
-	// as a node-indexed table) and undecidedBuf serve the per-lane
-	// projections.
+	// shares the per-lane searches of one query, and undecidedBuf serves
+	// the per-lane early-decision projection.
 	readsBuf     []VectorBody
 	readsValid   []bool
 	lanes        laneShare
-	admitBuf     []bool
 	undecidedBuf []bool
 	// valsBuf, in phantom replay mode only, backs the published phase
 	// vector in place of a per-phase allocation; see openPhase.
@@ -218,7 +216,6 @@ func (nd *VectorPhaseNode) defaultBody(graph.NodeID) flood.Body {
 // share one search (see laneShare).
 func (nd *VectorPhaseNode) endPhase() {
 	spec := nd.phases[nd.phaseIdx]
-	excl := spec.F.Union(spec.T)
 	st := nd.store
 	if nd.earlyOK {
 		nd.checkUnanimity(st)
@@ -239,7 +236,7 @@ func (nd *VectorPhaseNode) endPhase() {
 		if spec.T.Contains(u) || u == nd.me {
 			continue
 		}
-		pid := nd.chosenPath(u, excl)
+		pid := nd.chosenPath(u, spec.Excl)
 		if pid == graph.NoPath {
 			continue
 		}
@@ -255,54 +252,29 @@ func (nd *VectorPhaseNode) endPhase() {
 	// Step (c) candidates, shared across lanes and values: every receipt
 	// whose path excludes F∪T. Lane- and value-specific filtering happens
 	// inside the per-lane selection.
-	nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Exclude: excl}), n)
-	if cap(nd.admitBuf) < n {
-		nd.admitBuf = make([]bool, n)
-	}
-	admit := nd.admitBuf[:n]
+	nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Exclude: spec.Excl}), n)
 
+	origins := nd.all &^ spec.T
 	for l := range nd.gammas {
-		// The per-lane sets live only within the lane's step (b)/(c); the
-		// buffers are reused across lanes and phases.
-		zv := resetSet(&nd.zvBuf)
-		nv := resetSet(&nd.nvBuf)
-		for _, u := range nd.g.Nodes() {
-			if spec.T.Contains(u) {
-				continue
-			}
-			if u == nd.me {
-				if nd.gammas[l] == sim.Zero {
-					zv.Add(u)
-				} else {
-					nv.Add(u)
-				}
-				continue
-			}
-			zero := false
-			if readsValid[u] {
-				if vs := reads[u].Values; l < len(vs) && vs[l] == sim.Zero {
-					zero = true
-				}
-			}
-			if zero {
+		// Lane l's Zv, built from the read table; Nv is the rest of V−T.
+		var zv graph.Set
+		for u := range origins.All() {
+			if vs := reads[u].Values; readsValid[u] && l < len(vs) && vs[l] == sim.Zero {
 				zv.Add(u)
-			} else {
-				nv.Add(u)
 			}
 		}
-		av, bv := selectAvBv(zv, nv, spec.F, nd.f, nd.f-spec.T.Len())
-		if !bv.Contains(nd.me) {
+		if origins.Contains(nd.me) && nd.gammas[l] == sim.Zero {
+			zv.Add(nd.me)
+		}
+		av, bv := selectAvBv(zv, origins&^zv, spec.F, nd.f, nd.f-spec.T.Len())
+		if !bv.Contains(nd.me) || av == 0 {
 			continue
 		}
 		// Did lane l receive delta along f+1 node-disjoint (except at
 		// this node) Avv-paths among the candidates? The lane projection
 		// of the step-(c) flood.ReceivedOnDisjointPaths query.
-		clear(admit)
-		for u := range av {
-			admit[u] = true
-		}
 		for _, delta := range []sim.Value{sim.Zero, sim.One} {
-			nd.lanes.signature(l, delta, admit)
+			nd.lanes.signature(l, delta, av)
 			if nd.lanes.search(&nd.scratch, nd.arena, nd.f+1, flood.DisjointExceptLast) {
 				nd.gammas[l] = delta
 				break
@@ -333,19 +305,16 @@ func (nd *VectorPhaseNode) checkUnanimity(st *flood.ReceiptStore) {
 	for l := range undecided {
 		undecided[l] = !nd.earlyDecided[l]
 	}
-	orig := resetSet(&nd.origBuf)
 	for _, u := range nd.g.Nodes() {
 		if u == nd.me {
 			continue
 		}
-		clear(orig)
-		orig.Add(u)
-		nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Origins: orig}), nd.g.N())
+		nd.lanes.group(nd.scratch.Candidates(st, flood.Filter{Origins: graph.NewSet(u)}), nd.g.N())
 		for l := range nd.gammas {
 			if !undecided[l] {
 				continue
 			}
-			nd.lanes.signature(l, nd.phaseStartGamma[l], nil)
+			nd.lanes.signature(l, nd.phaseStartGamma[l], 0)
 			if !nd.lanes.search(&nd.scratch, nd.arena, nd.f+1, flood.InternallyDisjoint) {
 				undecided[l] = false
 				pending--

@@ -153,7 +153,7 @@ func smallNeighborhoodSet(g *graph.Graph, maxSize, bound int) (graph.Set, int, b
 		}
 		return true
 	})
-	return found, nbrs, found != nil
+	return found, nbrs, found != 0
 }
 
 // RunFoundAttack executes all three executions of a found attack and

@@ -716,7 +716,7 @@ func (st *batchLoopState) decision(i int, u graph.NodeID) (sim.Value, bool) {
 
 // allDecided reports whether every honest node of instance i has decided.
 func (st *batchLoopState) allDecided(i int) bool {
-	for u := range st.insts[i].honest {
+	for u := range st.insts[i].honest.All() {
 		if _, ok := st.decision(i, u); !ok {
 			return false
 		}
@@ -728,7 +728,7 @@ func (st *batchLoopState) allDecided(i int) bool {
 // its input slab.
 func (st *batchLoopState) honestValues(i int, slab []sim.Value) valueSet {
 	var valid valueSet
-	for u := range st.insts[i].honest {
+	for u := range st.insts[i].honest.All() {
 		valid.add(slab[u])
 	}
 	return valid
@@ -740,7 +740,7 @@ func (st *batchLoopState) honestValues(i int, slab []sim.Value) valueSet {
 func (st *batchLoopState) judge(i, budget int, slab []sim.Value) Outcome {
 	decisions := make(map[graph.NodeID]sim.Value)
 	term := true
-	for u := range st.insts[i].honest {
+	for u := range st.insts[i].honest.All() {
 		v, ok := st.decision(i, u)
 		if !ok {
 			term = false
@@ -763,7 +763,7 @@ func (st *batchLoopState) judgeLean(i, budget int, slab []sim.Value) Outcome {
 	var ref sim.Value
 	first := true
 	valid := st.honestValues(i, slab)
-	for u := range st.insts[i].honest {
+	for u := range st.insts[i].honest.All() {
 		v, ok := st.decision(i, u)
 		if !ok {
 			term = false

@@ -119,6 +119,9 @@ func (s *Spec) normalize() error {
 		return fmt.Errorf("eval: nil graph")
 	}
 	n := s.G.N()
+	if n > graph.MaxNodes {
+		return fmt.Errorf("eval: graph has %d nodes, more than the %d supported", n, graph.MaxNodes)
+	}
 	if s.Algorithm == 0 {
 		s.Algorithm = Algo1
 	}
@@ -163,7 +166,7 @@ func (s *Spec) normalize() error {
 			return fmt.Errorf("eval: nil Byzantine node at %d", u)
 		}
 	}
-	for u := range s.Equivocators {
+	for u := range s.Equivocators.All() {
 		if int(u) < 0 || int(u) >= n {
 			return fmt.Errorf("eval: equivocator out of range: node %d (n=%d)", u, n)
 		}
@@ -469,7 +472,7 @@ func Judge(eng *sim.Engine, honest graph.Set, honestInputs map[graph.NodeID]sim.
 	all := eng.Decisions()
 	decisions := make(map[graph.NodeID]sim.Value)
 	term := true
-	for u := range honest {
+	for u := range honest.All() {
 		v, ok := all[u]
 		if !ok {
 			term = false

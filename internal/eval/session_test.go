@@ -43,6 +43,7 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"byzantine out of range", Spec{G: g, Byzantine: map[graph.NodeID]sim.Node{-1: &adversary.SilentNode{Me: -1}}}},
 		{"nil byzantine", Spec{G: g, Byzantine: map[graph.NodeID]sim.Node{1: nil}}},
 		{"equivocator out of range", Spec{G: g, Equivocators: graph.NewSet(9)}},
+		{"more nodes than a set holds", Spec{G: graph.New(graph.MaxNodes + 1)}},
 	}
 	for _, c := range cases {
 		if _, err := NewSession(c.spec); err == nil {

@@ -72,9 +72,10 @@ type Cell struct {
 	Model     sim.Model `json:"model"`
 	Seed      int64     `json:"seed"`
 
-	g        *graph.Graph
-	faultSet graph.Set   // nil = draw from seed
-	pattern  []sim.Value // nil = draw from seed
+	g         *graph.Graph
+	faultSet  graph.Set
+	drawFault bool        // draw faultSet from the seed instead
+	pattern   []sim.Value // nil = draw from seed
 }
 
 // CellOutcome pairs a cell with its judged result. Err is set when the
@@ -167,12 +168,12 @@ func (g Grid) Expand() ([]Cell, error) {
 			for _, alg := range algorithms {
 				for _, model := range models {
 					for _, strat := range strategies {
-						faultSets := g.FaultSets
+						faultSets, draw := g.FaultSets, false
 						if strategyKind(strat) == stratNone {
 							// A fault-free cell has exactly one placement.
-							faultSets = []graph.Set{graph.NewSet()}
+							faultSets = []graph.Set{0}
 						} else if faultSets == nil {
-							faultSets = make([]graph.Set, placements)
+							faultSets, draw = make([]graph.Set, placements), true
 						}
 						for _, fs := range faultSets {
 							patterns := g.Patterns
@@ -193,6 +194,7 @@ func (g Grid) Expand() ([]Cell, error) {
 									Seed:      cellSeed(g.Seed, idx),
 									g:         gc.G,
 									faultSet:  fs,
+									drawFault: draw,
 									pattern:   pat,
 								})
 							}
@@ -214,10 +216,8 @@ func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget bool) Ce
 	n := c.g.N()
 
 	faulty := c.faultSet
-	if faulty == nil {
-		perm := rng.Perm(n)
-		faulty = graph.NewSet()
-		for _, p := range perm {
+	if c.drawFault {
+		for _, p := range rng.Perm(n) {
 			if faulty.Len() == c.F {
 				break
 			}

@@ -77,7 +77,7 @@ func symbolicCompile(g *graph.Graph, silent graph.Set) (*graph.PathArena, []plan
 func checkCompileMatchesSymbolic(t *testing.T, g *graph.Graph, silent graph.Set) {
 	t.Helper()
 	var p *Plan
-	if silent == nil {
+	if silent == 0 {
 		p = CompilePlan(g)
 	} else {
 		p = CompileMaskedPlan(g, silent)
@@ -133,7 +133,7 @@ func TestCompileMatchesSymbolicFlood(t *testing.T) {
 				silent.Add(graph.NodeID(u))
 			}
 		}
-		t.Run(fmt.Sprintf("g%d-n%d/benign", i, n), func(t *testing.T) { checkCompileMatchesSymbolic(t, g, nil) })
+		t.Run(fmt.Sprintf("g%d-n%d/benign", i, n), func(t *testing.T) { checkCompileMatchesSymbolic(t, g, 0) })
 		t.Run(fmt.Sprintf("g%d-n%d/mask%v", i, n, silent), func(t *testing.T) { checkCompileMatchesSymbolic(t, g, silent) })
 	}
 }

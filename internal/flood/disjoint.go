@@ -50,7 +50,8 @@ func pairwiseOK(ar *graph.PathArena, mode DisjointMode, a, b graph.PathID) bool 
 
 // Filter describes which receipts are candidates for a disjoint query.
 type Filter struct {
-	// Origins restricts the receipt's path origin; nil means any.
+	// Origins restricts the receipt's path origin; the empty set means
+	// any origin.
 	Origins graph.Set
 	// Body, when not AnyBody, requires the receipt's interned body
 	// identity to match exactly ("received identically"). The ID must be
@@ -58,14 +59,14 @@ type Filter struct {
 	// are valid in every table).
 	Body BodyID
 	// Exclude requires the receipt path to exclude this set (no internal
-	// node in the set); endpoints may be members.
+	// node in the set); endpoints may be members. The empty set excludes
+	// nothing.
 	Exclude graph.Set
 }
 
 // QueryScratch holds the reusable buffers of the disjoint-receipt
-// queries: the candidate output slice, the origin-membership table of a
-// multi-origin filter, and the backtracking selection's sorted copy and
-// chosen stack. One scratch serves one protocol node — the queries of a
+// queries: the candidate output slice, and the backtracking selection's
+// sorted copy and chosen stack. One scratch serves one protocol node — the queries of a
 // phase end reuse its buffers instead of allocating per call. Results
 // returned from scratch methods are valid until the next call on the same
 // scratch method family (Candidates output until the next Candidates
@@ -79,7 +80,6 @@ type Filter struct {
 // only a forged out-of-schedule path produces.
 type QueryScratch struct {
 	out    []Receipt
-	member []bool
 	cs     []Receipt
 	chosen []Receipt
 }
@@ -88,7 +88,7 @@ type QueryScratch struct {
 // path, in acceptance order; see the package-level Candidates. The
 // returned slice is invalidated by the scratch's next Candidates call.
 func (sc *QueryScratch) Candidates(st *ReceiptStore, fil Filter) []Receipt {
-	sc.out, sc.member = appendCandidates(sc.out[:0], sc.member, st, fil)
+	sc.out = appendCandidates(sc.out[:0], st, fil)
 	return sc.out
 }
 
@@ -121,8 +121,7 @@ func Candidates(st *ReceiptStore, fil Filter) []Receipt {
 }
 
 // appendCandidates is the gather loop of QueryScratch.Candidates,
-// appending matches into out; member is the origin-membership table of a
-// multi-origin filter, returned for reuse.
+// appending matches into out.
 //
 // Dedup runs through the store's own per-path receipt chains. The origin
 // and exclusion tests depend on the path alone (a path determines its
@@ -136,30 +135,21 @@ func Candidates(st *ReceiptStore, fil Filter) []Receipt {
 // With an origin filter, a single matching origin bucket is walked
 // directly. Several buckets — each in acceptance order — are read in one
 // pass over the store's receipts between the lowest bucket head and the
-// highest tail, testing each receipt's origin against a node-indexed
-// table: the output order is that of a flat scan of the whole store,
-// without sorting or materializing the filter. (A head-by-head merge of
+// highest tail, testing each receipt's origin against the filter's set:
+// the output order is that of a flat scan of the whole store, without
+// sorting. (A head-by-head merge of
 // the buckets gives the same order, but phase-end filters admit about
 // half the origins, and round-major acceptance interleaves the buckets
 // receipt by receipt, so the merge compares heads at every step and
 // measured slower.)
-func appendCandidates(out []Receipt, member []bool, st *ReceiptStore, fil Filter) ([]Receipt, []bool) {
+func appendCandidates(out []Receipt, st *ReceiptStore, fil Filter) []Receipt {
 	ar := st.Arena()
-	useMask := ar.Exact() && fil.Exclude.Len() > 0
-	var exclMask uint64
-	if useMask {
-		exclMask = graph.SetMask(fil.Exclude)
-	}
 	visit := func(i int32) {
 		if fil.Body != AnyBody && st.bodyID(i) != fil.Body {
 			return
 		}
 		r := st.receipts[i]
-		if useMask {
-			if !ar.ExcludesInternalMask(r.PathID, exclMask) {
-				return
-			}
-		} else if fil.Exclude != nil && !ar.ExcludesInternal(r.PathID, fil.Exclude) {
+		if !ar.ExcludesInternal(r.PathID, fil.Exclude) {
 			return
 		}
 		if h := st.pathHead(r.PathID); h != i+1 {
@@ -174,25 +164,19 @@ func appendCandidates(out []Receipt, member []bool, st *ReceiptStore, fil Filter
 		}
 		out = append(out, r)
 	}
-	if fil.Origins == nil {
+	if fil.Origins == 0 {
 		for i := range st.receipts {
 			visit(int32(i))
 		}
-		return out, member
+		return out
 	}
-	n := len(st.byOrigin)
-	if cap(member) < n {
-		member = make([]bool, n)
-	}
-	member = member[:n]
 	var one []int32
 	buckets, lo, hi := 0, int32(len(st.receipts)), int32(-1)
-	for o := range fil.Origins {
-		if int(o) < 0 || int(o) >= n || len(st.byOrigin[o]) == 0 {
+	for o := range fil.Origins.All() {
+		if int(o) >= len(st.byOrigin) || len(st.byOrigin[o]) == 0 {
 			continue
 		}
 		one = st.byOrigin[o]
-		member[o] = true
 		buckets++
 		lo, hi = min(lo, one[0]), max(hi, one[len(one)-1])
 	}
@@ -202,13 +186,12 @@ func appendCandidates(out []Receipt, member []bool, st *ReceiptStore, fil Filter
 		}
 	} else {
 		for i := lo; i <= hi; i++ {
-			if member[st.receipts[i].Origin] {
+			if fil.Origins.Contains(st.receipts[i].Origin) {
 				visit(i)
 			}
 		}
 	}
-	clear(member)
-	return out, member
+	return out
 }
 
 // SelectDisjoint searches for k pairwise-disjoint (under mode) receipt

@@ -10,8 +10,7 @@ import (
 )
 
 // testStore builds a ReceiptStore over a complete graph on n nodes, so any
-// sequence of distinct nodes is a valid simple path. n > 64 exercises the
-// arena's non-exact mask fallback.
+// sequence of distinct nodes is a valid simple path.
 type testStore struct {
 	st *ReceiptStore
 }
@@ -110,22 +109,19 @@ func TestSelectDisjointEdgeCases(t *testing.T) {
 }
 
 // TestQuickSelectDisjointSoundness: any selection returned is genuinely
-// pairwise disjoint; and the exact search is monotone in k. The 100-node
-// graph forces the arena beyond the 64-node exact-mask regime.
+// pairwise disjoint; and the exact search is monotone in k, on a store of
+// the largest graph a node set holds.
 func TestQuickSelectDisjointSoundness(t *testing.T) {
-	b := newTestStore(t, 100)
+	b := newTestStore(t, graph.MaxNodes)
 	ar := b.st.Arena()
-	if ar.Exact() {
-		t.Fatal("100-node arena should not be mask-exact")
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dest := graph.NodeID(99)
+		dest := graph.NodeID(graph.MaxNodes - 1)
 		var cands []Receipt
 		for i := 0; i < 3+rng.Intn(10); i++ {
 			ln := 1 + rng.Intn(4)
 			p := make(graph.Path, 0, ln+1)
-			seen := map[graph.NodeID]bool{99: true}
+			seen := map[graph.NodeID]bool{dest: true}
 			for j := 0; j < ln; j++ {
 				v := graph.NodeID(rng.Intn(12))
 				if seen[v] {

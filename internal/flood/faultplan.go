@@ -51,29 +51,29 @@ type deltaPlanKey struct{}
 // so a small LRU captures nearly all replay value with bounded memory.
 const planCacheCap = 64
 
-// planLRU is a mutex-guarded bounded LRU keyed by the canonical fault-set
-// string. Compilation happens under the lock: compiles are rare (once per
+// planLRU is a mutex-guarded bounded LRU keyed by the fault set.
+// Compilation happens under the lock: compiles are rare (once per
 // observed fault shape) and racing duplicate compiles would double-count
 // the compile counters that CI asserts on.
 type planLRU struct {
 	mu    sync.Mutex
 	cap   int
-	items map[string]*list.Element
+	items map[graph.Set]*list.Element
 	order *list.List // front = most recently used
 }
 
 type planLRUEntry struct {
-	key string
+	key graph.Set
 	val any
 }
 
 func newPlanLRU(capacity int) *planLRU {
-	return &planLRU{cap: capacity, items: make(map[string]*list.Element), order: list.New()}
+	return &planLRU{cap: capacity, items: make(map[graph.Set]*list.Element), order: list.New()}
 }
 
 // get returns the cached value for key, building and inserting it (and
 // evicting the least recently used entry beyond capacity) on a miss.
-func (c *planLRU) get(key string, build func() any) any {
+func (c *planLRU) get(key graph.Set, build func() any) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -90,8 +90,8 @@ func (c *planLRU) get(key string, build func() any) any {
 	return v
 }
 
-// Mask returns the set of silent nodes this plan was compiled against, or
-// nil for the benign all-relays-correct plan.
+// Mask returns the set of silent nodes this plan was compiled against,
+// empty for the benign all-relays-correct plan.
 func (p *Plan) Mask() graph.Set { return p.mask }
 
 // CompileMaskedPlan builds the propagation plan of graph g under a
@@ -106,18 +106,17 @@ func (p *Plan) Mask() graph.Set { return p.mask }
 // and mask.
 func CompileMaskedPlan(g *graph.Graph, silent graph.Set) *Plan {
 	p := compile(g, silent)
-	p.mask = silent.Clone()
+	p.mask = silent
 	planMaskedCompiles.Add(1)
 	return p
 }
 
 // MaskedPlanFor returns the graph's compiled propagation plan under the
-// given crash/silent mask, memoized per analysis in a bounded LRU over
-// canonical mask renderings (benign plans stay on PlanFor's unbounded
-// single-slot memo).
+// given crash/silent mask, memoized per analysis in a bounded LRU keyed by
+// the mask (benign plans stay on PlanFor's unbounded single-slot memo).
 func MaskedPlanFor(a *graph.Analysis, silent graph.Set) *Plan {
 	cache := a.Memo(maskedPlanKey{}, func() any { return newPlanLRU(planCacheCap) }).(*planLRU)
-	return cache.get(silent.String(), func() any { return CompileMaskedPlan(a.Graph(), silent) }).(*Plan)
+	return cache.get(silent, func() any { return CompileMaskedPlan(a.Graph(), silent) }).(*Plan)
 }
 
 // DeltaPlan is the untainted fragment of a benign Plan under a set of
@@ -150,22 +149,17 @@ type deltaSchedule struct {
 }
 
 // CompileDelta builds the untainted fragment of base under the given
-// faulty set. Taint is decided by the arena's node-membership mask, which
-// aliases node ids mod 64: on graphs beyond 64 nodes a false positive can
-// spuriously demote an untainted entry to the dynamic path (hit-rate cost
-// only), but a false negative — a tainted entry kept on the fast path —
-// is impossible, since the faulty node's bit is set in both masks. Use
-// DeltaPlanFor to memoize per analysis and faulty set.
+// faulty set: an entry is tainted when its path's node set meets the
+// faulty set. Use DeltaPlanFor to memoize per analysis and faulty set.
 func CompileDelta(base *Plan, faulty graph.Set) *DeltaPlan {
-	fm := graph.SetMask(faulty)
-	dp := &DeltaPlan{base: base, faulty: faulty.Clone(), sched: make([]deltaSchedule, len(base.sched))}
+	dp := &DeltaPlan{base: base, faulty: faulty, sched: make([]deltaSchedule, len(base.sched))}
 	for v := range base.sched {
 		bs := &base.sched[v]
 		ds := &dp.sched[v]
 		ds.roundOff = make([]int32, len(bs.roundOff))
 		for r := 1; r+1 < len(bs.roundOff); r++ {
 			for i := bs.roundOff[r]; i < bs.roundOff[r+1]; i++ {
-				if base.arena.Mask(bs.pids[i])&fm == 0 {
+				if base.arena.Mask(bs.pids[i])&faulty == 0 {
 					ds.idx = append(ds.idx, i)
 				}
 			}
@@ -182,7 +176,7 @@ func CompileDelta(base *Plan, faulty graph.Set) *DeltaPlan {
 func DeltaPlanFor(a *graph.Analysis, faulty graph.Set) *DeltaPlan {
 	base := PlanFor(a)
 	cache := a.Memo(deltaPlanKey{}, func() any { return newPlanLRU(planCacheCap) }).(*planLRU)
-	return cache.get(faulty.String(), func() any { return CompileDelta(base, faulty) }).(*DeltaPlan)
+	return cache.get(faulty, func() any { return CompileDelta(base, faulty) }).(*DeltaPlan)
 }
 
 // Base returns the benign plan the delta was compiled against.

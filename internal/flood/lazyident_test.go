@@ -207,10 +207,10 @@ func keyScan(st *ReceiptStore, fil Filter, key string) []Receipt {
 	var out []Receipt
 	seen := map[graph.PathID]bool{}
 	for _, r := range st.All() {
-		if r.Body.Key() != key || (fil.Origins != nil && !fil.Origins.Contains(r.Origin)) {
+		if r.Body.Key() != key || (fil.Origins != 0 && !fil.Origins.Contains(r.Origin)) {
 			continue
 		}
-		if fil.Exclude != nil && !st.Arena().ExcludesInternal(r.PathID, fil.Exclude) {
+		if fil.Exclude != 0 && !st.Arena().ExcludesInternal(r.PathID, fil.Exclude) {
 			continue
 		}
 		if !seen[r.PathID] {

@@ -65,7 +65,7 @@ type Plan struct {
 	// masked (silent) vertices — no store is ever planned for a crashed
 	// node.
 	tmpl []*ReceiptStore
-	// mask is the set of silent nodes the plan was compiled against: nil
+	// mask is the set of silent nodes the plan was compiled against: empty
 	// for the benign all-relays-correct plan, non-empty for masked plans
 	// (see CompileMaskedPlan in faultplan.go).
 	mask graph.Set
@@ -92,14 +92,14 @@ type planSchedule struct {
 // level by level (see compile). Use PlanFor to pay it once per analysis
 // instead of per call.
 func CompilePlan(g *graph.Graph) *Plan {
-	p := compile(g, nil)
+	p := compile(g, 0)
 	planCompiles.Add(1)
 	return p
 }
 
 // compile enumerates the receipt schedules of a fault-free flooding
-// session on g in which the nodes of silent never initiate nor relay (nil
-// or empty: every node relays). Round 0 is every relaying node's self
+// session on g in which the nodes of silent never initiate nor relay
+// (empty: every node relays). Round 0 is every relaying node's self
 // receipt, in ascending order. In round r ≥ 1 every relaying v, in
 // ascending order, accepts from each relaying neighbour u, in AdjList
 // order, the receipts u accepted in round r-1 whose path avoids v — each

@@ -144,13 +144,13 @@ func scanCandidates(st *ReceiptStore, fil Filter) []Receipt {
 	var out []Receipt
 	seen := map[graph.PathID]bool{}
 	for i, r := range st.All() {
-		if fil.Origins != nil && !fil.Origins.Contains(r.Origin) {
+		if fil.Origins != 0 && !fil.Origins.Contains(r.Origin) {
 			continue
 		}
 		if fil.Body != AnyBody && st.BodyID(i) != fil.Body {
 			continue
 		}
-		if fil.Exclude != nil && !st.Path(r).Excludes(fil.Exclude) {
+		if fil.Exclude != 0 && !st.Path(r).Excludes(fil.Exclude) {
 			continue
 		}
 		if !seen[r.PathID] {
@@ -193,10 +193,11 @@ func bruteDisjoint(st *ReceiptStore, cands []Receipt, k int, mode DisjointMode) 
 	return rec(0, nil)
 }
 
-// randomSet returns nil or a random subset of the n nodes.
+// randomSet returns the empty set or a random subset of the n nodes,
+// itself possibly empty. A filter reads either as "no filter".
 func randomSet(rng *rand.Rand, n int) graph.Set {
 	if rng.Intn(3) == 0 {
-		return nil
+		return 0
 	}
 	s := graph.NewSet()
 	for u := range n {

@@ -46,12 +46,10 @@ type memoSlot struct {
 }
 
 // spKey identifies one memoized shortest-path query: endpoints plus the
-// exclusion set, as a bitmask when exact (n <= 64) and as the canonical
-// set string otherwise.
+// exclusion set.
 type spKey struct {
 	s, t NodeID
-	mask uint64
-	excl string
+	excl Set
 }
 
 // NewAnalysis returns a shared analysis of g. The graph must not be
@@ -100,23 +98,12 @@ func (a *Analysis) Connectivity() int {
 	return a.conn
 }
 
-// key builds the memoization key for a shortest-path query.
-func (a *Analysis) key(s, t NodeID, exclude Set) spKey {
-	k := spKey{s: s, t: t}
-	if a.g.N() <= 64 {
-		k.mask = SetMask(exclude)
-	} else {
-		k.excl = exclude.String()
-	}
-	return k
-}
-
 // ShortestPathExcluding is Graph.ShortestPathExcluding, memoized per
 // (s, t, exclude). This is the step-(b) path choice of Algorithms 1/3:
 // deterministic BFS, so the memoized result is identical to a fresh
 // computation. The returned path is shared; callers must not modify it.
 func (a *Analysis) ShortestPathExcluding(s, t NodeID, exclude Set) Path {
-	k := a.key(s, t, exclude)
+	k := spKey{s, t, exclude}
 	a.spMu.RLock()
 	p, ok := a.sp[k]
 	a.spMu.RUnlock()

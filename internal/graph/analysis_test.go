@@ -35,7 +35,7 @@ func TestAnalysisMatchesDirectComputation(t *testing.T) {
 	if a.Graph() != g {
 		t.Error("Graph() does not return the analyzed graph")
 	}
-	excls := []Set{nil, NewSet(), NewSet(3), NewSet(2, 5)}
+	excls := []Set{0, NewSet(), NewSet(3), NewSet(2, 5)}
 	for s := 0; s < g.N(); s++ {
 		for u := 0; u < g.N(); u++ {
 			for _, excl := range excls {
@@ -50,7 +50,7 @@ func TestAnalysisMatchesDirectComputation(t *testing.T) {
 			}
 			if s != u {
 				got := a.DisjointPaths(NodeID(s), NodeID(u), 4)
-				want := g.DisjointPaths(NodeID(s), NodeID(u), 4, nil)
+				want := g.DisjointPaths(NodeID(s), NodeID(u), 4, 0)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("DisjointPaths(%d,%d) = %v, want %v", s, u, got, want)
 				}
@@ -76,7 +76,7 @@ func TestAnalysisConcurrentImmutability(t *testing.T) {
 	var queries []spQuery
 	for s := 0; s < g.N(); s++ {
 		for u := 0; u < g.N(); u++ {
-			for _, excl := range []Set{nil, NewSet(1), NewSet(0, 4), NewSet(2, 6)} {
+			for _, excl := range []Set{0, NewSet(1), NewSet(0, 4), NewSet(2, 6)} {
 				queries = append(queries, spQuery{NodeID(s), NodeID(u), excl})
 			}
 		}

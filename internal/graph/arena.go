@@ -1,6 +1,9 @@
 package graph
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
 // This file implements the compact path-identity layer: a PathArena interns
 // simple paths of one graph with prefix sharing, so that every distinct path
@@ -13,9 +16,8 @@ import "strconv"
 // Every interned entry is, by construction, a valid simple path of the
 // arena's graph: Root and Extend validate membership, adjacency, and
 // node-repetition before interning, and Intern walks a candidate path
-// through them. Queries (Contains, Excludes*, disjointness) run on a
-// per-entry node bitmask, exact when the graph has at most 64 nodes and a
-// conservative filter (confirmed by a parent-chain walk) above that.
+// through them. Queries (Contains, ExcludesInternal, disjointness) run on
+// each entry's node set, one word (graphs have at most MaxNodes nodes).
 //
 // A PathArena is NOT safe for concurrent use while it is being grown; each
 // protocol node owns one arena for its whole run (all flooding phases),
@@ -47,7 +49,7 @@ type pathEntry struct {
 	node       int32 // NodeID of the last node
 	origin     int32 // NodeID of the first node
 	length     int32
-	mask       uint64 // node-membership bitmask (bit u%64; exact when n <= 64)
+	mask       Set // the path's nodes
 }
 
 // childRef is one entry of a frozen arena's child index: the child path
@@ -73,8 +75,6 @@ type PathArena struct {
 	keys []string
 	// roots[u] is the PathID of the single-node path {u}, or NoPath.
 	roots []PathID
-	// exact reports whether masks are exact node sets (n <= 64).
-	exact bool
 	// frozen marks the arena immutable: growth operations fail (NoPath)
 	// instead of interning, and the lazy caches are already materialized,
 	// so every method is a pure read (see Freeze).
@@ -102,17 +102,17 @@ type sliceMemo struct {
 	id PathID
 }
 
-// NewPathArena returns an empty arena for paths of g.
+// NewPathArena returns an empty arena for paths of g. It panics when g
+// has more than MaxNodes nodes.
 func NewPathArena(g *Graph) *PathArena {
+	if g.N() > MaxNodes {
+		panic(fmt.Sprintf("graph: a path arena holds at most %d nodes, graph has %d", MaxNodes, g.N()))
+	}
 	roots := make([]PathID, g.N())
 	for i := range roots {
 		roots[i] = NoPath
 	}
-	return &PathArena{
-		g:     g,
-		roots: roots,
-		exact: g.N() <= 64,
-	}
+	return &PathArena{g: g, roots: roots}
 }
 
 // Graph returns the graph the arena's paths live in.
@@ -120,8 +120,6 @@ func (a *PathArena) Graph() *Graph { return a.g }
 
 // Len returns the number of interned paths.
 func (a *PathArena) Len() int { return len(a.entries) }
-
-func bit(u NodeID) uint64 { return 1 << (uint(u) % 64) }
 
 // grown returns s extended with zero values to length n (s itself when it
 // is already that long); the per-entry side tables grow with the entries.
@@ -179,7 +177,7 @@ func (a *PathArena) Extend(id PathID, u NodeID) PathID {
 		}
 	}
 	e := &a.entries[id]
-	if !a.g.HasEdge(NodeID(e.node), u) || a.contains(id, u) {
+	if !a.g.HasEdge(NodeID(e.node), u) || e.mask.Contains(u) {
 		return NoPath
 	}
 	c := PathID(len(a.entries))
@@ -260,12 +258,8 @@ func (a *PathArena) Last(id PathID) NodeID { return NodeID(a.entries[id].node) }
 // PathLen returns the number of nodes on the path.
 func (a *PathArena) PathLen(id PathID) int { return int(a.entries[id].length) }
 
-// Mask returns the node-membership bitmask of the path (exact when the
-// graph has at most 64 nodes).
-func (a *PathArena) Mask(id PathID) uint64 { return a.entries[id].mask }
-
-// Exact reports whether bitmasks identify node sets exactly (n <= 64).
-func (a *PathArena) Exact() bool { return a.exact }
+// Mask returns the set of the path's nodes.
+func (a *PathArena) Mask(id PathID) Set { return a.entries[id].mask }
 
 // Freeze makes the arena immutable and safe for concurrent readers: every
 // entry's lazy materialized path is built eagerly, the child index that
@@ -316,23 +310,7 @@ func (a *PathArena) Frozen() bool { return a.frozen }
 
 // Contains reports whether u lies on the path.
 func (a *PathArena) Contains(id PathID, u NodeID) bool {
-	return a.contains(id, u)
-}
-
-func (a *PathArena) contains(id PathID, u NodeID) bool {
-	e := &a.entries[id]
-	if e.mask&bit(u) == 0 {
-		return false
-	}
-	if a.exact {
-		return true
-	}
-	for at := id; at != NoPath; at = a.entries[at].parent {
-		if NodeID(a.entries[at].node) == u {
-			return true
-		}
-	}
-	return false
+	return a.entries[id].mask.Contains(u)
 }
 
 // AppendTo appends the path's nodes in order (origin first) to dst and
@@ -419,19 +397,9 @@ func (a *PathArena) Key(id PathID) string {
 	return k
 }
 
-// SetMask folds a node set into a bitmask comparable against Mask.
-func SetMask(s Set) uint64 {
-	var m uint64
-	for u := range s {
-		m |= bit(u)
-	}
-	return m
-}
-
-// internalMask returns the membership mask of the path's internal nodes.
-// Exact arenas only; a simple path visits each node once, so clearing the
-// endpoint bits leaves exactly the interior.
-func (a *PathArena) internalMask(id PathID) uint64 {
+// internal returns the set of the path's internal nodes: a simple path
+// visits each node once, so clearing the endpoints leaves the interior.
+func (a *PathArena) internal(id PathID) Set {
 	e := &a.entries[id]
 	return e.mask &^ (bit(NodeID(e.origin)) | bit(NodeID(e.node)))
 }
@@ -439,39 +407,18 @@ func (a *PathArena) internalMask(id PathID) uint64 {
 // ExcludesInternal reports whether no internal node of the path belongs to
 // x (endpoints may be members) — Path.Excludes on interned paths.
 func (a *PathArena) ExcludesInternal(id PathID, x Set) bool {
-	if x.Len() == 0 {
-		return true
-	}
-	if a.exact {
-		return a.internalMask(id)&SetMask(x) == 0
-	}
-	return a.Path(id).Excludes(x)
-}
-
-// ExcludesInternalMask is ExcludesInternal against a precomputed SetMask;
-// callable only on exact arenas (n <= 64).
-func (a *PathArena) ExcludesInternalMask(id PathID, exclMask uint64) bool {
-	return a.internalMask(id)&exclMask == 0
+	return a.internal(id)&x == 0
 }
 
 // InternallyDisjointIDs reports whether the two paths share no internal
 // nodes (InternallyDisjoint on interned paths).
 func (a *PathArena) InternallyDisjointIDs(p, q PathID) bool {
-	if a.exact {
-		return a.internalMask(p)&a.internalMask(q) == 0
-	}
-	return InternallyDisjoint(a.Path(p), a.Path(q))
+	return a.internal(p)&a.internal(q) == 0
 }
 
 // DisjointExceptLastIDs reports whether the two paths share exactly their
 // final node (DisjointExceptLast on interned paths).
 func (a *PathArena) DisjointExceptLastIDs(p, q PathID) bool {
 	pe, qe := &a.entries[p], &a.entries[q]
-	if pe.node != qe.node {
-		return false
-	}
-	if a.exact {
-		return pe.mask&qe.mask == bit(NodeID(pe.node))
-	}
-	return DisjointExceptLast(a.Path(p), a.Path(q))
+	return pe.node == qe.node && pe.mask&qe.mask == bit(NodeID(pe.node))
 }

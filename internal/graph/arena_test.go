@@ -121,38 +121,6 @@ func TestArenaDisjointness(t *testing.T) {
 	}
 }
 
-// TestArenaNonExactFallback exercises the >64-node regime where bitmasks
-// are only a filter.
-func TestArenaNonExactFallback(t *testing.T) {
-	n := 70
-	g := New(n)
-	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(NodeID(i), NodeID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := NewPathArena(g)
-	if a.Exact() {
-		t.Fatal("70-node arena must not be exact")
-	}
-	// Nodes 1 and 65 share bit 1%64 == 65%64: the filter alone would lie.
-	id := a.Intern(Path{64, 65, 66})
-	if a.Contains(id, 1) {
-		t.Fatal("mask collision produced a false Contains")
-	}
-	if !a.Contains(id, 65) {
-		t.Fatal("genuine member missed")
-	}
-	if !a.ExcludesInternal(id, NewSet(1)) {
-		t.Fatal("mask collision produced a false exclusion hit")
-	}
-	p1 := a.Intern(Path{0, 1, 2})
-	p2 := a.Intern(Path{64, 65, 66})
-	if !a.InternallyDisjointIDs(p1, p2) {
-		t.Fatal("disjoint paths rejected in fallback mode")
-	}
-}
-
 // TestArenaIsExtension pins the O(1) identity check: only the arena's own
 // slice of the prefix, beside an id that really ends at u, verifies — on a
 // growing arena and on a frozen one.

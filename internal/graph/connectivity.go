@@ -134,7 +134,7 @@ func (g *Graph) MaxDisjointPathCount(u, v NodeID) int {
 	if u == v {
 		return flowInf
 	}
-	f := buildSplitNet(g, NewSet(u, v), nil)
+	f := buildSplitNet(g, NewSet(u, v), 0)
 	_, uo := splitIndex(u)
 	vi, _ := splitIndex(v)
 	return f.maxFlow(uo, vi, 0)
@@ -207,9 +207,7 @@ func (g *Graph) DisjointPaths(u, v NodeID, want int, forbidden Set) []Path {
 	if !g.valid(u) || !g.valid(v) || u == v || want <= 0 {
 		return nil
 	}
-	removed := forbidden.Clone()
-	removed.Remove(u)
-	removed.Remove(v)
+	removed := forbidden &^ NewSet(u, v)
 	f := buildSplitNet(g, NewSet(u, v), removed)
 	_, uo := splitIndex(u)
 	vi, _ := splitIndex(v)
@@ -226,11 +224,7 @@ func (g *Graph) DisjointSetPaths(sources Set, v NodeID, want int, forbidden Set)
 	if !g.valid(v) || want <= 0 || sources.Len() == 0 || sources.Contains(v) {
 		return nil
 	}
-	removed := forbidden.Clone()
-	for s := range sources {
-		removed.Remove(s)
-	}
-	removed.Remove(v)
+	removed := forbidden &^ sources &^ NewSet(v)
 	// Super-source S connects to every source node's *in* vertex; each
 	// source keeps vertex capacity 1 so it can originate at most one path
 	// and cannot additionally relay another path.
@@ -255,7 +249,7 @@ func (g *Graph) DisjointSetPaths(sources Set, v NodeID, want int, forbidden Set)
 		f.addEdge(uo, vi, 1)
 		f.addEdge(vo, ui, 1)
 	}
-	for s := range sources {
+	for s := range sources.All() {
 		si, _ := splitIndex(s)
 		f.addEdge(super, si, 1)
 	}

@@ -41,7 +41,7 @@ func TestQuickMengerConsistency(t *testing.T) {
 			return true
 		}
 		count := g.MaxDisjointPathCount(u, v)
-		paths := g.DisjointPaths(u, v, count+2, nil)
+		paths := g.DisjointPaths(u, v, count+2, 0)
 		if len(paths) != count {
 			t.Logf("seed %d: flow=%d extracted=%d on %v", seed, count, len(paths), g)
 			return false
@@ -136,7 +136,7 @@ func TestQuickDisjointSetPaths(t *testing.T) {
 		if sources.Len() < k {
 			return true
 		}
-		paths := g.DisjointSetPaths(sources, v, k, nil)
+		paths := g.DisjointSetPaths(sources, v, k, 0)
 		if len(paths) < k {
 			t.Logf("seed %d: only %d of %d set paths on %v (sources %v, v=%d)", seed, len(paths), k, g, sources, v)
 			return false

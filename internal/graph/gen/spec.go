@@ -23,7 +23,18 @@ import (
 //	figure1b            the Figure 1(b) stand-in C_8(1,2)
 //	petersen            the Petersen graph (3-regular, 3-connected)
 //	edges:N:u-v,u-v,... explicit edge list
+//
+// Graphs of more than graph.MaxNodes nodes are rejected; a node-count
+// argument beyond it is rejected before anything is built.
 func ParseSpec(spec string) (*graph.Graph, error) {
+	g, err := parseSpec(spec)
+	if err == nil && g.N() > graph.MaxNodes {
+		return nil, fmt.Errorf("gen: spec %q has %d nodes, more than the %d supported", spec, g.N(), graph.MaxNodes)
+	}
+	return g, err
+}
+
+func parseSpec(spec string) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
 	kind := parts[0]
 	argInt := func(i int) (int, error) {
@@ -36,21 +47,28 @@ func ParseSpec(spec string) (*graph.Graph, error) {
 		}
 		return v, nil
 	}
+	argN := func(i int) (int, error) {
+		v, err := argInt(i)
+		if err == nil && v > graph.MaxNodes {
+			err = fmt.Errorf("gen: spec %q: %d nodes, more than the %d supported", spec, v, graph.MaxNodes)
+		}
+		return v, err
+	}
 	switch kind {
 	case "cycle":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
 		return Cycle(n)
 	case "complete":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
 		return Complete(n)
 	case "circulant":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
@@ -71,13 +89,13 @@ func ParseSpec(spec string) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := argInt(2)
+		n, err := argN(2)
 		if err != nil {
 			return nil, err
 		}
 		return Harary(k, n)
 	case "wheel":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
@@ -89,17 +107,17 @@ func ParseSpec(spec string) (*graph.Graph, error) {
 		}
 		return Hypercube(d)
 	case "bipartite":
-		a, err := argInt(1)
+		a, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
-		b, err := argInt(2)
+		b, err := argN(2)
 		if err != nil {
 			return nil, err
 		}
 		return CompleteBipartite(a, b)
 	case "random":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +137,7 @@ func ParseSpec(spec string) (*graph.Graph, error) {
 	case "petersen":
 		return Petersen(), nil
 	case "edges":
-		n, err := argInt(1)
+		n, err := argN(1)
 		if err != nil {
 			return nil, err
 		}

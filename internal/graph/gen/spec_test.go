@@ -38,10 +38,15 @@ func TestParseSpecInvalid(t *testing.T) {
 	bad := []string{
 		"", "nope", "cycle", "cycle:x", "circulant:8", "circulant:8:a",
 		"edges:3:0-9", "edges:3:0_1", "edges:3:0-a", "harary:3",
+		// More nodes than a node set holds.
+		"cycle:65", "complete:1000000", "edges:65:0-1", "bipartite:40:40", "hypercube:7",
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+	if g, err := ParseSpec("cycle:64"); err != nil || g.N() != 64 {
+		t.Errorf("cycle:64: %v", err)
 	}
 }

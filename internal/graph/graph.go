@@ -79,8 +79,12 @@ func New(n int) *Graph {
 	}
 }
 
-// NewFromEdges builds a graph on n nodes with the given edges.
+// NewFromEdges builds a graph on n nodes with the given edges. It rejects
+// graphs of more than MaxNodes nodes.
 func NewFromEdges(n int, edges []Edge) (*Graph, error) {
+	if n > MaxNodes {
+		return nil, fmt.Errorf("graph: %d nodes, more than the %d supported", n, MaxNodes)
+	}
 	g := New(n)
 	for _, e := range edges {
 		if err := g.AddEdge(e.U, e.V); err != nil {
@@ -256,20 +260,13 @@ func (g *Graph) Clone() *Graph {
 // SetNeighbors returns the neighborhood of set S: nodes outside S adjacent
 // to at least one node of S (Section 3 / Theorem 6.1(iii) of the paper).
 func (g *Graph) SetNeighbors(s Set) []NodeID {
-	seen := make(map[NodeID]bool)
-	for u := range s {
+	var nb Set
+	for u := range s.All() {
 		for _, v := range g.adj[u] {
-			if !s.Contains(v) {
-				seen[v] = true
-			}
+			nb.Add(v)
 		}
 	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	SortNodes(out)
-	return out
+	return nb.Minus(s).Slice()
 }
 
 // Connected reports whether g is connected. The empty graph and the
@@ -278,7 +275,7 @@ func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	return len(g.ReachableFrom(0, nil)) == g.n
+	return len(g.ReachableFrom(0, 0)) == g.n
 }
 
 // ReachableFrom returns all nodes reachable from start in g with the nodes

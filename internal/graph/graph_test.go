@@ -232,7 +232,7 @@ func TestMaxDisjointPathCount(t *testing.T) {
 
 func TestDisjointPathsAreValidAndDisjoint(t *testing.T) {
 	g := complete(t, 6)
-	paths := g.DisjointPaths(0, 5, 5, nil)
+	paths := g.DisjointPaths(0, 5, 5, 0)
 	if len(paths) != 5 {
 		t.Fatalf("got %d paths, want 5", len(paths))
 	}
@@ -266,7 +266,7 @@ func TestDisjointPathsRespectsForbidden(t *testing.T) {
 func TestDisjointSetPaths(t *testing.T) {
 	g := cycle(t, 5)
 	// From {1, 4} to 3: paths 1-2-3 and 4-3 are node-disjoint except 3.
-	paths := g.DisjointSetPaths(NewSet(1, 4), 3, 2, nil)
+	paths := g.DisjointSetPaths(NewSet(1, 4), 3, 2, 0)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths: %v", len(paths), paths)
 	}
@@ -286,7 +286,7 @@ func TestDisjointSetPaths(t *testing.T) {
 func TestDisjointSetPathsOriginsDistinct(t *testing.T) {
 	g := complete(t, 6)
 	sources := NewSet(0, 1, 2)
-	paths := g.DisjointSetPaths(sources, 5, 3, nil)
+	paths := g.DisjointSetPaths(sources, 5, 3, 0)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}

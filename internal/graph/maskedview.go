@@ -24,10 +24,10 @@ package graph
 // answers every query from the static analysis' own caches.
 type MaskedView struct {
 	a        *Analysis
-	nodeDown []bool
+	down     Set // masked nodes
 	edgeDown map[Edge]bool
-	// downNodes/downEdges count masked elements (both zero: fast path).
-	downNodes, downEdges int
+	// downEdges counts masked links (zero with down empty: fast path).
+	downEdges int
 
 	// dirty marks conn/minDeg stale; they are recomputed on next query.
 	dirty  bool
@@ -37,20 +37,14 @@ type MaskedView struct {
 	// sp caches masked shortest-path queries (selectively invalidated; see
 	// above). Entries hold nil for "no path exists under this mask".
 	sp map[spKey]Path
-
-	// residual is the scratch residual graph rebuilt per recompute; excl is
-	// the scratch exclusion set of masked path queries.
-	excl Set
 }
 
 // NewMaskedView returns an unmasked view over the analysis.
 func NewMaskedView(a *Analysis) *MaskedView {
 	return &MaskedView{
 		a:        a,
-		nodeDown: make([]bool, a.g.N()),
 		edgeDown: make(map[Edge]bool),
 		sp:       make(map[spKey]Path),
-		excl:     NewSet(),
 	}
 }
 
@@ -58,24 +52,21 @@ func NewMaskedView(a *Analysis) *MaskedView {
 func (v *MaskedView) Analysis() *Analysis { return v.a }
 
 // Masked reports whether any element is currently masked.
-func (v *MaskedView) Masked() bool { return v.downNodes > 0 || v.downEdges > 0 }
+func (v *MaskedView) Masked() bool { return v.down != 0 || v.downEdges > 0 }
 
 // NodeDown reports whether node u is currently masked.
-func (v *MaskedView) NodeDown(u NodeID) bool {
-	return int(u) >= 0 && int(u) < len(v.nodeDown) && v.nodeDown[u]
-}
+func (v *MaskedView) NodeDown(u NodeID) bool { return v.down.Contains(u) }
 
 // SetNodeDown masks or restores node u (faultinject.Mask).
 func (v *MaskedView) SetNodeDown(u NodeID, down bool) {
-	if int(u) < 0 || int(u) >= len(v.nodeDown) || v.nodeDown[u] == down {
+	if !v.a.g.valid(u) || v.down.Contains(u) == down {
 		return
 	}
-	v.nodeDown[u] = down
 	if down {
-		v.downNodes++
+		v.down.Add(u)
 		v.invalidateNode(u)
 	} else {
-		v.downNodes--
+		v.down.Remove(u)
 		v.invalidateAll()
 	}
 	v.dirty = true
@@ -108,11 +99,8 @@ func (v *MaskedView) ResetMask() {
 	if !v.Masked() {
 		return
 	}
-	for u := range v.nodeDown {
-		v.nodeDown[u] = false
-	}
 	clear(v.edgeDown)
-	v.downNodes, v.downEdges = 0, 0
+	v.down, v.downEdges = 0, 0
 	v.invalidateAll()
 	v.dirty = true
 }
@@ -161,7 +149,7 @@ func (v *MaskedView) recompute() {
 	compact := make([]int, n)
 	m := 0
 	for u := 0; u < n; u++ {
-		if v.nodeDown[u] {
+		if v.down.Contains(NodeID(u)) {
 			compact[u] = -1
 			continue
 		}
@@ -233,7 +221,7 @@ func (v *MaskedView) ShortestPathExcluding(s, t NodeID, exclude Set) Path {
 	if v.NodeDown(s) || v.NodeDown(t) {
 		return nil
 	}
-	k := v.a.key(s, t, exclude)
+	k := spKey{s, t, exclude}
 	if p, ok := v.sp[k]; ok {
 		return p
 	}
@@ -248,26 +236,18 @@ func (v *MaskedView) ShortestPathExcluding(s, t NodeID, exclude Set) Path {
 // exclusion set is exact; with down edges it falls back to a direct BFS over
 // the residual adjacency.
 func (v *MaskedView) searchMasked(s, t NodeID, exclude Set) Path {
-	clear(v.excl)
-	for u := range exclude {
-		v.excl.Add(u)
-	}
-	for u, down := range v.nodeDown {
-		if down {
-			v.excl.Add(NodeID(u))
-		}
-	}
+	excl := exclude | v.down
 	if v.downEdges == 0 {
-		return v.a.g.ShortestPathExcluding(s, t, v.excl)
+		return v.a.g.ShortestPathExcluding(s, t, excl)
 	}
-	return v.bfsResidual(s, t)
+	return v.bfsResidual(s, t, excl)
 }
 
 // bfsResidual is a plain BFS over the residual adjacency honoring the
-// scratch exclusion set (which already includes down nodes). Endpoints are
+// exclusion set excl (which already includes down nodes). Endpoints are
 // exempt from the exclusion set, matching Graph.ShortestPathExcluding —
 // down endpoints never reach here (the caller nils them out first).
-func (v *MaskedView) bfsResidual(s, t NodeID) Path {
+func (v *MaskedView) bfsResidual(s, t NodeID, excl Set) Path {
 	g := v.a.g
 	n := g.N()
 	prev := make([]NodeID, n)
@@ -284,7 +264,7 @@ func (v *MaskedView) bfsResidual(s, t NodeID) Path {
 			break
 		}
 		for _, w := range g.AdjList(u) {
-			if seen[w] || (w != t && v.excl.Contains(w)) || v.edgeDown[Edge{U: u, V: w}.Normalize()] {
+			if seen[w] || (w != t && excl.Contains(w)) || v.edgeDown[Edge{U: u, V: w}.Normalize()] {
 				continue
 			}
 			seen[w] = true

@@ -52,8 +52,8 @@ func TestMaskedViewUnmaskedDelegates(t *testing.T) {
 	if v.Connectivity() != a.Connectivity() || v.MinDegree() != a.MinDegree() {
 		t.Error("unmasked view disagrees with static analysis")
 	}
-	p := v.ShortestPathExcluding(0, 4, nil)
-	q := a.ShortestPathExcluding(0, 4, nil)
+	p := v.ShortestPathExcluding(0, 4, 0)
+	q := a.ShortestPathExcluding(0, 4, 0)
 	if len(p) != len(q) {
 		t.Errorf("unmasked path %v, static %v", p, q)
 	}
@@ -143,7 +143,7 @@ func TestMaskedViewShortestPaths(t *testing.T) {
 	nodeDown := make([]bool, g.N())
 	edgeDown := map[Edge]bool{}
 	edges := g.Edges()
-	excls := []Set{nil, NewSet(), NewSet(3), NewSet(2, 5)}
+	excls := []Set{0, NewSet(), NewSet(3), NewSet(2, 5)}
 	for step := 0; step < 60; step++ {
 		if rng.Intn(2) == 0 {
 			u := NodeID(rng.Intn(g.N()))
@@ -203,29 +203,29 @@ func TestMaskedViewSelectiveInvalidation(t *testing.T) {
 	v := NewMaskedView(NewAnalysis(g))
 	// Engage the mask with an element far from the probe paths.
 	v.SetNodeDown(5, true)
-	pNear := v.ShortestPathExcluding(0, 2, nil) // direct edge 0-2
-	pFar := v.ShortestPathExcluding(0, 4, nil)  // e.g. 0-2-4
+	pNear := v.ShortestPathExcluding(0, 2, 0) // direct edge 0-2
+	pFar := v.ShortestPathExcluding(0, 4, 0)  // e.g. 0-2-4
 	if len(pNear) != 2 || len(pFar) != 3 {
 		t.Fatalf("unexpected baseline paths %v %v", pNear, pFar)
 	}
 	// Down node 6: traverses neither cached path — both memos must survive.
 	v.SetNodeDown(6, true)
-	if q := v.ShortestPathExcluding(0, 2, nil); &q[0] != &pNear[0] {
+	if q := v.ShortestPathExcluding(0, 2, 0); &q[0] != &pNear[0] {
 		t.Error("down-event evicted an untouched cached path")
 	}
-	if q := v.ShortestPathExcluding(0, 4, nil); &q[0] != &pFar[0] {
+	if q := v.ShortestPathExcluding(0, 4, 0); &q[0] != &pFar[0] {
 		t.Error("down-event evicted an untouched cached path (far pair)")
 	}
 	// Down edge 0-2: on both cached paths — both evicted, recomputed routes
 	// avoid it.
 	v.SetEdgeDown(0, 2, true)
-	q := v.ShortestPathExcluding(0, 2, nil)
+	q := v.ShortestPathExcluding(0, 2, 0)
 	if len(q) != 3 {
 		t.Errorf("rerouted 0->2 path %v, want length 3", q)
 	}
 	// Up-event: wholesale clear; the direct edge must win again.
 	v.SetEdgeDown(0, 2, false)
-	if q := v.ShortestPathExcluding(0, 2, nil); len(q) != 2 {
+	if q := v.ShortestPathExcluding(0, 2, 0); len(q) != 2 {
 		t.Errorf("restored 0->2 path %v, want the direct edge again", q)
 	}
 }

@@ -92,7 +92,7 @@ func (g *Graph) MinVertexCut() (CutPartition, bool) {
 		return CutPartition{}, false
 	}
 	if !g.Connected() {
-		comp := g.ReachableFrom(0, nil)
+		comp := g.ReachableFrom(0, 0)
 		a := NewSet(comp...)
 		b := NewSet()
 		for x := 0; x < n; x++ {

@@ -99,7 +99,7 @@ func TestQuickMinCutMatchesConnectivity(t *testing.T) {
 			return false
 		}
 		// No edges may cross between A and B.
-		for a := range part.A {
+		for a := range part.A.All() {
 			for _, nb := range g.Neighbors(a) {
 				if part.B.Contains(nb) {
 					t.Logf("seed %d: edge %d-%d crosses the cut", seed, a, nb)

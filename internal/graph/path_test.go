@@ -40,8 +40,8 @@ func TestPathExcludes(t *testing.T) {
 	if p.Excludes(NewSet(1)) {
 		t.Fatal("internal member not detected")
 	}
-	if !p.Excludes(nil) {
-		t.Fatal("nil set should always be excluded")
+	if !p.Excludes(0) {
+		t.Fatal("the empty set should always be excluded")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestDisjointExceptLast(t *testing.T) {
 
 func TestShortestPathExcluding(t *testing.T) {
 	g := cycle(t, 5)
-	p := g.ShortestPathExcluding(0, 2, nil)
+	p := g.ShortestPathExcluding(0, 2, 0)
 	if p.Key() != "0->1->2" {
 		t.Fatalf("shortest = %v", p)
 	}
@@ -154,7 +154,7 @@ func TestShortestPathExcluding(t *testing.T) {
 		t.Fatal("expected nil when separated")
 	}
 	// Trivial path.
-	if got := g.ShortestPathExcluding(3, 3, nil); got.Key() != "3" {
+	if got := g.ShortestPathExcluding(3, 3, 0); got.Key() != "3" {
 		t.Fatalf("self path = %v", got)
 	}
 }
@@ -196,13 +196,13 @@ func TestSetOperations(t *testing.T) {
 	if s.String() != "{1 2 3}" {
 		t.Fatalf("String = %q", s.String())
 	}
-	var nilSet Set
-	if nilSet.Contains(1) || nilSet.Len() != 0 {
-		t.Fatal("nil set misbehaves")
+	var zero Set
+	if zero.Contains(1) || zero.Len() != 0 {
+		t.Fatal("zero set misbehaves")
 	}
-	c := nilSet.Clone()
+	c := zero
 	c.Add(5)
-	if !c.Contains(5) {
-		t.Fatal("clone of nil set should be usable")
+	if !c.Contains(5) || zero.Contains(5) {
+		t.Fatal("a copy of a set should be an independent set")
 	}
 }

@@ -37,7 +37,7 @@ func (c *DisjointPathsCache) DisjointPaths(u, v NodeID, want int) []Path {
 	if ok {
 		return ps
 	}
-	ps = c.g.DisjointPaths(u, v, want, nil)
+	ps = c.g.DisjointPaths(u, v, want, 0)
 	c.mu.Lock()
 	// Last write wins; the computation is deterministic, so concurrent
 	// fills store identical values.

@@ -2,106 +2,102 @@ package graph
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"strings"
 )
 
-// Set is a finite set of node ids. A nil Set is a valid empty set for
-// read-only operations.
-type Set map[NodeID]struct{}
+// MaxNodes is the largest graph the protocols run on: a node set is one
+// 64-bit word. Graph constructors that take untrusted sizes (NewFromEdges,
+// gen.ParseSpec, eval's spec validation) reject larger graphs.
+const MaxNodes = 64
+
+// Set is a set of node ids of a graph with at most MaxNodes nodes, one bit
+// per node. The zero Set is the empty set, and a copy is an independent
+// set.
+type Set uint64
 
 // NewSet builds a set from the given nodes.
 func NewSet(nodes ...NodeID) Set {
-	s := make(Set, len(nodes))
+	var s Set
 	for _, u := range nodes {
-		s[u] = struct{}{}
+		s.Add(u)
 	}
 	return s
 }
 
-// Contains reports membership; safe on a nil set.
+// bit is the one-member set {u}, for u already known to be in range.
+func bit(u NodeID) Set { return 1 << uint(u) }
+
+// Contains reports membership; ids outside 0..MaxNodes-1 are never members.
 func (s Set) Contains(u NodeID) bool {
-	_, ok := s[u]
-	return ok
+	return uint(u) < MaxNodes && s&bit(u) != 0
 }
 
-// Add inserts u.
-func (s Set) Add(u NodeID) { s[u] = struct{}{} }
+// Add inserts u. It panics when u is outside 0..MaxNodes-1.
+func (s *Set) Add(u NodeID) {
+	if uint(u) >= MaxNodes {
+		outOfRange(u)
+	}
+	*s |= bit(u)
+}
+
+// outOfRange panics for a node that does not fit a set; it is apart from
+// Add, and not inlined, so that Add stays small enough to inline.
+//
+//go:noinline
+func outOfRange(u NodeID) {
+	panic(fmt.Sprintf("graph: node %d does not fit a %d-node set", u, MaxNodes))
+}
 
 // Remove deletes u.
-func (s Set) Remove(u NodeID) { delete(s, u) }
+func (s *Set) Remove(u NodeID) {
+	if uint(u) < MaxNodes {
+		*s &^= bit(u)
+	}
+}
 
 // Len returns the cardinality.
-func (s Set) Len() int { return len(s) }
+func (s Set) Len() int { return bits.OnesCount64(uint64(s)) }
 
-// Clone returns a copy; a nil receiver yields an empty non-nil set.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for u := range s {
-		c[u] = struct{}{}
-	}
-	return c
-}
+// Union returns s ∪ t.
+func (s Set) Union(t Set) Set { return s | t }
 
-// Union returns a new set s ∪ t.
-func (s Set) Union(t Set) Set {
-	c := s.Clone()
-	for u := range t {
-		c[u] = struct{}{}
-	}
-	return c
-}
+// Intersect returns s ∩ t.
+func (s Set) Intersect(t Set) Set { return s & t }
 
-// Intersect returns a new set s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	c := make(Set)
-	for u := range s {
-		if t.Contains(u) {
-			c[u] = struct{}{}
+// Minus returns s \ t.
+func (s Set) Minus(t Set) Set { return s &^ t }
+
+// Equal reports whether s and t contain the same nodes.
+func (s Set) Equal(t Set) bool { return s == t }
+
+// All yields the members in ascending order.
+func (s Set) All() iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		for ; s != 0; s &= s - 1 {
+			if !yield(NodeID(bits.TrailingZeros64(uint64(s)))) {
+				return
+			}
 		}
 	}
-	return c
-}
-
-// Minus returns a new set s \ t.
-func (s Set) Minus(t Set) Set {
-	c := make(Set)
-	for u := range s {
-		if !t.Contains(u) {
-			c[u] = struct{}{}
-		}
-	}
-	return c
 }
 
 // Slice returns the members in ascending order.
 func (s Set) Slice() []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for u := range s {
+	out := make([]NodeID, 0, s.Len())
+	for u := range s.All() {
 		out = append(out, u)
 	}
-	SortNodes(out)
 	return out
-}
-
-// Equal reports whether s and t contain the same nodes.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for u := range s {
-		if !t.Contains(u) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the set as "{1 2 5}".
 func (s Set) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, u := range s.Slice() {
-		if i > 0 {
+	for u := range s.All() {
+		if sb.Len() > 1 {
 			sb.WriteByte(' ')
 		}
 		fmt.Fprintf(&sb, "%d", u)

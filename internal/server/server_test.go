@@ -459,6 +459,44 @@ func TestDecideValidation(t *testing.T) {
 	}
 }
 
+// TestDecideRejectsOversizedGraph pins the node cap at admission: a
+// cycle:65 request is a 400 naming the limit, while the valid requests sent
+// beside it still pack into one group and decide.
+func TestDecideRejectsOversizedGraph(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 2, Linger: 10 * time.Second})
+	reqs := []DecideRequest{
+		{Graph: "cycle:65", F: 1, InputPattern: []int{1}},
+		{Graph: "cycle:5", F: 1, InputPattern: []int{0, 1}},
+		{Graph: "cycle:5", F: 1, InputPattern: []int{1}},
+	}
+	status := make([]int, len(reqs))
+	body := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status[i], body[i] = postDecide(t, ts.URL, "cap", req)
+		}()
+	}
+	wg.Wait()
+	if status[0] != http.StatusBadRequest || !strings.Contains(string(body[0]), "more than the 64 supported") {
+		t.Errorf("cycle:65: status %d, body %s; want 400 naming the 64-node limit", status[0], body[0])
+	}
+	for i := 1; i < len(reqs); i++ {
+		var resp DecideResponse
+		if status[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status[i], body[i])
+		}
+		if err := json.Unmarshal(body[i], &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Outcome.Agreement || !resp.Outcome.Validity || !resp.Outcome.Termination || resp.Batch.Size != 2 {
+			t.Errorf("request %d: outcome %+v, batch %+v; want a decided run in a group of 2", i, resp.Outcome, resp.Batch)
+		}
+	}
+}
+
 // TestGraphCacheAliasAndBound pins the cache's canonical aliasing (two
 // spec strings, one entry, one analysis) and its size cap (overflow
 // lookups work but are not retained).

@@ -547,7 +547,7 @@ func (e *Engine) NodeDecision(u graph.NodeID) (Value, bool) {
 
 // AllDecided reports whether every node in the set has decided.
 func (e *Engine) AllDecided(nodes graph.Set) bool {
-	for u := range nodes {
+	for u := range nodes.All() {
 		if _, ok := e.NodeDecision(u); !ok {
 			return false
 		}

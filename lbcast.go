@@ -53,7 +53,8 @@ type (
 	Graph = graph.Graph
 	// NodeID identifies a vertex.
 	NodeID = graph.NodeID
-	// Set is a set of node ids.
+	// Set is a set of node ids, one bit per node of a graph of at most
+	// 64 nodes. The zero Set is empty, and a copy is an independent set.
 	Set = graph.Set
 	// Edge is an undirected edge.
 	Edge = graph.Edge
@@ -87,7 +88,8 @@ const (
 // NewGraph returns an empty graph on n nodes.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
-// NewGraphFromEdges builds a graph on n nodes with the given edges.
+// NewGraphFromEdges builds a graph on n nodes with the given edges. It
+// rejects graphs of more than 64 nodes, the most a Set holds.
 func NewGraphFromEdges(n int, edges []Edge) (*Graph, error) {
 	return graph.NewFromEdges(n, edges)
 }
