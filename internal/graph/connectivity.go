@@ -95,16 +95,17 @@ func splitIndex(x NodeID) (in, out int) {
 	return 2 * int(x), 2*int(x) + 1
 }
 
-// buildSplitNet constructs the vertex-split network for g. Nodes in
-// unlimited get infinite internal capacity (use for path endpoints); nodes
-// in removed get zero internal capacity (they may not appear on any path at
-// all, even as endpoints).
-func buildSplitNet(g *Graph, unlimited, removed Set) *flowNet {
+// buildSplitNet constructs the vertex-split network for g. The path
+// endpoints u and v get infinite internal capacity; nodes in removed get
+// zero internal capacity (they may not appear on any path at all, even as
+// endpoints). It builds no set from the endpoints, so connectivity works
+// on graphs of any size.
+func buildSplitNet(g *Graph, u, v NodeID, removed Set) *flowNet {
 	f := newFlowNet(2 * g.n)
 	for x := 0; x < g.n; x++ {
 		in, out := splitIndex(NodeID(x))
 		c := 1
-		if unlimited.Contains(NodeID(x)) {
+		if NodeID(x) == u || NodeID(x) == v {
 			c = flowInf
 		}
 		if removed.Contains(NodeID(x)) {
@@ -134,7 +135,7 @@ func (g *Graph) MaxDisjointPathCount(u, v NodeID) int {
 	if u == v {
 		return flowInf
 	}
-	f := buildSplitNet(g, NewSet(u, v), 0)
+	f := buildSplitNet(g, u, v, 0)
 	_, uo := splitIndex(u)
 	vi, _ := splitIndex(v)
 	return f.maxFlow(uo, vi, 0)
@@ -207,8 +208,10 @@ func (g *Graph) DisjointPaths(u, v NodeID, want int, forbidden Set) []Path {
 	if !g.valid(u) || !g.valid(v) || u == v || want <= 0 {
 		return nil
 	}
-	removed := forbidden &^ NewSet(u, v)
-	f := buildSplitNet(g, NewSet(u, v), removed)
+	removed := forbidden
+	removed.Remove(u)
+	removed.Remove(v)
+	f := buildSplitNet(g, u, v, removed)
 	_, uo := splitIndex(u)
 	vi, _ := splitIndex(v)
 	f.maxFlow(uo, vi, want)

@@ -139,3 +139,21 @@ func TestNewFromEdgesRejectsOversizedGraph(t *testing.T) {
 		t.Fatalf("MaxNodes-node graph: %v", err)
 	}
 }
+
+// TestConnectivityBeyondMaxNodes pins that vertex connectivity, which
+// builds no node set, still works on graphs larger than a set holds.
+func TestConnectivityBeyondMaxNodes(t *testing.T) {
+	n := MaxNodes + 6
+	g := New(n)
+	for u := 0; u < n; u++ {
+		if err := g.AddEdge(NodeID(u), NodeID((u+1)%n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k := g.VertexConnectivity(); k != 2 {
+		t.Fatalf("%d-cycle connectivity = %d, want 2", n, k)
+	}
+	if p := g.DisjointPaths(0, MaxNodes+2, 3, 0); len(p) != 2 {
+		t.Fatalf("%d-cycle: %d disjoint paths, want 2", n, len(p))
+	}
+}

@@ -85,7 +85,9 @@ const (
 	One  = sim.One
 )
 
-// NewGraph returns an empty graph on n nodes.
+// NewGraph returns an empty graph on n nodes. Sessions and batches run
+// on graphs of at most 64 nodes, the most a Set holds, and reject larger
+// ones; the connectivity checks work at any size.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // NewGraphFromEdges builds a graph on n nodes with the given edges. It
