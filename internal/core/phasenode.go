@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lbcast/internal/combin"
 	"lbcast/internal/flood"
@@ -199,7 +198,7 @@ func (nd *PhaseNode) observedUnanimity(st *flood.ReceiptStore) bool {
 //	case 3: |Zv∩F| > ⌊ϕ/2⌋ and |Zv| > f  → Av = Zv, Bv = Nv
 //	case 4: |Zv∩F| > ⌊ϕ/2⌋ and |Zv| ≤ f  → Av = Nv, Bv = Zv
 func selectAvBv(zv, nv, fSet graph.Set, f, phi int) (av, bv graph.Set) {
-	zf := bits.OnesCount64(uint64(zv & fSet))
+	zf := (zv & fSet).Len()
 	switch {
 	case zf <= phi/2 && nv.Len() > f:
 		return nv, zv

@@ -66,12 +66,12 @@ type Filter struct {
 
 // QueryScratch holds the reusable buffers of the disjoint-receipt
 // queries: the candidate output slice, and the backtracking selection's
-// sorted copy and chosen stack. One scratch serves one protocol node — the queries of a
-// phase end reuse its buffers instead of allocating per call. Results
-// returned from scratch methods are valid until the next call on the same
-// scratch method family (Candidates output until the next Candidates
-// call, and so on). The zero value is ready to use; the package-level
-// functions run on a fresh scratch.
+// sorted copy and chosen stack. One scratch serves one protocol node —
+// the queries of a phase end reuse its buffers instead of allocating per
+// call. Results returned from scratch methods are valid until the next
+// call on the same scratch method family (Candidates output until the
+// next Candidates call, and so on). The zero value is ready to use; the
+// package-level functions run on a fresh scratch.
 //
 // No query hashes or sorts per call in the common case. Candidates
 // deduplicates through the store's own per-path receipt chains and reads

@@ -87,7 +87,8 @@ const (
 
 // NewGraph returns an empty graph on n nodes. Sessions and batches run
 // on graphs of at most 64 nodes, the most a Set holds, and reject larger
-// ones; the connectivity checks work at any size.
+// ones; CheckLocalBroadcast and the other checks that need no node set
+// work at any size.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // NewGraphFromEdges builds a graph on n nodes with the given edges. It
@@ -128,7 +129,8 @@ var (
 	CheckLocalBroadcast = check.LocalBroadcast
 	// CheckEfficient evaluates Theorem 5.6's 2f-connectivity condition.
 	CheckEfficient = check.Efficient
-	// CheckHybrid evaluates the Theorem 6.1 conditions.
+	// CheckHybrid evaluates the Theorem 6.1 conditions. With t > 0 it
+	// enumerates node sets, so the graph must have at most 64 nodes.
 	CheckHybrid = check.Hybrid
 	// CheckPointToPoint evaluates the classical baseline conditions.
 	CheckPointToPoint = check.PointToPoint
