@@ -10,10 +10,10 @@ import (
 // A phase of Algorithms 1 and 3 is one value-blind flooding session
 // followed by the node's phase-end reads, so everything but the flooded
 // body and the phase end is common to the scalar node and the lane group:
-// the phase/round clock, the flooder's lifecycle, the choice between the
-// dynamic, delta and replay paths (and the taint frontier between them),
-// the step-(b) path choice and the phase-end query scratch. The embedding
-// node supplies the rest through phaseBody.
+// the phase/round clock, the flooder's lifecycle, the choice between plan
+// replay and dynamic flooding (see ReplayShared), the step-(b) path choice
+// and the phase-end query scratch. The embedding node supplies the rest
+// through phaseBody.
 type phaseCore struct {
 	g      *graph.Graph
 	me     graph.NodeID
@@ -39,27 +39,13 @@ type phaseCore struct {
 	// share every phase-end computation.
 	store *flood.ReceiptStore
 
-	// replay, when non-nil, switches the node's flooding sessions from the
-	// dynamic message-by-message path to schedule replay over the shared
-	// compiled plan (see UseReplay). replayStore is the run's planned store
-	// view, recycled phase over phase; replayBuf is the reused outbox
-	// buffer of the replay path, the fwdBuf analogue.
+	// replay, when non-nil, is the lane group's use of a compiled plan (see
+	// UseReplay): which phases replay it, and how the others flood on its
+	// arena. replayStore is the run's planned store view, recycled phase
+	// over phase; replayBuf is the reused outbox buffer of the replay path.
 	replay      *ReplayShared
 	replayStore *flood.ReceiptStore
 	replayBuf   []sim.Outgoing
-	// replayFrontier is the taint frontier of an injected-world run: phases
-	// strictly before it replay the compiled plan, phases from it onward run
-	// the dynamic path (see SetReplayFrontier). UseReplay sets it past every
-	// phase — an un-churned replay run never crosses it.
-	replayFrontier int
-	// delta, when non-nil, keeps the node on the dynamic flooding path but
-	// routes each delivery through the delta plan's matched-arrival fast
-	// path (see UseDeltaReplay). Mutually exclusive with replay.
-	delta *flood.DeltaPlan
-	// expectHint, when set, seeds the first phase's receipt-store
-	// reservation (UseDeltaReplay); later phases reuse the recycled
-	// flooder's grown store.
-	expectHint int
 
 	// arena is the per-run path arena shared by every phase's flooding
 	// session: interned prefixes are reused phase over phase and PathIDs
@@ -111,79 +97,45 @@ func newPhaseCore(topo *graph.Analysis, f int, me graph.NodeID, phases []PhaseSp
 func (c *phaseCore) ID() graph.NodeID { return c.me }
 
 // rewind returns the clock to the first phase; every buffer, the flooder
-// and the run wiring (UseReplay, UseDeltaReplay, EnableEarlyDecision) are
-// kept, and every step-(b) cache entry stays valid (it is a fact about the
-// topology).
+// and the run wiring (UseReplay, EnableEarlyDecision) are kept, and every
+// step-(b) cache entry stays valid (it is a fact about the topology).
 func (c *phaseCore) rewind() {
 	c.phaseIdx, c.roundInPhase, c.done = 0, 0, false
 }
 
-// UseReplay switches the node's step-(a) flooding sessions to replay mode
-// over the shared compiled plan: receipts are bulk-installed from the
-// plan's schedule and outboxes materialized from its templates, with the
-// phase bodies drawn from the run's ReplayShared blackboard. The node
-// adopts the plan's frozen arena as its run arena (every path it will ever
-// look up is already interned there). Replay is an execution strategy, not
-// a semantics change — it is only sound when the whole flood is fault-free
-// (every node initiates, every relay forwards correctly), which the caller
-// asserts by calling this; eval enables it exactly for executions with no
-// Byzantine overrides, and for a vector lane group, whose lanes are benign
-// by construction, even when the batch also carries faulty scalar
-// instances. Must be called before the first Step, and every honest node
-// (or lane-group vertex) of the run must share the same ReplayShared.
+// UseReplay wires the node to its lane group's compiled plan: phases the
+// group replays (see ReplayShared) bulk-install receipts from the plan's
+// schedule and materialize outboxes from its templates, with the phase
+// bodies drawn from the group's blackboard; the others flood dynamically on
+// the plan's frozen arena. The node adopts that arena as its run arena
+// (every path it will ever look up is already interned there) and the
+// plan's shared step-(b) cache. Wholesale replay is an execution strategy,
+// not a semantics change — it is only sound for the phases whose flood the
+// plan describes exactly (every node initiates, every relay forwards
+// correctly, or the plan's crash mask holds), which the caller asserts
+// through the group's taint. Must be called before the first Step, and
+// every honest node (or lane-group vertex) of the group must share the same
+// ReplayShared.
 func (c *phaseCore) UseReplay(rs *ReplayShared) {
 	c.replay = rs
-	c.replayFrontier = len(c.phases)
 	c.arena = rs.plan.Arena()
 	c.stepB = replayStepBCache(c.topo, rs.plan)
-	c.replayBuf = make([]sim.Outgoing, 0, rs.plan.MaxRoundReceipts(c.me))
 }
 
-// SetReplayFrontier caps plan replay at phase index frontier: phases
-// [0, frontier) replay the compiled plan, phases [frontier, ...) run the
-// dynamic message-by-message path. This is the per-run taint frontier of
-// fault injection — a topology event at engine round R invalidates the plan
-// from the phase containing R onward (the plan's schedule assumes the static
-// adjacency), while every earlier phase's transmissions were routed unmasked
-// and replay byte-identically. The switch at a phase boundary is clean: the
-// dynamic path's phase-start round reads no inbox, the frozen plan arena
-// already holds every simple path the masked flood can traverse, and the
-// step-(b) choices are drawn from the static topology on both paths.
-//
-// A node with a finite frontier no longer promises sim.InboxIgnorer (its
-// dynamic phases genuinely read deliveries), so the engine materializes its
-// inbox throughout — including the replayed prefix, where the deliveries are
-// simply never read. Must be called after UseReplay and before the first
-// Step; pooled runs re-arm it on every reset (schedules differ per run).
-func (c *phaseCore) SetReplayFrontier(frontier int) {
-	c.replayFrontier = min(max(frontier, 0), len(c.phases))
-}
+// UseDeltaReplay wires the node alone to the delta fragment dp: UseReplay
+// over a ReplayShared of dp's base plan tainted by dp. Kept for the
+// benchmark probes (benchmark/probes/kit), which build delta worlds node by
+// node.
+func (c *phaseCore) UseDeltaReplay(dp *flood.DeltaPlan) { c.UseReplay(deltaShared(dp)) }
 
-// UseDeltaReplay switches the node's step-(a) flooding sessions to delta
-// replay over the given plan fragment: the node still runs its full
-// dynamic flooder (tamper and equivocation are value-dependent, so every
-// arrival must be inspected), but deliveries matching the next untainted
-// compiled record are installed and forwarded straight from the benign
-// plan — see flood.DeliverDelta. The node adopts the benign plan's frozen
-// arena (it holds every simple path of the graph, so all interning hits)
-// and the plan's shared step-(b) cache, and seeds its store reservation
-// with the benign receipt count, an upper bound for any fault pattern.
-// Must be called before the first Step; mutually exclusive with UseReplay.
-func (c *phaseCore) UseDeltaReplay(dp *flood.DeltaPlan) {
-	c.delta = dp
-	c.arena = dp.Base().Arena()
-	c.stepB = replayStepBCache(c.topo, dp.Base())
-	c.expectHint = dp.Base().NodeReceipts(c.me)
-}
-
-// IgnoresInbox implements sim.InboxIgnorer: a replaying node draws every
-// arrival from the compiled plan and never reads its inbox. A node whose
-// replay is capped by a taint frontier (SetReplayFrontier) reads deliveries
-// in its dynamic phases, so it does not qualify — and the contract is
-// monotone (false may become true, never the reverse), which the frontier
-// respects because it is set before the first Step and only lowered.
+// IgnoresInbox implements sim.InboxIgnorer: a node whose group replays
+// every phase draws every arrival from the compiled plan and never reads
+// its inbox. A tainted group's nodes read deliveries in their dynamic
+// phases, so they do not qualify — and the contract is monotone (false may
+// become true, never the reverse), which the taint respects because it is
+// set before the first Step.
 func (c *phaseCore) IgnoresInbox() bool {
-	return c.replay != nil && c.replayFrontier >= len(c.phases)
+	return c.replay != nil && c.replay.frontier >= len(c.phases)
 }
 
 // EnableEarlyDecision lets the node decide before the final phase via the
@@ -212,7 +164,7 @@ func (c *phaseCore) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 		return nil
 	}
 	var out []sim.Outgoing
-	if c.replay != nil && c.phaseIdx < c.replayFrontier {
+	if c.replay != nil && c.phaseIdx < c.replay.frontier {
 		out = c.replayStep()
 	} else {
 		out = c.dynamicStep(inbox)
@@ -231,60 +183,55 @@ func (c *phaseCore) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 
 // dynamicStep runs one round of the message-by-message flooding path.
 func (c *phaseCore) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
-	switch c.roundInPhase {
-	case 0:
+	var dp *flood.DeltaPlan
+	if c.replay != nil {
+		dp = c.replay.taint
+	}
+	if c.roundInPhase == 0 {
 		// Step (a): initiate flooding of the phase body. One flooder
 		// serves every phase: flooding structure repeats phase over phase,
 		// so recycling it (receipts and acceptance state cleared, index
 		// capacity kept) leaves every append of the new phase landing in
-		// pre-grown storage. The first phase sizes from the hint, when one
-		// was provided (a compiled plan's exact per-node count).
-		if c.delta != nil {
+		// pre-grown storage. On a plan's arena the first phase sizes from
+		// the plan's receipt count, an upper bound for any fault pattern.
+		if dp != nil {
 			flood.NoteDeltaReplaySession()
 		} else {
 			flood.NoteDynamicSession()
 		}
 		if c.flooder == nil {
 			c.ident = flood.NewIdent()
-			switch {
-			case c.delta != nil:
-				c.flooder = flood.NewOnPlan(c.delta.Base(), c.me, c.ident)
-			case c.replay != nil: // past the taint frontier
+			if c.replay != nil {
 				c.flooder = flood.NewOnPlan(c.replay.plan, c.me, c.ident)
-			default:
+				c.flooder.Expect(c.replay.plan.NodeReceipts(c.me))
+			} else {
 				if c.arena == nil {
 					c.arena = graph.NewPathArena(c.g)
 				}
 				c.flooder = flood.NewWithState(c.g, c.me, c.arena, c.ident)
 			}
-			c.flooder.Expect(c.expectHint)
 		} else {
 			c.flooder.Recycle()
 		}
-		// Re-point the receipt store every phase: a taint-frontier node
-		// arrives here with store still on its replay store from the
-		// replayed prefix, and must read this phase's receipts from the
+		// Re-point the receipt store every phase: a node past its taint
+		// frontier arrives here with store still on its replay store from
+		// the replayed prefix, and must read this phase's receipts from the
 		// flooder instead.
 		c.store = c.flooder.Store()
 		return c.flooder.Start(c.node.openPhase(false))
-	case 1:
+	}
+	var out []sim.Outgoing
+	if dp != nil {
+		out = c.flooder.DeliverDelta(dp, c.roundInPhase, inbox)
+	} else {
+		out = c.flooder.Deliver(inbox)
+	}
+	if c.roundInPhase == 1 {
 		// Initiations arrive now; after processing, substitute the
 		// default message for silent neighbors.
-		return c.flooder.AppendMissing(c.deliver(inbox), c.node.defaultBody)
-	default:
-		return c.deliver(inbox)
+		out = c.flooder.AppendMissing(out, c.node.defaultBody)
 	}
-}
-
-// deliver routes one round's inbox through the flooder: the delta
-// matched-arrival path when delta replay is wired, the plain dynamic rules
-// otherwise. Both produce byte-identical outcomes; delta only changes how
-// much per-message work the untainted majority costs.
-func (c *phaseCore) deliver(inbox []sim.Delivery) []sim.Outgoing {
-	if c.delta != nil {
-		return c.flooder.DeliverDelta(c.delta, c.roundInPhase, inbox)
-	}
-	return c.flooder.Deliver(inbox)
+	return out
 }
 
 // replayStep runs one round of the plan-replay path: at phase start it
@@ -305,6 +252,7 @@ func (c *phaseCore) replayStep() []sim.Outgoing {
 		// lanes Go-side), so a replaying node never interns a body.
 		if c.replayStore == nil {
 			c.replayStore = plan.PlannedStore(c.me, c.ident)
+			c.replayBuf = make([]sim.Outgoing, 0, plan.MaxRoundReceipts(c.me))
 		} else {
 			c.replayStore.ResetPlanned()
 		}

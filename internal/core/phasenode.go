@@ -85,9 +85,9 @@ func (nd *PhaseNode) Gamma() sim.Value { return nd.gamma }
 
 // Reset returns the node to its initial protocol state with a fresh input,
 // recycling every buffer it grew during previous runs (see
-// phaseCore.rewind). The run-level wiring (UseReplay, UseDeltaReplay,
-// EnableEarlyDecision) is preserved, so a reset node re-runs under exactly
-// the configuration it was pooled with.
+// phaseCore.rewind). The run-level wiring (UseReplay, EnableEarlyDecision)
+// is preserved, so a reset node re-runs under exactly the configuration it
+// was pooled with.
 func (nd *PhaseNode) Reset(input sim.Value) {
 	nd.rewind()
 	nd.gamma = input

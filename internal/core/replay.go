@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"lbcast/internal/flood"
@@ -14,7 +15,9 @@ import (
 // so the only live information a replaying node needs from its peers is
 // the body each origin floods this phase. ReplayShared is that channel: a
 // per-run blackboard of phase bodies, written by each node at its own
-// phase start and read by every node from the following round on.
+// phase start and read by every node from the following round on. It also
+// records where the run leaves the plan (SetTaint): the receipts a faulty
+// relay can reach, and the first phase a topology event invalidates.
 //
 // The synchronization argument: all honest nodes of a replayed run change
 // phase in the same engine round (phases have a fixed round count and all
@@ -26,10 +29,14 @@ import (
 // program order puts every write before the reads of later rounds, and
 // within the phase-start round each node writes only its own slot.
 
-// ReplayShared is the run-wide state of a replayed execution: the compiled
-// plan plus the per-phase origin-body blackboard. One ReplayShared serves
-// all nodes of one run (or all vertices of one batch lane group); it must
-// not be shared across concurrent runs.
+// ReplayShared is how one lane group uses a compiled plan: the plan, the
+// per-phase origin-body blackboard, the phantom toggle, and the taint (an
+// optional delta fragment and the taint frontier). A phase replays the plan
+// wholesale when the group has no delta fragment and the phase lies before
+// the frontier; otherwise it floods dynamically on the plan's frozen arena,
+// through the fragment's matched-arrival cursor when one is set. One
+// ReplayShared serves all nodes of one run (or all vertices of one batch
+// lane group); it must not be shared across concurrent runs.
 type ReplayShared struct {
 	plan *flood.Plan
 	// bodies[u] is the body node u floods in the current phase. Slots are
@@ -40,6 +47,11 @@ type ReplayShared struct {
 	// protocol (flood.Plan.ReplayRoundPhantom): transmissions carry the
 	// sim.Phantom sentinel instead of materialized messages. See SetPhantom.
 	phantom bool
+	// taint, when non-nil, is the fragment of plan no faulty relay can
+	// reach; frontier is the first phase that does not replay (0 with a
+	// fragment). See SetTaint.
+	taint    *flood.DeltaPlan
+	frontier int
 }
 
 // NewReplayShared returns the shared replay state for one run over the
@@ -51,7 +63,7 @@ type ReplayShared struct {
 // The slots are never overwritten (only honest nodes write, each to its
 // own slot), so the prefill survives pooled reuse.
 func NewReplayShared(plan *flood.Plan) *ReplayShared {
-	rs := &ReplayShared{plan: plan, bodies: make([]flood.Body, plan.Graph().N())}
+	rs := &ReplayShared{plan: plan, bodies: make([]flood.Body, plan.Graph().N()), frontier: math.MaxInt}
 	for u := range plan.Mask().All() {
 		rs.bodies[u] = flood.CanonValueBody(sim.DefaultValue)
 	}
@@ -72,6 +84,45 @@ func (rs *ReplayShared) Plan() *flood.Plan { return rs.plan }
 // observer-free runs, where Byzantine co-instances of a batch demux their
 // own parts without reading the replayed lanes'.
 func (rs *ReplayShared) SetPhantom(on bool) { rs.phantom = on }
+
+// SetTaint marks where the group's executions leave the plan. Phases
+// [0, frontier) replay it wholesale; the rest flood dynamically on its
+// frozen arena, which already holds every path they can traverse. With a
+// fragment dp of rs's plan no phase replays (frontier is ignored), and each
+// delivery goes through flood.DeliverDelta: tamper and equivocation are
+// value-dependent, so every arrival is inspected, but one matching the next
+// untainted compiled record is installed and forwarded straight from the
+// plan. A finite frontier without a fragment is fault injection's: a
+// topology event at engine round R invalidates the plan from the phase
+// containing R onward, while every earlier phase was routed unmasked and
+// replays byte-identically. The switch at a phase boundary is clean: the
+// dynamic phase-start round reads no inbox, and the step-(b) choices come
+// from the static topology either way.
+//
+// A node of a tainted group reads deliveries in its dynamic phases, so it
+// no longer promises sim.InboxIgnorer and the engine fills its inbox
+// throughout. Call before the first Step of a run; pooled runs re-arm the
+// frontier on every reset (schedules differ per run).
+func (rs *ReplayShared) SetTaint(dp *flood.DeltaPlan, frontier int) {
+	if dp != nil {
+		frontier = 0
+	}
+	rs.taint, rs.frontier = dp, frontier
+}
+
+// Taint returns the group's delta fragment (nil without one) and its
+// taint frontier, as SetTaint set them.
+func (rs *ReplayShared) Taint() (*flood.DeltaPlan, int) { return rs.taint, rs.frontier }
+
+// Phantom reports whether the group's replayed outboxes are phantom.
+func (rs *ReplayShared) Phantom() bool { return rs.phantom }
+
+// deltaShared returns a ReplayShared of dp's base plan tainted by dp.
+func deltaShared(dp *flood.DeltaPlan) *ReplayShared {
+	rs := NewReplayShared(dp.Base())
+	rs.SetTaint(dp, 0)
+	return rs
+}
 
 // stepBCacheKey keys the run-crossing replay step-(b) caches in
 // Analysis.Memo, one per plan: PathIDs are arena-local, and every plan

@@ -121,3 +121,63 @@ func TestStepCEmptyAvKeepsGamma(t *testing.T) {
 		}
 	}
 }
+
+// TestStepCExcludesFT pins the F∪T exclusion of step (c): the f+1
+// disjoint Av-paths that carry δ to v must avoid F∪T in their interiors.
+// On K6 with f = 1, F = {0} and v = 5 holding 0, step (b) reads 0 from 1
+// and 2 along [1 5] and [2 5] and nothing from 0, 3 and 4 but 1 along
+// [3 5], so case 1 gives Av = Nv = {0, 3, 4} and Bv = Zv ∋ 5. Value 1
+// reaches 5 from Av along [3 5] and [4 0 5]: two paths disjoint except at
+// 5, but the second passes through 0 ∈ F, so only f of them count and γ
+// must stay 0. Without the exclusion (the control run) the same receipts
+// adopt 1.
+func TestStepCExcludesFT(t *testing.T) {
+	g, err := gen.Complete(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := graph.NewAnalysis(g)
+	const f, me = 1, graph.NodeID(5)
+	receipts := []struct {
+		path graph.Path
+		v    sim.Value
+	}{
+		{graph.Path{5}, sim.Zero}, {graph.Path{1, 5}, sim.Zero}, {graph.Path{2, 5}, sim.Zero},
+		{graph.Path{3, 5}, sim.One}, {graph.Path{4, 0, 5}, sim.One},
+	}
+	store := func(arena *graph.PathArena, body func(sim.Value) flood.Body) *flood.ReceiptStore {
+		st := flood.NewReceiptStore(arena, flood.NewIdent())
+		for _, r := range receipts {
+			st.Add(flood.Receipt{Origin: r.path[0], PathID: arena.Intern(r.path), Body: body(r.v)})
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name string
+		excl graph.Set
+		want sim.Value
+	}{
+		{"F excluded", graph.NewSet(0), sim.Zero},
+		{"control without exclusion", 0, sim.One},
+	} {
+		phases := []PhaseSpec{{F: graph.NewSet(0), Excl: tc.excl}}
+
+		arena := graph.NewPathArena(g)
+		nd := newPhaseNode(topo, f, me, sim.Zero, phases, arena)
+		nd.store = store(arena, flood.CanonValueBody)
+		nd.endPhase()
+		if nd.Gamma() != tc.want {
+			t.Errorf("%s: scalar phase end: γ = %v, want %v", tc.name, nd.Gamma(), tc.want)
+		}
+
+		arena = graph.NewPathArena(g)
+		vn := newVectorPhaseNode(topo, f, me, []sim.Value{sim.Zero, sim.Zero}, phases, arena)
+		vn.store = store(arena, func(v sim.Value) flood.Body { return VectorBody{Values: []sim.Value{v, v}} })
+		vn.endPhase()
+		for l := range 2 {
+			if vn.LaneGamma(l) != tc.want {
+				t.Errorf("%s: vector phase end: lane %d γ = %v, want %v", tc.name, l, vn.LaneGamma(l), tc.want)
+			}
+		}
+	}
+}

@@ -226,30 +226,34 @@ func (s *BatchSession) modeOf(inst BatchInstance) replayMode {
 
 // wire builds the replay wiring of one lane group in the given mode, byz
 // being the overrides of its instance (nil for the vector group): the
-// blackboard of a wholesale-replaying group, with its phantom toggle set,
-// or the delta fragment of a delta group. It hands the plan their honest
-// neighbours flood on to the group's adversaries that can use it.
-func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) (*core.ReplayShared, *flood.DeltaPlan) {
+// plan the group uses, its phantom toggle, and its taint — the delta
+// fragment of a delta group, the churn frontier of a churn group. It hands
+// the plan to the group's adversaries that can use it. Nil for a group
+// that uses no plan.
+func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) *core.ReplayShared {
 	var rs *core.ReplayShared
 	switch mode {
 	case replayFull, replayChurn:
-		// A churn run replays the benign plan up to its taint frontier.
 		rs = core.NewReplayShared(flood.PlanFor(s.topo))
+		if mode == replayChurn {
+			rs.SetTaint(nil, churnFrontierPhase(s.base.G, s.base.Churn))
+		}
 	case replayMasked:
 		rs = core.NewReplayShared(flood.MaskedPlanFor(s.topo, byzSet(byz)))
 	case replayDelta:
 		dp := flood.DeltaPlanFor(s.topo, byzSet(byz))
+		rs = core.NewReplayShared(dp.Base())
+		rs.SetTaint(dp, 0)
 		sharePlan(byz, dp.Base())
-		return nil, dp
 	default:
 		if s.base.Algorithm == Algo2 {
 			// Algorithm 2's honest nodes flood on the benign plan's arena.
 			sharePlan(byz, flood.PlanFor(s.topo))
 		}
-		return nil, nil
+		return nil
 	}
 	rs.SetPhantom(phantomOK(mode, byz, s.spec.Observer))
-	return rs, nil
+	return rs
 }
 
 // phantomOK decides the phantom-transmission toggle of a replaying group:
@@ -329,7 +333,6 @@ type instState struct {
 type groupState struct {
 	mode     replayMode
 	rs       *core.ReplayShared
-	dp       *flood.DeltaPlan
 	laneLeft int
 }
 
@@ -344,7 +347,14 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	obs := s.spec.Observer
 	st.eng.Reset(obs)
 	for g := range st.groups {
-		st.groups[g].laneLeft = 0
+		grp := &st.groups[g]
+		grp.laneLeft = 0
+		if grp.mode == replayChurn {
+			// The pool key marks churn presence, not schedule contents, so a
+			// recycled run may carry a different event list — and therefore
+			// a different taint frontier — than the run it was built for.
+			grp.rs.SetTaint(nil, churnFrontierPhase(s.base.G, s.base.Churn))
+		}
 	}
 	for i := range st.insts {
 		in := &st.insts[i]
@@ -357,13 +367,8 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 		}
 		in.retired, in.rounds = false, 0
 	}
-	frontier := 0
 	if st.churn != nil {
-		// The pool key marks churn presence, not schedule contents, so a
-		// recycled run may carry a different event list — and therefore a
-		// different taint frontier — than the run it was built for.
 		st.churn.reset(s.base.Churn)
-		frontier = churnFrontierPhase(s.base.G, s.base.Churn)
 	}
 	for _, bn := range st.batchNodes {
 		bn.ResetRetirements()
@@ -380,15 +385,12 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	}
 	for _, sc := range st.scalars {
 		sc.pn.Reset(s.slabs[sc.inst][sc.u])
-		if st.churn != nil {
-			sc.pn.SetReplayFrontier(frontier)
-		}
 	}
 	for _, bz := range st.byz {
 		nd := s.spec.Instances[bz.inst].Byzantine[bz.u]
 		grp := st.insts[bz.inst].group
-		if dp := st.groups[grp].dp; dp != nil {
-			handPlan(nd, dp.Base())
+		if st.groups[grp].mode == replayDelta {
+			handPlan(nd, st.groups[grp].rs.Plan())
 		}
 		var err error
 		if st.batchNodes != nil {
@@ -441,7 +443,7 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	}
 	// Compiled-plan replay, per group: one wiring per group, chosen by its
 	// first instance's replay mode (a vector group's lanes are all benign).
-	// Each wholesale-replaying group gets its own body blackboard, shared
+	// Each group that uses a plan gets its own core.ReplayShared, shared
 	// across the vertices of the group.
 	st.groups = make([]groupState, groups)
 	for i, inst := range s.spec.Instances {
@@ -450,19 +452,17 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		grp := &st.groups[in.group]
 		if in.lane == 0 {
 			grp.mode = s.modeOf(inst)
-			grp.rs, grp.dp = s.wire(grp.mode, inst.Byzantine)
+			grp.rs = s.wire(grp.mode, inst.Byzantine)
 		}
 		grp.laneLeft++
 	}
 	engTopo := sim.Topology(sim.GraphTopology{G: g})
-	frontier := 0
 	if !s.base.Churn.Empty() {
 		// An injected world routes through the mutable link-mask view, which
 		// the round loop mutates only between engine steps.
 		masked := sim.NewMaskedTopology(g)
 		st.churn = newChurnRun(s.topo, masked, s.base.Churn)
 		engTopo = masked
-		frontier = churnFrontierPhase(g, s.base.Churn)
 	}
 	st.nodes = make([]sim.Node, n)
 	if groups > 1 {
@@ -518,14 +518,8 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 			v := s.slabs[i][u]
 			nd := s.base.NewHonestNode(s.topo, arena, u, v)
 			if pn, ok := nd.(*core.PhaseNode); ok {
-				grp := st.groups[in.group]
-				if grp.rs != nil {
-					pn.UseReplay(grp.rs)
-				} else if grp.dp != nil {
-					pn.UseDeltaReplay(grp.dp)
-				}
-				if grp.mode == replayChurn {
-					pn.SetReplayFrontier(frontier)
+				if rs := st.groups[in.group].rs; rs != nil {
+					pn.UseReplay(rs)
 				}
 				st.scalars = append(st.scalars, scalarSlot{inst: i, u: u, pn: pn})
 			}
@@ -554,12 +548,12 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	}
 	st.eng = eng
 	for _, grp := range st.groups {
-		if grp.dp != nil {
+		if grp.mode == replayDelta {
 			// Delta groups flood dynamically, so every inbox fills to about
 			// the benign plan's fan-in; size it once instead of regrowing it
 			// through the first phase.
 			for _, u := range g.Nodes() {
-				eng.ReserveInbox(u, grp.dp.Base().MaxRoundFanIn(u))
+				eng.ReserveInbox(u, grp.rs.Plan().MaxRoundFanIn(u))
 			}
 			break
 		}
