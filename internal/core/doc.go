@@ -11,8 +11,10 @@
 //   - Algorithm 3 (Appendix D.2): the hybrid-model generalization where up
 //     to t ≤ f faulty nodes may equivocate; one phase per (F, T) pair.
 //     Algorithm 1 is exactly Algorithm 3 with t = 0, and the implementation
-//     shares one state machine (PhaseNode) for both.
+//     shares one state machine (VectorPhaseNode) for both, over one or
+//     more lanes; PhaseNode is its one-lane case.
 //
-// All algorithm nodes implement sim.Node and sim.Decider and are driven by
-// a sim.Engine round by round.
+// All algorithm nodes implement sim.Node and are driven by a sim.Engine
+// round by round. PhaseNode and EfficientNode are sim.Deciders;
+// VectorPhaseNode decides lane by lane (sim.LaneDecider).
 package core

@@ -8,24 +8,36 @@ import (
 	"lbcast/internal/sim"
 )
 
-// laneShare runs the per-lane disjoint-path searches of one vector
-// phase-end query — step (c) over the exclusion-filtered receipts, or the
-// early-decision certificate over one origin's receipts — with one search
-// per distinct lane match list instead of one per lane.
+// laneShare runs the per-lane disjoint-path searches of one phase-end
+// query — step (c) over the exclusion-filtered receipts, or the
+// early-decision certificate over one origin's receipts — picking its
+// strategy from the node's lane count.
 //
-// The candidates are value-blind; a lane's match list is the subsequence
-// whose origin the lane admits and whose lane value equals the lane's
-// target. Candidates are grouped by (origin, VectorBody backing array): a
-// VectorBody is immutable and forwarded by reference, so every candidate
-// of a group has the same origin and the same value in every lane. A
-// lane's signature is the set of groups it admits, and its match list is
-// exactly the candidates of those groups, in candidate order — so lanes
-// with equal signatures have identical match lists and share one
-// SelectDisjoint result, memoized until the next grouping. Benign
-// flooding forwards each origin's body unchanged, so a phase end usually
-// has one group per origin and its lanes collapse to a few searches.
-// Signatures are bitsets of any width.
+// A one-lane node floods value bodies, so its lane's match list is the
+// store's own body-filtered candidate list: each search is the lane's
+// filtered flood.QueryScratch.ReceivedOnDisjointPaths query, with no
+// grouping and no memo.
+//
+// With two or more lanes it runs one search per distinct lane match list
+// instead of one per lane. The candidates are gathered once, value-blind;
+// a lane's match list is the subsequence whose origin the lane admits and
+// whose lane value equals the lane's target. Candidates are grouped by
+// (origin, VectorBody backing array): a VectorBody is immutable and
+// forwarded by reference, so every candidate of a group has the same
+// origin and the same value in every lane. A lane's signature is the set
+// of groups it admits, and its match list is exactly the candidates of
+// those groups, in candidate order — so lanes with equal signatures have
+// identical match lists and share one SelectDisjoint result, memoized
+// until the next query. Benign flooding forwards each origin's body
+// unchanged, so a phase end usually has one group per origin and its lanes
+// collapse to a few searches. Signatures are bitsets of any width.
 type laneShare struct {
+	// st and base are the current query's store and value-blind filter;
+	// one selects the one-lane strategy.
+	st   *flood.ReceiptStore
+	base flood.Filter
+	one  bool
+
 	cands []flood.Receipt
 	// groupOf[i] is candidate i's group, or -1 when no lane can match it
 	// (not a VectorBody, or an empty one).
@@ -57,6 +69,34 @@ type laneGroup struct {
 type laneMemo struct {
 	found bool
 	next  int32 // the previous entry with the same hash, plus one
+}
+
+// query opens one phase-end query over the receipts of st matching base,
+// a value-blind filter, for a node of the given lane count; n is the
+// graph's node count. With two or more lanes it gathers and groups the
+// candidates.
+func (ls *laneShare) query(sc *flood.QueryScratch, st *flood.ReceiptStore, base flood.Filter, lanes, n int) {
+	ls.st, ls.base, ls.one = st, base, lanes == 1
+	if !ls.one {
+		ls.group(sc.Candidates(st, base), n)
+	}
+}
+
+// holds reports whether lane l received want along k paths pairwise
+// disjoint under mode among the query's receipts. A non-empty admit
+// restricts the origins; it is only passed to a query whose base filter
+// admits every origin.
+func (ls *laneShare) holds(sc *flood.QueryScratch, l int, want sim.Value, admit graph.Set, k int, mode flood.DisjointMode) bool {
+	if ls.one {
+		fil := ls.base
+		if admit != 0 {
+			fil.Origins = admit
+		}
+		fil.Body = flood.ValueKeyID(want)
+		return sc.ReceivedOnDisjointPaths(ls.st, fil, k, mode)
+	}
+	ls.signature(l, want, admit)
+	return ls.search(sc, ls.st.Arena(), k, mode)
 }
 
 // group assigns the candidates of one query to their groups and empties

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -154,14 +155,42 @@ func referenceLaneEndPhase(nd *VectorPhaseNode) (gammas []sim.Value, decided []b
 	return gammas, decided, values
 }
 
+// valueLaneStore is the one-lane row's store: st with its body kinds
+// swapped, so that the one-lane node reads value bodies where the
+// per-lane reference reads one-lane VectorBodies. Every one-lane VectorBody
+// becomes the value body of its value, every value body a one-lane
+// VectorBody no one-lane query may match; anything else stays.
+func valueLaneStore(st *flood.ReceiptStore, arena *graph.PathArena) *flood.ReceiptStore {
+	out := flood.NewReceiptStore(arena, flood.NewIdent())
+	for _, r := range st.All() {
+		switch b := r.Body.(type) {
+		case VectorBody:
+			if len(b.Values) == 1 {
+				r.Body = flood.CanonValueBody(b.Values[0])
+			}
+		case flood.ValueBody:
+			r.Body = VectorBody{Values: []sim.Value{b.Value}}
+		}
+		out.Add(r)
+	}
+	return out
+}
+
 // TestLaneSharingMatchesPerLaneReference runs VectorPhaseNode phase ends
 // over stores whose origins carry several distinct VectorBody arrays —
 // and, with a fresh array per receipt, more than 64 groups — and requires
 // every lane's γ, early-decision flag and early value to equal the
 // per-lane reference's. The random states must reach both outcomes of
-// both checks.
+// both checks. The one-lane row runs the same states on a node that
+// floods and reads value bodies (laneShare's filtered-query strategy): its
+// store is the reference's with the body kinds swapped (valueLaneStore).
 func TestLaneSharingMatchesPerLaneReference(t *testing.T) {
-	const lanes = 70
+	for _, lanes := range []int{70, 1} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { laneSharingRow(t, lanes) })
+	}
+}
+
+func laneSharingRow(t *testing.T, lanes int) {
 	g := gen.Figure1b()
 	topo := graph.NewAnalysis(g)
 	var adopted, kept, early, notEarly, wide int
@@ -194,6 +223,9 @@ func TestLaneSharingMatchesPerLaneReference(t *testing.T) {
 			fresh := phase%2 == 1
 			nd.store = laneStore(rng, g, me, arena, lanes, 5, fresh, nd.phaseStartGamma, unanimous)
 			wantG, wantD, wantV := referenceLaneEndPhase(nd)
+			if lanes == 1 {
+				nd.store = valueLaneStore(nd.store, arena)
+			}
 			before := slices.Clone(nd.gammas)
 			pending := slices.Clone(nd.earlyDecided)
 			nd.endPhase()
@@ -220,7 +252,7 @@ func TestLaneSharingMatchesPerLaneReference(t *testing.T) {
 			}
 		}
 	}
-	if adopted == 0 || kept == 0 || early == 0 || notEarly == 0 || wide == 0 {
+	if adopted == 0 || kept == 0 || early == 0 || notEarly == 0 || (lanes > 1 && wide == 0) {
 		t.Fatalf("coverage: %d γ changes, %d kept, %d early decisions, %d not, %d phase ends over 64 groups", adopted, kept, early, notEarly, wide)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // This file implements the one run driver: B independent consensus
 // instances — distinct input vectors and fault patterns — over the same
 // graph, executed in one round loop. A Session is a one-instance batch.
-// Benign instances of the phase-based algorithms share one value-vector
-// lane group; every other instance is a group of its own. With two or more
+// Two or more benign instances of the phase-based algorithms share one
+// lane group of core.VectorPhaseNodes; every other instance is a one-lane
+// group of its own (core.PhaseNodes for Algorithms 1 and 3). With two or more
 // groups, per-vertex batch nodes multiplex the groups' transmissions
 // (sim.BatchNode); a single group is stepped by the engine directly.
 // Topology-derived state is computed once in a shared graph.Analysis, and
@@ -80,7 +81,7 @@ type BatchSpec struct {
 	// more lane groups, payloads are sim.BatchPayload multiplexes and no
 	// Decision events fire (read decisions from the BatchOutcome); a
 	// single-group batch reports its group's own payloads, and Decision
-	// events of scalar nodes, as a Session does.
+	// events of one-lane phase nodes, as a Session does.
 	Observer sim.Observer
 	// Instances are the per-instance configurations (at least one).
 	Instances []BatchInstance
@@ -275,14 +276,6 @@ func phantomOK(mode replayMode, byz map[graph.NodeID]sim.Node, obs sim.Observer)
 	return false
 }
 
-// scalarSlot locates one honest scalar-group protocol node for run
-// recycling: instance inst's PhaseNode at vertex u.
-type scalarSlot struct {
-	inst int
-	u    graph.NodeID
-	pn   *core.PhaseNode
-}
-
 // byzSlot locates one Byzantine override slot: instance inst's node at
 // vertex u. Recycling re-plugs the current spec's caller-owned adversary
 // node into the slot on every run — adversary state is never pooled.
@@ -299,21 +292,19 @@ type byzSlot struct {
 // slabs, query scratch, the arena's interned paths — keeps its high-water
 // capacity.
 type batchLoopState struct {
-	insts       []instState
-	groups      []groupState
-	vectorLanes []int // instances in the vector group (group 0), in order
+	insts  []instState
+	groups []groupState
 	// nodes are the engine's nodes; with two or more groups they are the
 	// batchNodes multiplexing the groups, with one group (batchNodes nil)
 	// the group's own nodes.
 	batchNodes []*sim.BatchNode
 	nodes      []sim.Node
-	vnodes     []*core.VectorPhaseNode // per vertex; nil without a vector group
-	scalars    []scalarSlot
 	byz        []byzSlot
 	eng        *sim.Engine
 	// churn drives the fault-injection schedule of a one-instance run
 	// routed through a masked topology; nil without a schedule.
-	churn     *churnRun
+	churn *churnRun
+	// inputsBuf holds one vertex's lane inputs while a group resets.
 	inputsBuf []sim.Value
 }
 
@@ -322,15 +313,19 @@ type batchLoopState struct {
 // the session's input slab when the instance is judged.
 type instState struct {
 	group, lane int
-	vector      bool // a lane of the vector group (group 0)
 	honest      graph.Set
 	retired     bool
 	rounds      int // rounds executed when the instance retired
 }
 
-// groupState is one lane group's replay wiring (see wire) and its count of
-// unretired lanes.
+// groupState is one lane group: its instances, its honest phase nodes,
+// its replay wiring (see wire) and its count of unretired lanes.
 type groupState struct {
+	// lanes are the group's instances in lane order.
+	lanes []int
+	// phase holds the group's honest phase nodes by vertex, nil at a
+	// faulty vertex; it is nil for Algorithm 2, which has no phases.
+	phase    []*core.VectorPhaseNode
 	mode     replayMode
 	rs       *core.ReplayShared
 	laneLeft int
@@ -374,17 +369,13 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 		bn.ResetRetirements()
 		bn.SetRecycling(obs == nil)
 	}
-	if st.vectorLanes != nil {
-		inputs := st.inputsBuf
-		for u, vn := range st.vnodes {
-			for l, i := range st.vectorLanes {
-				inputs[l] = s.slabs[i][u]
+	for _, grp := range st.groups {
+		inputs := st.inputsBuf[:len(grp.lanes)]
+		for u, vn := range grp.phase {
+			if vn != nil {
+				vn.Reset(s.laneInputs(inputs, grp.lanes, graph.NodeID(u)))
 			}
-			vn.Reset(inputs)
 		}
-	}
-	for _, sc := range st.scalars {
-		sc.pn.Reset(s.slabs[sc.inst][sc.u])
 	}
 	for _, bz := range st.byz {
 		nd := s.spec.Instances[bz.inst].Byzantine[bz.u]
@@ -414,47 +405,51 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 
 	// Lane grouping: benign instances (no Byzantine overrides anywhere)
 	// of the phase-based algorithms have input-independent flooding
-	// structure, so they collapse into ONE value-vector lane group whose
+	// structure, so two or more of them collapse into ONE lane group whose
 	// transmissions carry every benign lane's value at once
-	// (core.VectorPhaseNode); each remaining instance is its own scalar
-	// group.
-	if s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3 {
+	// (core.VectorPhaseNode); each remaining instance is a one-lane group
+	// of its own, in instance order. order lists the instances group by
+	// group, and each group's lanes are a run of it.
+	phased := s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3
+	order := make([]int, 0, len(s.spec.Instances))
+	if phased {
 		for i, inst := range s.spec.Instances {
 			if len(inst.Byzantine) == 0 {
-				st.vectorLanes = append(st.vectorLanes, i)
+				order = append(order, i)
 			}
 		}
 	}
-	if len(st.vectorLanes) < 2 {
-		st.vectorLanes = nil // a lone benign lane runs the scalar path
+	shared := len(order)
+	if shared < 2 {
+		order, shared = order[:0], 0
 	}
-	groups := 0
-	if st.vectorLanes != nil {
-		for l, i := range st.vectorLanes {
-			st.insts[i].lane, st.insts[i].vector = l, true
+	for i, inst := range s.spec.Instances {
+		if shared == 0 || len(inst.Byzantine) > 0 {
+			order = append(order, i)
 		}
-		groups = 1
 	}
-	for i := range st.insts {
-		if in := &st.insts[i]; !in.vector {
-			in.group = groups
-			groups++
-		}
+	if shared > 0 {
+		st.groups = append(st.groups, groupState{lanes: order[:shared]})
+	}
+	for k := shared; k < len(order); k++ {
+		st.groups = append(st.groups, groupState{lanes: order[k : k+1]})
 	}
 	// Compiled-plan replay, per group: one wiring per group, chosen by its
-	// first instance's replay mode (a vector group's lanes are all benign).
+	// first instance's replay mode (a shared group's lanes are all benign).
 	// Each group that uses a plan gets its own core.ReplayShared, shared
 	// across the vertices of the group.
-	st.groups = make([]groupState, groups)
-	for i, inst := range s.spec.Instances {
-		in := &st.insts[i]
-		in.honest = graph.NewSet()
-		grp := &st.groups[in.group]
-		if in.lane == 0 {
-			grp.mode = s.modeOf(inst)
-			grp.rs = s.wire(grp.mode, inst.Byzantine)
+	for gi := range st.groups {
+		grp := &st.groups[gi]
+		for l, i := range grp.lanes {
+			st.insts[i] = instState{group: gi, lane: l}
 		}
-		grp.laneLeft++
+		inst := s.spec.Instances[grp.lanes[0]]
+		grp.mode = s.modeOf(inst)
+		grp.rs = s.wire(grp.mode, inst.Byzantine)
+		grp.laneLeft = len(grp.lanes)
+		if phased {
+			grp.phase = make([]*core.VectorPhaseNode, n)
+		}
 	}
 	engTopo := sim.Topology(sim.GraphTopology{G: g})
 	if !s.base.Churn.Empty() {
@@ -465,15 +460,11 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		engTopo = masked
 	}
 	st.nodes = make([]sim.Node, n)
-	if groups > 1 {
+	if len(st.groups) > 1 {
 		st.batchNodes = make([]*sim.BatchNode, n)
 	}
-	if st.vectorLanes != nil {
-		st.vnodes = make([]*core.VectorPhaseNode, n)
-		st.inputsBuf = make([]sim.Value, len(st.vectorLanes))
-	}
-	early := !s.base.FullBudget
-	inner := make([]sim.Node, groups)
+	st.inputsBuf = make([]sim.Value, max(shared, 1))
+	inner := make([]sim.Node, len(st.groups))
 	for _, u := range g.Nodes() {
 		// Multiplexed groups share one arena per vertex: they step
 		// sequentially inside the batch node, and the arena is pure
@@ -481,50 +472,20 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		// across groups without affecting results. A lone group's nodes
 		// keep private arenas.
 		var arena *graph.PathArena
-		if groups > 1 {
+		if st.batchNodes != nil {
 			arena = graph.NewPathArena(g)
 		}
-		if st.vectorLanes != nil {
-			inputs := make([]sim.Value, len(st.vectorLanes))
-			for l, i := range st.vectorLanes {
-				inputs[l] = s.slabs[i][u]
-			}
-			var vn *core.VectorPhaseNode
-			if s.base.Algorithm == Algo3 {
-				vn = core.NewVectorHybridNode(s.topo, s.base.F, s.base.T, u, inputs, arena)
-			} else {
-				vn = core.NewVectorAlgo1Node(s.topo, s.base.F, u, inputs, arena)
-			}
-			if early {
-				vn.EnableEarlyDecision()
-			}
-			if rs := st.groups[0].rs; rs != nil {
-				vn.UseReplay(rs)
-			}
-			inner[0] = vn
-			st.vnodes[u] = vn
-		}
-		for i, inst := range s.spec.Instances {
-			in := &st.insts[i]
-			if in.vector {
-				in.honest.Add(u)
+		for gi := range st.groups {
+			grp := &st.groups[gi]
+			if byz, ok := s.spec.Instances[grp.lanes[0]].Byzantine[u]; ok {
+				inner[gi] = byz
+				st.byz = append(st.byz, byzSlot{inst: grp.lanes[0], u: u})
 				continue
 			}
-			if byz, ok := inst.Byzantine[u]; ok {
-				inner[in.group] = byz
-				st.byz = append(st.byz, byzSlot{inst: i, u: u})
-				continue
+			for _, i := range grp.lanes {
+				st.insts[i].honest.Add(u)
 			}
-			v := s.slabs[i][u]
-			nd := s.base.NewHonestNode(s.topo, arena, u, v)
-			if pn, ok := nd.(*core.PhaseNode); ok {
-				if rs := st.groups[in.group].rs; rs != nil {
-					pn.UseReplay(rs)
-				}
-				st.scalars = append(st.scalars, scalarSlot{inst: i, u: u, pn: pn})
-			}
-			inner[in.group] = nd
-			in.honest.Add(u)
+			inner[gi] = s.honestNode(grp, u, arena, st.inputsBuf)
 		}
 		st.nodes[u] = inner[0]
 		if st.batchNodes != nil {
@@ -559,6 +520,51 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		}
 	}
 	return st, nil
+}
+
+// honestNode builds group grp's honest node at vertex u: for Algorithms 1
+// and 3 a phase node over the lanes' inputs, recorded in grp.phase — a
+// core.PhaseNode for one lane, the sim.Decider whose decisions a Session's
+// observer sees — and the Algorithm 2 node otherwise. buf has room for the
+// lane inputs.
+func (s *BatchSession) honestNode(grp *groupState, u graph.NodeID, arena *graph.PathArena, buf []sim.Value) sim.Node {
+	spec := s.base
+	inputs := s.laneInputs(buf[:len(grp.lanes)], grp.lanes, u)
+	var nd sim.Node
+	var vn *core.VectorPhaseNode
+	switch {
+	case grp.phase == nil:
+		return core.NewEfficientNodeShared(s.topo, spec.F, u, inputs[0], arena)
+	case len(inputs) == 1 && spec.Algorithm == Algo3:
+		pn := core.NewHybridNodeShared(s.topo, spec.F, spec.T, u, inputs[0], arena)
+		nd, vn = pn, &pn.VectorPhaseNode
+	case len(inputs) == 1:
+		pn := core.NewAlgo1NodeShared(s.topo, spec.F, u, inputs[0], arena)
+		nd, vn = pn, &pn.VectorPhaseNode
+	case spec.Algorithm == Algo3:
+		vn = core.NewVectorHybridNode(s.topo, spec.F, spec.T, u, inputs, arena)
+		nd = vn
+	default:
+		vn = core.NewVectorAlgo1Node(s.topo, spec.F, u, inputs, arena)
+		nd = vn
+	}
+	if !spec.FullBudget {
+		vn.EnableEarlyDecision()
+	}
+	if grp.rs != nil {
+		vn.UseReplay(grp.rs)
+	}
+	grp.phase[u] = vn
+	return nd
+}
+
+// laneInputs fills buf with the inputs at vertex u of the given lanes'
+// instances and returns it.
+func (s *BatchSession) laneInputs(buf []sim.Value, lanes []int, u graph.NodeID) []sim.Value {
+	for l, i := range lanes {
+		buf[l] = s.slabs[i][u]
+	}
+	return buf
 }
 
 // Run executes every instance of the batch in one shared round loop and
@@ -692,15 +698,16 @@ func (s *BatchSession) run(ctx context.Context, outs []Outcome) (sim.Metrics, er
 // from round to round, so no phase's candidate set is F* throughout.
 var phaseEndHook func(s *BatchSession, st *batchLoopState, phase int)
 
-// decision reads instance i's decision state at vertex u: the lane
-// projection for vector groups, the plain Decider path for scalar ones.
+// decision reads instance i's decision state at honest vertex u: its lane
+// of the group's phase node, or the Algorithm 2 node's decision.
 func (st *batchLoopState) decision(i int, u graph.NodeID) (sim.Value, bool) {
+	in := &st.insts[i]
+	if phase := st.groups[in.group].phase; phase != nil {
+		return phase[u].LaneDecision(in.lane)
+	}
 	nd := st.nodes[u]
 	if st.batchNodes != nil {
-		nd = st.batchNodes[u].Instance(st.insts[i].group)
-	}
-	if ld, ok := nd.(sim.LaneDecider); ok {
-		return ld.LaneDecision(st.insts[i].lane)
+		nd = st.batchNodes[u].Instance(in.group)
 	}
 	if d, ok := nd.(sim.Decider); ok {
 		return d.Decision()

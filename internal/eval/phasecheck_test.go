@@ -3,6 +3,8 @@ package eval
 import (
 	"context"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,15 +171,9 @@ func honestGamma(st *batchLoopState, i int) (sim.Value, bool) {
 		return v == x
 	}
 	agree := true
-	if in.vector {
-		for _, vn := range st.vnodes {
+	for u, vn := range st.groups[in.group].phase {
+		if in.honest.Contains(graph.NodeID(u)) {
 			agree = same(vn.LaneGamma(in.lane)) && agree
-		}
-		return x, agree
-	}
-	for _, sc := range st.scalars {
-		if sc.inst == i {
-			agree = same(sc.pn.Gamma()) && agree
 		}
 	}
 	return x, agree
@@ -239,6 +235,38 @@ func phaseCheckedGoldenWorlds() map[string]func() Spec {
 	}
 }
 
+// TestPhaseCheckedGoldenWorldsMatchGoldenFiles keeps phaseCheckedGoldenWorlds
+// in step with the golden parity suite: every golden file at the module
+// root's testdata/golden whose scenario is not an Algorithm 2 one (name
+// prefix "algo2-") must have a phase-checked world, and every world a
+// golden file.
+func TestPhaseCheckedGoldenWorldsMatchGoldenFiles(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no golden files found")
+	}
+	worlds := phaseCheckedGoldenWorlds()
+	golden := map[string]bool{}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".json")
+		if strings.HasPrefix(name, "algo2-") {
+			continue
+		}
+		golden[name] = true
+		if worlds[name] == nil {
+			t.Errorf("golden scenario %s has no phase-checked world", name)
+		}
+	}
+	for name := range worlds {
+		if !golden[name] {
+			t.Errorf("phase-checked world %s has no golden file", name)
+		}
+	}
+}
+
 // TestPhaseStructureGoldenWorlds runs the phase-structure check over the
 // golden parity suite's phase-based scenarios, each on the replay path it
 // takes in product and on the forced-dynamic path.
@@ -267,8 +295,8 @@ func TestPhaseStructureGoldenWorlds(t *testing.T) {
 }
 
 // TestPhaseStructureBatchLanes checks a mixed batch: benign lanes on one
-// vector group read through the lane accessor, beside faulty scalar
-// instances, all run to the full budget so every instance reaches the
+// shared lane group beside faulty one-lane instances, all read through the
+// lane accessor, all run to the full budget so every instance reaches the
 // phase of its faulty set.
 func TestPhaseStructureBatchLanes(t *testing.T) {
 	g := gen.Figure1b()

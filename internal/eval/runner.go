@@ -85,7 +85,7 @@ type Spec struct {
 	// the complete round budget, as the paper's pseudocode is written.
 	// The default runs round by round and stops as soon as every honest
 	// node has decided — identical decisions, far fewer rounds on
-	// non-adversarial executions (see core.PhaseNode.EnableEarlyDecision
+	// non-adversarial executions (see core.VectorPhaseNode.EnableEarlyDecision
 	// for the soundness argument).
 	FullBudget bool
 	// forceDynamic runs the dynamic message-by-message flooding path, on
@@ -208,35 +208,6 @@ type Outcome struct {
 
 // OK reports whether all three consensus properties hold.
 func (o Outcome) OK() bool { return o.Agreement && o.Validity && o.Termination }
-
-// NewHonestNode builds the honest protocol node for spec at vertex u.
-// topo is the shared read-only topology analysis (concurrency-safe; one
-// per graph is enough for any number of nodes, runs, and batch
-// instances). arena, when non-nil, shares message-identity state between
-// the co-located instances of one batch node — it is not safe for
-// concurrent use, so it must never be shared across runs; Algorithm 2
-// nodes flood on topo's frozen plan arena instead, which every node of
-// every run shares. Unless the spec demands the full budget, phase-based
-// nodes are built with early decision enabled.
-func (s Spec) NewHonestNode(topo *graph.Analysis, arena *graph.PathArena, u graph.NodeID, input sim.Value) sim.Node {
-	early := !s.FullBudget
-	switch s.Algorithm {
-	case Algo2:
-		return core.NewEfficientNodeShared(topo, s.F, u, input, arena)
-	case Algo3:
-		nd := core.NewHybridNodeShared(topo, s.F, s.T, u, input, arena)
-		if early {
-			nd.EnableEarlyDecision()
-		}
-		return nd
-	default:
-		nd := core.NewAlgo1NodeShared(topo, s.F, u, input, arena)
-		if early {
-			nd.EnableEarlyDecision()
-		}
-		return nd
-	}
-}
 
 // DefaultRounds returns the round budget the selected algorithm needs.
 func (s Spec) DefaultRounds() int {

@@ -25,7 +25,7 @@ func (*listeningCrash) IgnoresInbox() bool { return false }
 // silently falls back to dynamic flooding (the bytes are the same), so
 // this checks the wiring itself: the plan, the phantom toggle, the taint
 // fragment and frontier, the pooling decision, and that every honest
-// scalar node promises to ignore its inbox exactly when its group replays
+// phase node promises to ignore its inbox exactly when its group replays
 // every phase.
 func TestGroupWiringPerSpecKind(t *testing.T) {
 	g := gen.Figure1b()
@@ -102,7 +102,7 @@ func TestGroupWiringPerSpecKind(t *testing.T) {
 			if len(st.groups) != 1 {
 				t.Fatalf("%d lane groups, want 1", len(st.groups))
 			}
-			if tc.batch > 0 && st.vectorLanes == nil {
+			if tc.batch > 0 && len(st.groups[0].lanes) < 2 {
 				t.Fatal("benign batch did not form a vector group")
 			}
 			rs := st.groups[0].rs
@@ -140,14 +140,9 @@ func TestGroupWiringPerSpecKind(t *testing.T) {
 				t.Errorf("phantom = %v, want %v", rs.Phantom(), tc.phantom)
 			}
 			replaysAll := frontier == math.MaxInt
-			for _, sc := range st.scalars {
-				if sc.pn.IgnoresInbox() != replaysAll {
-					t.Errorf("node %d: IgnoresInbox = %v, want %v", sc.u, sc.pn.IgnoresInbox(), replaysAll)
-				}
-			}
-			for _, vn := range st.vnodes {
-				if vn.IgnoresInbox() != replaysAll {
-					t.Errorf("vector node %d: IgnoresInbox = %v, want %v", vn.ID(), vn.IgnoresInbox(), replaysAll)
+			for _, vn := range st.groups[0].phase {
+				if vn != nil && vn.IgnoresInbox() != replaysAll {
+					t.Errorf("node %d (%d lanes): IgnoresInbox = %v, want %v", vn.ID(), vn.Lanes(), vn.IgnoresInbox(), replaysAll)
 				}
 			}
 		})
