@@ -4,7 +4,9 @@
 package combin
 
 import (
+	"math"
 	"math/big"
+	"math/bits"
 
 	"lbcast/internal/graph"
 )
@@ -97,4 +99,67 @@ func CountFTPairs(n, f, t int) *big.Int {
 		total.Add(total, ways.Mul(ways, inner))
 	}
 	return total
+}
+
+// SubsetCount is CountSubsetsUpTo as an int, saturating at math.MaxInt
+// when the count does not fit. It allocates nothing: the round budget of
+// every run is derived from it.
+func SubsetCount(n, maxSize int) int {
+	total := uint64(0)
+	for k := 0; k <= maxSize && k <= n; k++ {
+		total = satAdd(total, binomial(n, k))
+	}
+	return satInt(total)
+}
+
+// FTPairCount is CountFTPairs as an int, saturating at math.MaxInt.
+func FTPairCount(n, f, t int) int {
+	total := uint64(0)
+	for tt := 0; tt <= t && tt <= n; tt++ {
+		total = satAdd(total, satMul(binomial(n, tt), uint64(SubsetCount(n-tt, f-tt))))
+	}
+	return satInt(total)
+}
+
+// SatMul returns a·b for non-negative a and b, saturating at math.MaxInt.
+func SatMul(a, b int) int { return satInt(satMul(uint64(a), uint64(b))) }
+
+// binomial returns C(n, k), saturating at math.MaxUint64. The running
+// product C(n, i)·(n-i) is exactly divisible by i+1; its 128-bit form
+// divides without overflow while the quotient fits in 64 bits.
+func binomial(n, k int) uint64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	k = min(k, n-k)
+	c := uint64(1)
+	for i := 0; i < k; i++ {
+		hi, lo := bits.Mul64(c, uint64(n-i))
+		if hi >= uint64(i+1) {
+			return math.MaxUint64
+		}
+		c, _ = bits.Div64(hi, lo, uint64(i+1))
+	}
+	return c
+}
+
+func satAdd(a, b uint64) uint64 {
+	if s, carry := bits.Add64(a, b, 0); carry == 0 {
+		return s
+	}
+	return math.MaxUint64
+}
+
+func satMul(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 {
+		return lo
+	}
+	return math.MaxUint64
+}
+
+func satInt(x uint64) int {
+	if x > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(x)
 }

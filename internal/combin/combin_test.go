@@ -1,6 +1,7 @@
 package combin
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -147,5 +148,30 @@ func TestEarlyStopSubsetsAndPairs(t *testing.T) {
 	})
 	if count != 4 {
 		t.Fatalf("pair early stop: %d", count)
+	}
+}
+
+// TestSubsetCountMatchesBig pins the machine-integer counts to the exact
+// big.Int ones on every graph size an arena admits, and their saturation
+// where the exact count does not fit.
+func TestSubsetCountMatchesBig(t *testing.T) {
+	limit := big.NewInt(math.MaxInt64)
+	want := func(x *big.Int) int {
+		if x.Cmp(limit) > 0 {
+			return math.MaxInt
+		}
+		return int(x.Int64())
+	}
+	for n := 0; n <= graph.MaxNodes; n++ {
+		for f := -1; f <= n+1; f++ {
+			if got, w := SubsetCount(n, f), want(CountSubsetsUpTo(n, f)); got != w {
+				t.Fatalf("SubsetCount(%d, %d) = %d, want %d", n, f, got, w)
+			}
+			for tt := 0; tt <= min(f, 3); tt++ {
+				if got, w := FTPairCount(n, f, tt), want(CountFTPairs(n, f, tt)); got != w {
+					t.Fatalf("FTPairCount(%d, %d, %d) = %d, want %d", n, f, tt, got, w)
+				}
+			}
+		}
 	}
 }

@@ -17,11 +17,15 @@ import (
 // ID returns the node id.
 func (nd *VectorPhaseNode) ID() graph.NodeID { return nd.me }
 
-// rewind returns the clock to the first phase; every buffer, the flooder
-// and the run wiring (UseReplay, EnableEarlyDecision) are kept, and every
-// step-(b) cache entry stays valid (it is a fact about the topology).
+// rewind returns the clock to the first phase and re-arms the group's
+// overlay, if any, for the new run; every buffer, the flooder and the run
+// wiring (UseReplay, EnableEarlyDecision) are kept, and every step-(b)
+// cache entry stays valid (it is a fact about the topology).
 func (nd *VectorPhaseNode) rewind() {
 	nd.phaseIdx, nd.roundInPhase, nd.done = 0, 0, false
+	if nd.replay != nil && nd.replay.overlay != nil {
+		nd.replay.overlay.Rearm()
+	}
 }
 
 // UseReplay wires the node to its lane group's compiled plan: phases the
@@ -43,11 +47,15 @@ func (nd *VectorPhaseNode) UseReplay(rs *ReplayShared) {
 	nd.stepB = replayStepBCache(nd.topo, rs.plan)
 }
 
-// UseDeltaReplay wires the node alone to the delta fragment dp: UseReplay
-// over a ReplayShared of dp's base plan tainted by dp. Kept for the
-// benchmark probes (benchmark/probes/kit), which build delta worlds node by
-// node.
-func (nd *VectorPhaseNode) UseDeltaReplay(dp *flood.DeltaPlan) { nd.UseReplay(deltaShared(dp)) }
+// UseDeltaReplay wires the node to the value-faulty world dp: UseReplay
+// over a ReplayShared of dp's base plan tainted by dp's one overlay, which
+// every node wired to dp shares. Kept for the benchmark probes
+// (benchmark/probes/kit), which build such worlds node by node.
+func (nd *VectorPhaseNode) UseDeltaReplay(dp *flood.DeltaPlan) {
+	rs := NewReplayShared(dp.Base())
+	rs.SetTaint(dp.Overlay(), 0)
+	nd.UseReplay(rs)
+}
 
 // IgnoresInbox implements sim.InboxIgnorer: a node whose group replays
 // every phase draws every arrival from the compiled plan and never reads
@@ -77,17 +85,23 @@ func (nd *VectorPhaseNode) IgnoresInbox() bool {
 // every honest node reports a decision.
 func (nd *VectorPhaseNode) EnableEarlyDecision() { nd.earlyOK = true }
 
-// Step advances the node by one synchronous round: step (a) on the replay
-// or dynamic path, then, at the phase's last round, the node's phase end.
+// Step advances the node by one synchronous round: step (a) on the replay,
+// overlay or dynamic path, then, at the phase's last round, the node's
+// phase end.
 func (nd *VectorPhaseNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
 	if nd.done || nd.phaseIdx >= len(nd.phases) {
 		nd.done = true
 		return nil
 	}
 	var out []sim.Outgoing
-	if nd.replay != nil && nd.phaseIdx < nd.replay.frontier {
+	switch {
+	case nd.replay == nil:
+		out = nd.dynamicStep(inbox)
+	case nd.phaseIdx < nd.replay.frontier:
 		out = nd.replayStep()
-	} else {
+	case nd.replay.overlay != nil && len(nd.gammas) == 1:
+		out = nd.overlayStep(nd.replay.overlay, inbox)
+	default:
 		out = nd.dynamicStep(inbox)
 	}
 	nd.roundInPhase++
@@ -102,57 +116,78 @@ func (nd *VectorPhaseNode) Step(round int, inbox []sim.Delivery) []sim.Outgoing 
 	return out
 }
 
-// dynamicStep runs one round of the message-by-message flooding path.
-func (nd *VectorPhaseNode) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
-	var dp *flood.DeltaPlan
-	if nd.replay != nil {
-		dp = nd.replay.taint
-	}
-	if nd.roundInPhase == 0 {
-		// Step (a): initiate flooding of the phase body. One flooder
-		// serves every phase: flooding structure repeats phase over phase,
-		// so recycling it (receipts and acceptance state cleared, index
-		// capacity kept) leaves every append of the new phase landing in
-		// pre-grown storage. On a plan's arena the first phase sizes from
-		// the plan's receipt count, an upper bound for any fault pattern.
-		if dp != nil {
-			flood.NoteDeltaReplaySession()
+// openFlood readies the flooder for a new phase and points the phase's
+// store at it. One flooder serves every phase: flooding structure repeats
+// phase over phase, so recycling it (receipts and acceptance state
+// cleared, index capacity kept) leaves every append of the new phase
+// landing in pre-grown storage. On a plan's arena the first phase sizes
+// from the plan's receipt count, an upper bound for any fault pattern.
+func (nd *VectorPhaseNode) openFlood() {
+	if nd.flooder == nil {
+		nd.ident = flood.NewIdent()
+		if nd.replay != nil {
+			nd.flooder = flood.NewOnPlan(nd.replay.plan, nd.me, nd.ident)
+			nd.flooder.Expect(nd.replay.plan.NodeReceipts(nd.me))
 		} else {
-			flood.NoteDynamicSession()
-		}
-		if nd.flooder == nil {
-			nd.ident = flood.NewIdent()
-			if nd.replay != nil {
-				nd.flooder = flood.NewOnPlan(nd.replay.plan, nd.me, nd.ident)
-				nd.flooder.Expect(nd.replay.plan.NodeReceipts(nd.me))
-			} else {
-				if nd.arena == nil {
-					nd.arena = graph.NewPathArena(nd.g)
-				}
-				nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
+			if nd.arena == nil {
+				nd.arena = graph.NewPathArena(nd.g)
 			}
-		} else {
-			nd.flooder.Recycle()
+			nd.flooder = flood.NewWithState(nd.g, nd.me, nd.arena, nd.ident)
 		}
-		// Re-point the receipt store every phase: a node past its taint
-		// frontier arrives here with store still on its replay store from
-		// the replayed prefix, and must read this phase's receipts from the
-		// flooder instead.
-		nd.store = nd.flooder.Store()
-		return nd.flooder.Start(nd.openPhase(false))
-	}
-	var out []sim.Outgoing
-	if dp != nil {
-		out = nd.flooder.DeliverDelta(dp, nd.roundInPhase, inbox)
 	} else {
-		out = nd.flooder.Deliver(inbox)
+		nd.flooder.Recycle()
 	}
+	// Re-point the receipt store every phase: a node past its taint
+	// frontier arrives here with store still on its replay store from the
+	// replayed prefix, and must read this phase's receipts from the flooder
+	// instead.
+	nd.store = nd.flooder.Store()
+}
+
+// deliver runs one round r ≥ 1 of the message-by-message rules over the
+// inbox.
+func (nd *VectorPhaseNode) deliver(inbox []sim.Delivery) []sim.Outgoing {
+	out := nd.flooder.Deliver(inbox)
 	if nd.roundInPhase == 1 {
 		// Initiations arrive now; after processing, substitute the
 		// default message for silent neighbors.
 		out = nd.flooder.AppendMissing(out, nd.defaultBody)
 	}
 	return out
+}
+
+// dynamicStep runs one round of the message-by-message flooding path.
+func (nd *VectorPhaseNode) dynamicStep(inbox []sim.Delivery) []sim.Outgoing {
+	if nd.roundInPhase == 0 {
+		// Step (a): initiate flooding of the phase body.
+		flood.NoteDynamicSession()
+		nd.openFlood()
+		return nd.flooder.Start(nd.openPhase(false))
+	}
+	return nd.deliver(inbox)
+}
+
+// overlayStep runs one round of a phase replayed from the benign plan
+// through the group's overlay ov (see flood.Overlay): the phase start sets
+// the node's root in the table, and each later round installs the node's
+// schedule filtered by the table while the faulty nodes' sends fit it —
+// registered, by the first honest neighbour to step, before anyone reads
+// the round — and runs the dynamic rules on the same flooder from the
+// first round they do not.
+func (nd *VectorPhaseNode) overlayStep(ov *flood.Overlay, inbox []sim.Delivery) []sim.Outgoing {
+	if nd.roundInPhase == 0 {
+		flood.NoteDeltaReplaySession()
+		ov.Open(nd.phaseIdx)
+		nd.openFlood()
+		nd.openPhase(false)
+		return nd.flooder.StartOverlay(ov, nd.gammas[0])
+	}
+	if !ov.Fits(nd.me, nd.roundInPhase, inbox) {
+		return nd.deliver(inbox)
+	}
+	// Every neighbour initiated when round 1 fits, so no default message
+	// is due.
+	return nd.flooder.DeliverOverlay(ov, nd.roundInPhase)
 }
 
 // replayStep runs one round of the plan-replay path: at phase start it

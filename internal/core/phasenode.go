@@ -59,15 +59,17 @@ func newPhaseNode(topo *graph.Analysis, f int, me graph.NodeID, input sim.Value,
 func PhaseRounds(n int) int { return flood.Rounds(n) }
 
 // Algo1Rounds returns the total engine rounds Algorithm 1 needs on an
-// n-node graph with fault bound f. The phases are counted, not enumerated.
+// n-node graph with fault bound f. The phases are counted, not enumerated,
+// in machine integers (saturating at math.MaxInt), so the budget of a run
+// costs no allocation.
 func Algo1Rounds(n, f int) int {
-	return int(combin.CountSubsetsUpTo(n, f).Int64()) * PhaseRounds(n)
+	return combin.SatMul(combin.SubsetCount(n, f), PhaseRounds(n))
 }
 
 // HybridRounds returns the total engine rounds Algorithm 3 needs, counting
-// its (F, T) phases without enumerating them.
+// its (F, T) phases without enumerating them, like Algo1Rounds.
 func HybridRounds(n, f, t int) int {
-	return int(combin.CountFTPairs(n, f, t).Int64()) * PhaseRounds(n)
+	return combin.SatMul(combin.FTPairCount(n, f, t), PhaseRounds(n))
 }
 
 // Gamma exposes the current state γv (for tests and tracing).

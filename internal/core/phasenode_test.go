@@ -51,6 +51,17 @@ func TestRoundBudgets(t *testing.T) {
 	}
 }
 
+// TestRoundBudgetsAllocFree checks that a run's round budget is counted
+// without allocating: every run derives it.
+func TestRoundBudgetsAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = Algo1Rounds(8, 2)
+		_ = HybridRounds(8, 2, 1)
+	}); allocs != 0 {
+		t.Fatalf("round budgets allocate %v times per call", allocs)
+	}
+}
+
 // TestRoundBudgetsCountPhases pins the counted round budgets to the
 // enumerated phase schedules they replace.
 func TestRoundBudgetsCountPhases(t *testing.T) {

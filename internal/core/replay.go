@@ -16,8 +16,8 @@ import (
 // the body each origin floods this phase. ReplayShared is that channel: a
 // per-run blackboard of phase bodies, written by each node at its own
 // phase start and read by every node from the following round on. It also
-// records where the run leaves the plan (SetTaint): the receipts a faulty
-// relay can reach, and the first phase a topology event invalidates.
+// records where the run leaves the plan (SetTaint): the value-faulty
+// nodes' overlay, and the first phase a topology event invalidates.
 //
 // The synchronization argument: all honest nodes of a replayed run change
 // phase in the same engine round (phases have a fixed round count and all
@@ -27,16 +27,18 @@ import (
 // later rounds — the first arrival from u is at graph distance ≥ 1. The
 // engine steps a run's nodes one after another on one goroutine, so
 // program order puts every write before the reads of later rounds, and
-// within the phase-start round each node writes only its own slot.
+// within the phase-start round each node writes only its own slot. The
+// overlay's table follows the same order (see flood.Overlay).
 
 // ReplayShared is how one lane group uses a compiled plan: the plan, the
 // per-phase origin-body blackboard, the phantom toggle, and the taint (an
-// optional delta fragment and the taint frontier). A phase replays the plan
-// wholesale when the group has no delta fragment and the phase lies before
-// the frontier; otherwise it floods dynamically on the plan's frozen arena,
-// through the fragment's matched-arrival cursor when one is set. One
-// ReplayShared serves all nodes of one run (or all vertices of one batch
-// lane group); it must not be shared across concurrent runs.
+// optional overlay of the value-faulty nodes' sends and the taint
+// frontier). A phase replays the plan wholesale when the group has no
+// overlay and the phase lies before the frontier; otherwise it floods on
+// the plan's frozen arena — from the overlay's body table for every round
+// whose faulty sends fit, dynamically for the rest. One ReplayShared
+// serves all nodes of one run (or all vertices of one batch lane group);
+// it must not be shared across concurrent runs.
 type ReplayShared struct {
 	plan *flood.Plan
 	// bodies[u] is the body node u floods in the current phase. Slots are
@@ -47,10 +49,10 @@ type ReplayShared struct {
 	// protocol (flood.Plan.ReplayRoundPhantom): transmissions carry the
 	// sim.Phantom sentinel instead of materialized messages. See SetPhantom.
 	phantom bool
-	// taint, when non-nil, is the fragment of plan no faulty relay can
-	// reach; frontier is the first phase that does not replay (0 with a
-	// fragment). See SetTaint.
-	taint    *flood.DeltaPlan
+	// overlay, when non-nil, is the run's body table over plan for its
+	// value-faulty nodes; frontier is the first phase that does not replay
+	// (0 with an overlay). See SetTaint.
+	overlay  *flood.Overlay
 	frontier int
 }
 
@@ -86,43 +88,37 @@ func (rs *ReplayShared) Plan() *flood.Plan { return rs.plan }
 func (rs *ReplayShared) SetPhantom(on bool) { rs.phantom = on }
 
 // SetTaint marks where the group's executions leave the plan. Phases
-// [0, frontier) replay it wholesale; the rest flood dynamically on its
-// frozen arena, which already holds every path they can traverse. With a
-// fragment dp of rs's plan no phase replays (frontier is ignored), and each
-// delivery goes through flood.DeliverDelta: tamper and equivocation are
-// value-dependent, so every arrival is inspected, but one matching the next
-// untainted compiled record is installed and forwarded straight from the
-// plan. A finite frontier without a fragment is fault injection's: a
-// topology event at engine round R invalidates the plan from the phase
-// containing R onward, while every earlier phase was routed unmasked and
-// replays byte-identically. The switch at a phase boundary is clean: the
-// dynamic phase-start round reads no inbox, and the step-(b) choices come
-// from the static topology either way.
+// [0, frontier) replay it wholesale; the rest flood on its frozen arena,
+// which already holds every path they can traverse. With an overlay ov of
+// rs's plan no phase replays (frontier is ignored): tamper, equivocation
+// and forgery are value-dependent, so each phase floods on the plan's
+// arena, each round taken from ov's body table while the faulty nodes'
+// sends fit it and from the inbox by the dynamic rules after. A finite
+// frontier without an overlay is fault injection's: a topology event at
+// engine round R invalidates the plan from the phase containing R onward,
+// while every earlier phase was routed unmasked and replays
+// byte-identically. The switch at a phase boundary is clean: the dynamic
+// phase-start round reads no inbox, and the step-(b) choices come from the
+// static topology either way.
 //
 // A node of a tainted group reads deliveries in its dynamic phases, so it
 // no longer promises sim.InboxIgnorer and the engine fills its inbox
 // throughout. Call before the first Step of a run; pooled runs re-arm the
-// frontier on every reset (schedules differ per run).
-func (rs *ReplayShared) SetTaint(dp *flood.DeltaPlan, frontier int) {
-	if dp != nil {
+// frontier on every reset (schedules differ per run), and a node's Reset
+// re-arms the overlay.
+func (rs *ReplayShared) SetTaint(ov *flood.Overlay, frontier int) {
+	if ov != nil {
 		frontier = 0
 	}
-	rs.taint, rs.frontier = dp, frontier
+	rs.overlay, rs.frontier = ov, frontier
 }
 
-// Taint returns the group's delta fragment (nil without one) and its
-// taint frontier, as SetTaint set them.
-func (rs *ReplayShared) Taint() (*flood.DeltaPlan, int) { return rs.taint, rs.frontier }
+// Taint returns the group's overlay (nil without one) and its taint
+// frontier, as SetTaint set them.
+func (rs *ReplayShared) Taint() (*flood.Overlay, int) { return rs.overlay, rs.frontier }
 
 // Phantom reports whether the group's replayed outboxes are phantom.
 func (rs *ReplayShared) Phantom() bool { return rs.phantom }
-
-// deltaShared returns a ReplayShared of dp's base plan tainted by dp.
-func deltaShared(dp *flood.DeltaPlan) *ReplayShared {
-	rs := NewReplayShared(dp.Base())
-	rs.SetTaint(dp, 0)
-	return rs
-}
 
 // stepBCacheKey keys the run-crossing replay step-(b) caches in
 // Analysis.Memo, one per plan: PathIDs are arena-local, and every plan
@@ -141,10 +137,10 @@ type stepBChoice struct {
 // phases with equal F∪T (every Algorithm 3 run has many) skip the BFS and
 // the receipt read is an O(1) index lookup. A node flooding on a private
 // arena keeps a private instance (its PathIDs are node-local). Every node
-// on a plan's frozen arena — replaying, delta, or past a taint frontier —
-// shares that plan's instance on the analysis (replayStepBCache), since
-// the interned choice for (u, me, excl) is then a constant across nodes,
-// runs, trials and sweep cells. Guarded for concurrent trials; after the
+// on a plan's frozen arena — replaying, on an overlay, or past a taint
+// frontier — shares that plan's instance on the analysis
+// (replayStepBCache), since the interned choice for (u, me, excl) is then
+// a constant across nodes, runs, trials and sweep cells. Guarded for concurrent trials; after the
 // first run every access is a read.
 type stepBCache struct {
 	mu sync.RWMutex

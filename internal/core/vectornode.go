@@ -129,7 +129,7 @@ type VectorPhaseNode struct {
 	// stepB caches the deterministic step-(b) path choice per (origin,
 	// exclusion set): a private instance over a private arena, created by
 	// the first phase end, or the analysis-wide cache of the plan whose
-	// frozen arena a replaying or delta node adopts.
+	// frozen arena a replaying or overlay node adopts.
 	stepB *stepBCache
 
 	// scratch backs the phase-end disjoint-receipt queries, and lanes

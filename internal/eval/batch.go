@@ -227,8 +227,8 @@ func (s *BatchSession) modeOf(inst BatchInstance) replayMode {
 
 // wire builds the replay wiring of one lane group in the given mode, byz
 // being the overrides of its instance (nil for the vector group): the
-// plan the group uses, its phantom toggle, and its taint — the delta
-// fragment of a delta group, the churn frontier of a churn group. It hands
+// plan the group uses, its phantom toggle, and its taint — the overlay of
+// a value-faulty group, the churn frontier of a churn group. It hands
 // the plan to the group's adversaries that can use it. Nil for a group
 // that uses no plan.
 func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) *core.ReplayShared {
@@ -242,10 +242,10 @@ func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) *cor
 	case replayMasked:
 		rs = core.NewReplayShared(flood.MaskedPlanFor(s.topo, byzSet(byz)))
 	case replayDelta:
-		dp := flood.DeltaPlanFor(s.topo, byzSet(byz))
-		rs = core.NewReplayShared(dp.Base())
-		rs.SetTaint(dp, 0)
-		sharePlan(byz, dp.Base())
+		plan := flood.PlanFor(s.topo)
+		rs = core.NewReplayShared(plan)
+		rs.SetTaint(flood.NewOverlay(plan, byzSet(byz), s.base.mayUnicast()), 0)
+		sharePlan(byz, plan)
 	default:
 		if s.base.Algorithm == Algo2 {
 			// Algorithm 2's honest nodes flood on the benign plan's arena.
@@ -262,7 +262,7 @@ func (s *BatchSession) wire(mode replayMode, byz map[graph.NodeID]sim.Node) *cor
 // always for benign replay, and for masked replay only while every fault
 // promises to ignore its inbox — the faults are the only non-replaying
 // consumers of a masked group's transmissions (demultiplexing isolates
-// groups by instance index). Delta and churn groups never phantom: their
+// groups by instance index). Overlay and churn groups never phantom: their
 // honest nodes genuinely read inboxes.
 func phantomOK(mode replayMode, byz map[graph.NodeID]sim.Node, obs sim.Observer) bool {
 	switch {
@@ -510,8 +510,8 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	st.eng = eng
 	for _, grp := range st.groups {
 		if grp.mode == replayDelta {
-			// Delta groups flood dynamically, so every inbox fills to about
-			// the benign plan's fan-in; size it once instead of regrowing it
+			// Overlay groups read their inboxes, which fill to about the
+			// benign plan's fan-in; size them once instead of regrowing them
 			// through the first phase.
 			for _, u := range g.Nodes() {
 				eng.ReserveInbox(u, grp.rs.Plan().MaxRoundFanIn(u))

@@ -195,14 +195,29 @@ func TestChurnPooledParity(t *testing.T) {
 	}
 	topo := graph.NewAnalysis(g)
 	hits0, _ := ReadPoolStats()
+	// The traces are rendered only after every run, as in
+	// TestPooledSessionTraceParity: rendering one in between allocates
+	// enough to collect the pooled state before the next run can recycle
+	// it.
+	type recorded struct {
+		rec *sim.Recorder
+		out Outcome
+	}
+	runs := make([]recorded, 0, poolParityIters*len(specs))
 	for iter := 0; iter < poolParityIters; iter++ {
-		for i, spec := range specs {
-			if d := traceDigest(runTracedShared(t, spec, topo)); d != fresh[i] {
-				t.Fatalf("iter %d spec %d: pooled trace digest %s != fresh-state %s", iter, i, d, fresh[i])
-			}
+		for _, spec := range specs {
+			rec, out := runRecordedShared(t, spec, topo)
+			runs = append(runs, recorded{rec, out})
 		}
 	}
-	if hits1, _ := ReadPoolStats(); hits1 == hits0 {
+	hits1, _ := ReadPoolStats()
+	for k, r := range runs {
+		iter, i := k/len(specs), k%len(specs)
+		if d := traceDigest(traceString(r.rec, r.out)); d != fresh[i] {
+			t.Fatalf("iter %d spec %d: pooled trace digest %s != fresh-state %s", iter, i, d, fresh[i])
+		}
+	}
+	if hits1 == hits0 {
 		t.Fatal("run pool never hit: churn state recycling was not exercised")
 	}
 }

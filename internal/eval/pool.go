@@ -33,7 +33,7 @@ import (
 // recycled run state must never cross fault shapes, since distinct crash
 // masks replay distinct plans (distinct arenas, blackboard prefills, and
 // step-(b) caches) and a crash pattern wired for masked replay has
-// different honest wiring than the same vertices wired for delta. The
+// different honest wiring than the same vertices wired for an overlay. The
 // honest state is closed under reset, and the caller-owned adversary nodes
 // are never pooled: every recycled run re-plugs the current spec's
 // overrides into their slots.
@@ -105,7 +105,7 @@ func ReadPoolStats() (hits, misses uint64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// planSetter is the optional adversary capability delta and Algorithm 2
+// planSetter is the optional adversary capability overlay and Algorithm 2
 // runs engage: the honest nodes of such a run flood on the benign plan's
 // frozen arena, and an
 // adversary relaying over the same plan reads and writes path hints they
@@ -146,8 +146,8 @@ func (s *BatchSession) shape() runShape {
 // byzPattern renders the batch's Byzantine placement canonically: per
 // instance (';'-separated), its faulty vertices in ascending order, each
 // marked with its replay kind — 'c' for crash-from-start faults (the shape
-// masked plans compile), 'd' for everything value-faulty (the shape delta
-// replay covers). Two batches with equal patterns (and equal shared
+// masked plans compile), 'd' for everything value-faulty (the shape the
+// overlay covers). Two batches with equal patterns (and equal shared
 // parameters) build structurally identical run state: the same lane
 // grouping, the same replay wiring, the same adversary slots; only inputs,
 // adversary node values, and the observer differ, all of which a recycled

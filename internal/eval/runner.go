@@ -318,10 +318,11 @@ const (
 	// Byzantine override is crash-from-start, so the fault pattern is
 	// value-blind and the whole faulty execution is compiled.
 	replayMasked
-	// replayDelta keeps honest nodes dynamic but bulk-installs the slots
-	// no faulty relay can reach from the benign plan's delta fragment:
-	// tamper/equivocation worlds, and crash mixes that are not silent from
-	// round zero.
+	// replayDelta replays the benign plan through an overlay of the
+	// faulty nodes' sends (flood.Overlay), falling back to the dynamic
+	// rules for the rest of a phase whose sends do not fit it:
+	// tamper/equivocation/forgery worlds, and crash mixes that are not
+	// silent from round zero.
 	replayDelta
 	// replayChurn is the fault-injection tier: a benign run with a topology
 	// schedule replays the benign plan for the clean phase prefix before the
@@ -378,10 +379,11 @@ func byzSet(byz map[graph.NodeID]sim.Node) graph.Set {
 // with no overrides replays the benign plan wholesale; all-crash fault
 // patterns replay a masked plan (the pattern is value-blind, so the whole
 // faulty execution compiles); any value-faulty override (tamper,
-// equivocate, forge, mid-run crash) switches honest nodes to delta replay
-// — dynamic rules for tainted slots, bulk plan install for the rest. All
-// three replaying modes are byte-identical to the forced-dynamic path and
-// run on pooled recycled state.
+// equivocate, forge, mid-run crash) replays the benign plan through an
+// overlay of the faulty nodes' sends, with the dynamic rules taking over
+// any phase from the round its sends stop fitting. All replaying modes are
+// byte-identical to the forced-dynamic path and run on pooled recycled
+// state.
 func (s Spec) replayMode() replayMode {
 	if s.forceDynamic || (s.Algorithm != Algo1 && s.Algorithm != Algo3) {
 		return replayOff
@@ -390,7 +392,7 @@ func (s Spec) replayMode() replayMode {
 		// A topology schedule invalidates the compiled plans from its first
 		// event onward. Benign injected worlds keep the clean prefix via
 		// the frontier tier; worlds mixing Byzantine overrides with churn
-		// run fully dynamic (the masked and delta plans both assume the
+		// run fully dynamic (masked plans and the overlay both assume the
 		// static adjacency).
 		if len(s.Byzantine) == 0 {
 			return replayChurn
@@ -404,6 +406,19 @@ func (s Spec) replayMode() replayMode {
 		return replayMasked
 	}
 	return replayDelta
+}
+
+// mayUnicast returns the nodes the spec's transport lets transmit to a
+// single neighbour: every node point-to-point, the equivocators under
+// Hybrid, none under local broadcast.
+func (s Spec) mayUnicast() graph.Set {
+	switch s.Model {
+	case sim.PointToPoint:
+		return graph.NewSet(s.G.Nodes()...)
+	case sim.Hybrid:
+		return s.Equivocators
+	}
+	return 0
 }
 
 // Spec returns the session's normalized spec.

@@ -126,8 +126,8 @@ func TestGroupWiringPerSpecKind(t *testing.T) {
 					t.Error("group does not use the fault pattern's masked plan")
 				}
 			case delta:
-				if dp != flood.DeltaPlanFor(topo, byzSet(spec.Byzantine)) || rs.Plan() != dp.Base() {
-					t.Error("group does not carry the fault pattern's taint fragment of the benign plan")
+				if dp == nil || dp.Faulty() != byzSet(spec.Byzantine) || rs.Plan() != flood.PlanFor(topo) {
+					t.Error("group does not carry the fault pattern's overlay of the benign plan")
 				}
 			}
 			if tc.plan != delta && dp != nil {

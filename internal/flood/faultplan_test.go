@@ -161,55 +161,165 @@ func TestMaskedPlanMatchesDynamicFlood(t *testing.T) {
 	}
 }
 
-// TestDeltaPlanTaintPartition pins the delta compiler's partition: a base
-// schedule entry survives into the delta exactly when its provenance path
-// avoids the faulty set, and round offsets stay consistent.
-func TestDeltaPlanTaintPartition(t *testing.T) {
-	g := gen.Figure1b()
-	base := CompilePlan(g)
-	arena := base.Arena()
-	for _, faulty := range []graph.Set{
-		graph.NewSet(3),
-		graph.NewSet(2, 6),
-	} {
-		dp := CompileDelta(base, faulty)
-		onPath := func(pid graph.PathID) bool {
-			for _, u := range arena.Path(pid) {
-				if faulty.Contains(u) {
-					return true
-				}
-			}
-			// Path excludes the accepting node itself; the receipt path id
-			// covers the full provenance, so check its last node too.
-			return faulty.Contains(arena.Last(pid))
+// overlayDriver floods one value per phase on a plan's arena: each round
+// from the overlay while the faulty sends fit it, by the dynamic rules
+// otherwise (always, with no overlay). It records every transmission key
+// and, at each phase end, its receipts.
+type overlayDriver struct {
+	f      *Flooder
+	ov     *Overlay
+	value  sim.Value
+	rounds int
+	trace  []string
+}
+
+func (d *overlayDriver) ID() graph.NodeID { return d.f.me }
+
+func (d *overlayDriver) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
+	r, phase := round%d.rounds, round/d.rounds
+	var out []sim.Outgoing
+	switch {
+	case r == 0:
+		if phase > 0 {
+			d.f.Recycle()
 		}
-		for v := 0; v < g.N(); v++ {
-			bs := base.sched[v]
-			ds := dp.sched[v]
-			want := 0
-			k := 0
-			for r := 1; r+1 < len(bs.roundOff); r++ {
-				for i := bs.roundOff[r]; i < bs.roundOff[r+1]; i++ {
-					if onPath(bs.pids[i]) {
-						continue
-					}
-					want++
-					if k >= len(ds.idx) || ds.idx[k] != i {
-						t.Fatalf("faulty %v node %d: delta entry %d = base index %v, want %d", faulty, v, k, ds.idx, i)
-					}
-					k++
+		if d.ov != nil {
+			d.ov.Open(phase)
+			out = d.f.StartOverlay(d.ov, d.value)
+		} else {
+			out = d.f.Start(CanonValueBody(d.value))
+		}
+	case d.ov != nil && d.ov.Fits(d.f.me, r, inbox):
+		out = d.f.DeliverOverlay(d.ov, r)
+	default:
+		out = d.f.Deliver(inbox)
+		if r == 1 {
+			out = d.f.AppendMissing(out, func(graph.NodeID) Body { return CanonValueBody(sim.DefaultValue) })
+		}
+	}
+	for _, o := range out {
+		d.trace = append(d.trace, fmt.Sprintf("r%d %s", round, o.Payload.Key()))
+	}
+	if r == d.rounds-1 {
+		for _, rc := range d.f.Receipts() {
+			d.trace = append(d.trace, fmt.Sprintf("p%d %d %d %s", phase, rc.Origin, rc.PathID, rc.Body.Key()))
+		}
+	}
+	return out
+}
+
+// flipRelay is a value-faulty node on a plan's arena: it initiates at
+// every phase start and relays every message it can extend with the value
+// flipped — sends that fit the overlay. With offTime set it also sends,
+// in round 1 of each phase, a three-node path due in round 2, which does
+// not, and in round 3 its root again, which every receiver must discard by
+// the rule-(ii) key it took while the phase fitted.
+type flipRelay struct {
+	p       *Plan
+	me      graph.NodeID
+	rounds  int
+	offTime bool
+}
+
+func (b *flipRelay) ID() graph.NodeID { return b.me }
+
+func (b *flipRelay) Step(round int, inbox []sim.Delivery) []sim.Outgoing {
+	a := b.p.Arena()
+	var out []sim.Outgoing
+	r := round % b.rounds
+	if r == 0 {
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: b.p.Box(ValueBody{Value: sim.One}, a.Root(b.me))})
+	}
+	if b.offTime && r == 1 {
+		g := b.p.Graph()
+		nb := g.AdjList(b.me)[0]
+		for _, x := range g.AdjList(nb) {
+			if x != b.me {
+				ext := a.Extend(a.Extend(a.Root(x), nb), b.me)
+				out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: b.p.Box(ValueBody{Value: sim.Zero}, ext)})
+				break
+			}
+		}
+	}
+	if b.offTime && r == 3 {
+		out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: b.p.Box(ValueBody{Value: sim.Zero}, a.Root(b.me))})
+	}
+	for _, d := range inbox {
+		m, ok := d.Payload.(Msg)
+		if !ok || r == 0 {
+			continue
+		}
+		full := m.ProvenanceIn(a, d.From)
+		if full == graph.NoPath {
+			continue
+		}
+		if ext := a.Extend(full, b.me); ext != graph.NoPath {
+			v := m.Body.(ValueBody).Value
+			out = append(out, sim.Outgoing{To: sim.Broadcast, Payload: b.p.Box(ValueBody{Value: 1 - v}, ext)})
+		}
+	}
+	return out
+}
+
+// TestOverlayMatchesDynamicFlood runs two flooding phases with one
+// value-faulty node twice — honest flooders on the overlay, and on the
+// dynamic rules — and requires every transmission and every phase's
+// receipts to match. A faulty node whose sends fit keeps every round on
+// the overlay; an off-time send moves the rest of its phase to the
+// dynamic rules, and the next phase starts on the overlay again. It also
+// pins the order fact the fit rules lean on: every benign schedule lists
+// its paths in ascending PathID.
+func TestOverlayMatchesDynamicFlood(t *testing.T) {
+	g := gen.Figure1b()
+	n := g.N()
+	p := CompilePlan(g)
+	for v := range p.sched {
+		pids := p.sched[v].pids
+		for i := 1; i < len(pids); i++ {
+			if pids[i] <= pids[i-1] {
+				t.Fatalf("node %d: schedule entry %d has PathID %d after %d", v, i, pids[i], pids[i-1])
+			}
+		}
+	}
+	const faulty = graph.NodeID(3)
+	rounds := Rounds(n)
+	for _, offTime := range []bool{false, true} {
+		run := func(overlay bool) ([]string, *Overlay) {
+			var ov *Overlay
+			if overlay {
+				ov = NewOverlay(p, graph.NewSet(faulty), 0)
+			}
+			nodes := make([]sim.Node, n)
+			drivers := make([]*overlayDriver, 0, n)
+			for v := range nodes {
+				if graph.NodeID(v) == faulty {
+					nodes[v] = &flipRelay{p: p, me: faulty, rounds: rounds, offTime: offTime}
+					continue
 				}
-				if int(ds.roundOff[r+1]) != k {
-					t.Fatalf("faulty %v node %d: roundOff[%d]=%d, want %d", faulty, v, r+1, ds.roundOff[r+1], k)
-				}
+				d := &overlayDriver{f: NewOnPlan(p, graph.NodeID(v), NewIdent()), ov: ov, value: sim.Value(v % 2), rounds: rounds}
+				drivers = append(drivers, d)
+				nodes[v] = d
 			}
-			if len(ds.idx) != want {
-				t.Fatalf("faulty %v node %d: %d delta entries, want %d untainted", faulty, v, len(ds.idx), want)
+			eng, err := sim.NewEngine(sim.Config{Topology: sim.GraphTopology{G: g}}, nodes)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Round 0 self-receipts are never on the delta fast path.
-			if ds.roundOff[0] != 0 || ds.roundOff[1] != 0 {
-				t.Fatalf("faulty %v node %d: round-0 offsets %d,%d nonzero", faulty, v, ds.roundOff[0], ds.roundOff[1])
+			defer eng.Close()
+			eng.Run(2 * rounds)
+			var trace []string
+			for _, d := range drivers {
+				trace = append(trace, fmt.Sprintf("node %d", d.f.me))
+				trace = append(trace, d.trace...)
 			}
+			return trace, ov
+		}
+		got, ov := run(true)
+		want, _ := run(false)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("offTime=%v: overlay and dynamic floods diverge:\noverlay: %v\ndynamic: %v", offTime, got, want)
+		}
+		if wantMisfits := map[bool]int{false: 0, true: 2}[offTime]; ov.Misfits() != wantMisfits {
+			t.Errorf("offTime=%v: %d phases left the overlay, want %d", offTime, ov.Misfits(), wantMisfits)
 		}
 	}
 }

@@ -207,9 +207,9 @@ func NewWithState(g *graph.Graph, me graph.NodeID, arena *graph.PathArena, ident
 }
 
 // NewOnPlan creates a flooder for node me that runs the dynamic rules on
-// plan p's frozen arena — a delta-replay node, a churn node past its taint
-// frontier, an Algorithm 2 node — and boxes every transmission through p
-// (Plan.Box).
+// plan p's frozen arena — a node of a value-faulty run, a churn node past
+// its taint frontier, an Algorithm 2 node — and boxes every transmission
+// through p (Plan.Box).
 // The arena holds every path the plan's world can carry and is safe for
 // any number of such flooders at once.
 func NewOnPlan(p *Plan, me graph.NodeID, ident *Ident) *Flooder {

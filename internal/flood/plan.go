@@ -345,9 +345,9 @@ type PlanStats struct {
 	// ReplaySessions counts per-node flooding sessions served wholesale
 	// by replay (benign or masked plans).
 	ReplaySessions int64 `json:"replay_sessions"`
-	// DeltaReplaySessions counts per-node flooding sessions served by the
-	// delta fast path: untainted slots bulk-installed from the benign
-	// plan, tainted slots on the dynamic rules.
+	// DeltaReplaySessions counts per-node flooding sessions of value-faulty
+	// runs, served from the benign plan through an Overlay (each round
+	// whose faulty sends fit it, the rest of a phase on the dynamic rules).
 	DeltaReplaySessions int64 `json:"delta_replay_sessions"`
 	// DynamicSessions counts per-node flooding sessions that ran the
 	// dynamic message-by-message path end to end.

@@ -179,11 +179,8 @@ func buildWork(cache *graphCache, req *DecideRequest) (*work, error) {
 	default:
 		return nil, fmt.Errorf("inputs or input_pattern is required")
 	}
-	// The dense slab is what the probe session and the packed batch read;
-	// the map form stays on the instance for callers that rebuild a
-	// Session from the work, as the parity tests do.
+	// The dense slab is all the probe session and the packed batch read.
 	slab := make([]sim.Value, n)
-	inputs := make(map[graph.NodeID]sim.Value, n)
 	for u := range slab {
 		idx := u
 		if modular {
@@ -194,7 +191,6 @@ func buildWork(cache *graphCache, req *DecideRequest) (*work, error) {
 			return nil, fmt.Errorf("input for node %d is %d (want 0 or 1)", u, v)
 		}
 		slab[u] = sim.Value(v)
-		inputs[graph.NodeID(u)] = sim.Value(v)
 	}
 	byz := make(map[graph.NodeID]sim.Node, len(req.Faults))
 	phaseLen := core.PhaseRounds(n)
@@ -230,7 +226,7 @@ func buildWork(cache *graphCache, req *DecideRequest) (*work, error) {
 			Rounds:     req.Rounds,
 			FullBudget: req.FullBudget,
 		},
-		inst: eval.BatchInstance{Inputs: inputs, InputSlab: slab, Byzantine: byz},
+		inst: eval.BatchInstance{InputSlab: slab, Byzantine: byz},
 	}
 	// Full eval-layer validation of this request alone (cheap: no plan is
 	// compiled until Run). Shared-parameter errors — negative f, t > f,

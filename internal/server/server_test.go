@@ -72,7 +72,7 @@ func independentOutcome(t *testing.T, req DecideRequest) OutcomeJSON {
 		F:          wk.base.F,
 		T:          wk.base.T,
 		Algorithm:  wk.base.Algorithm,
-		Inputs:     wk.inst.Inputs,
+		InputSlab:  wk.inst.InputSlab,
 		Byzantine:  wk.inst.Byzantine,
 		Rounds:     wk.base.Rounds,
 		FullBudget: wk.base.FullBudget,

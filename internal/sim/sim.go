@@ -442,7 +442,7 @@ func (e *Engine) step(round int) {
 	// only the per-delivery fan-out below is elided — for every node when
 	// the whole run replays, per receiver when replaying and dynamic nodes
 	// share a round (a masked-plan run whose silent faults ignore their
-	// inboxes beside a delta run's dynamic flooders).
+	// inboxes beside a value-faulty run's flooders).
 	skipAll, ignore := e.inboxIgnorers()
 	// Ascending sender order + outbox order gives deterministic FIFO
 	// delivery.
