@@ -68,18 +68,11 @@ func run(args []string, w io.Writer) error {
 	equiv := graph.NewSet()
 	phaseLen := core.PhaseRounds(g.N())
 	for _, u := range faulty {
-		switch *strategy {
-		case "silent":
-			byz[u] = &adversary.SilentNode{Me: u}
-		case "tamper":
-			byz[u] = adversary.NewTamper(g, u, phaseLen, *seed)
-		case "equivocate":
-			byz[u] = &adversary.EquivocatorNode{G: g, Me: u, PhaseLen: phaseLen}
+		if byz[u], err = adversary.New(*strategy, g, u, phaseLen, *seed); err != nil {
+			return err
+		}
+		if *strategy == "equivocate" {
 			equiv.Add(u)
-		case "forge":
-			byz[u] = adversary.NewForger(g, u, phaseLen, *seed)
-		default:
-			return fmt.Errorf("unknown strategy %q", *strategy)
 		}
 	}
 

@@ -6,12 +6,30 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
 
 	"lbcast/internal/flood"
 	"lbcast/internal/graph"
 	"lbcast/internal/sim"
 )
+
+// New builds the named strategy — "silent", "tamper", "equivocate" or
+// "forge" — for vertex me of g. The randomized strategies (tamper, forge)
+// draw every choice from seed; the others ignore it.
+func New(name string, g *graph.Graph, me graph.NodeID, phaseLen int, seed int64) (sim.Node, error) {
+	switch name {
+	case "silent":
+		return &SilentNode{Me: me}, nil
+	case "tamper":
+		return NewTamper(g, me, phaseLen, seed), nil
+	case "equivocate":
+		return &EquivocatorNode{G: g, Me: me, PhaseLen: phaseLen}, nil
+	case "forge":
+		return NewForger(g, me, phaseLen, seed), nil
+	}
+	return nil, fmt.Errorf("unknown fault strategy %q (want silent, tamper, equivocate, or forge)", name)
+}
 
 // SilentNode is a crash-from-start Byzantine node: it never transmits.
 // Honest neighbors substitute the default message for it in step (a).

@@ -64,16 +64,11 @@ func buildByzantine(g *graph.Graph, faulty graph.Set, kind strategyKind, seed in
 	out := make(map[graph.NodeID]sim.Node, faulty.Len())
 	phaseLen := core.PhaseRounds(g.N())
 	for _, u := range faulty.Slice() {
-		switch kind {
-		case stratSilent:
-			out[u] = &adversary.SilentNode{Me: u}
-		case stratTamper:
-			out[u] = adversary.NewTamper(g, u, phaseLen, seed)
-		case stratEquivoc:
-			out[u] = &adversary.EquivocatorNode{G: g, Me: u, PhaseLen: phaseLen}
-		case stratForge:
-			out[u] = adversary.NewForger(g, u, phaseLen, seed)
+		nd, err := adversary.New(string(kind), g, u, phaseLen, seed)
+		if err != nil {
+			panic(err) // Grid.Expand admits only known kinds; "none" places no faults
 		}
+		out[u] = nd
 	}
 	return out
 }

@@ -202,17 +202,8 @@ func buildWork(cache *graphCache, req *DecideRequest) (*work, error) {
 		if _, dup := byz[u]; dup {
 			return nil, fmt.Errorf("node %d has two fault strategies", f.Node)
 		}
-		switch f.Strategy {
-		case "silent":
-			byz[u] = &adversary.SilentNode{Me: u}
-		case "tamper":
-			byz[u] = adversary.NewTamper(entry.g, u, phaseLen, f.Seed)
-		case "equivocate":
-			byz[u] = &adversary.EquivocatorNode{G: entry.g, Me: u, PhaseLen: phaseLen}
-		case "forge":
-			byz[u] = adversary.NewForger(entry.g, u, phaseLen, f.Seed)
-		default:
-			return nil, fmt.Errorf("unknown fault strategy %q (want silent, tamper, equivocate, or forge)", f.Strategy)
+		if byz[u], err = adversary.New(f.Strategy, entry.g, u, phaseLen, f.Seed); err != nil {
+			return nil, err
 		}
 	}
 	w := &work{
