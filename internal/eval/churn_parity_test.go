@@ -196,13 +196,9 @@ func TestChurnPooledParity(t *testing.T) {
 	topo := graph.NewAnalysis(g)
 	hits0, _ := ReadPoolStats()
 	// The traces are rendered only after every run, as in
-	// TestPooledSessionTraceParity: rendering one in between allocates
-	// enough to collect the pooled state before the next run can recycle
-	// it.
-	type recorded struct {
-		rec *sim.Recorder
-		out Outcome
-	}
+	// TestWorldCorpusParity's pooled pass: rendering one in between
+	// allocates enough to collect the pooled state before the next run
+	// can recycle it.
 	runs := make([]recorded, 0, poolParityIters*len(specs))
 	for iter := 0; iter < poolParityIters; iter++ {
 		for _, spec := range specs {

@@ -2,9 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -177,121 +174,6 @@ func honestGamma(st *batchLoopState, i int) (sim.Value, bool) {
 		}
 	}
 	return x, agree
-}
-
-// phaseCheckedGoldenWorlds are the phase-based scenarios of the golden
-// parity suite (golden_parity_test.go at the module root), rebuilt as
-// specs; the Algorithm 2 scenarios have no phases to check.
-func phaseCheckedGoldenWorlds() map[string]func() Spec {
-	alternating := func(n int) map[graph.NodeID]sim.Value {
-		m := make(map[graph.NodeID]sim.Value, n)
-		for i := 0; i < n; i++ {
-			m[graph.NodeID(i)] = sim.Value(i % 2)
-		}
-		return m
-	}
-	world := func(g *graph.Graph, f int, full bool, byz func(g *graph.Graph, pr int) map[graph.NodeID]sim.Node) func() Spec {
-		return func() Spec {
-			spec := Spec{G: g, F: f, Algorithm: Algo1, Inputs: alternating(g.N()), FullBudget: full}
-			if byz != nil {
-				spec.Byzantine = byz(g, core.PhaseRounds(g.N()))
-			}
-			return spec
-		}
-	}
-	silent := func(u graph.NodeID) sim.Node { return &adversary.SilentNode{Me: u} }
-	a, b := gen.Figure1a(), gen.Figure1b()
-	k5, err := gen.Complete(5)
-	if err != nil {
-		panic(err)
-	}
-	return map[string]func() Spec{
-		"algo1-figure1a-benign":      world(a, 1, false, nil),
-		"algo1-figure1a-full-budget": world(a, 1, true, nil),
-		"algo1-figure1a-silent": world(a, 1, false, func(*graph.Graph, int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{2: silent(2)}
-		}),
-		"algo1-figure1a-tamper": world(a, 1, false, func(g *graph.Graph, pr int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{2: adversary.NewTamper(g, 2, pr, 42)}
-		}),
-		"algo1-figure1a-forge": world(a, 1, false, func(g *graph.Graph, pr int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{2: adversary.NewForger(g, 2, pr, 7)}
-		}),
-		"algo1-figure1b-f2-benign": world(b, 2, false, nil),
-		"algo1-figure1b-f2-tamper": world(b, 2, false, func(g *graph.Graph, pr int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{1: adversary.NewTamper(g, 1, pr, 9), 4: silent(4)}
-		}),
-		"algo1-figure1b-f2-crash2": world(b, 2, false, func(*graph.Graph, int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{2: silent(2), 6: silent(6)}
-		}),
-		"algo1-figure1b-f2-crash-tamper": world(b, 2, false, func(g *graph.Graph, pr int) map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{2: adversary.NewTamper(g, 2, pr, 11), 6: silent(6)}
-		}),
-		"algo3-k5-equivocate": func() Spec {
-			return Spec{G: k5, F: 1, T: 1, Algorithm: Algo3, Model: sim.Hybrid, Inputs: alternating(5),
-				Byzantine:    map[graph.NodeID]sim.Node{4: &adversary.EquivocatorNode{G: k5, Me: 4, PhaseLen: core.PhaseRounds(5)}},
-				Equivocators: graph.NewSet(4)}
-		},
-	}
-}
-
-// TestPhaseCheckedGoldenWorldsMatchGoldenFiles keeps phaseCheckedGoldenWorlds
-// in step with the golden parity suite: every golden file at the module
-// root's testdata/golden whose scenario is not an Algorithm 2 one (name
-// prefix "algo2-") must have a phase-checked world, and every world a
-// golden file.
-func TestPhaseCheckedGoldenWorldsMatchGoldenFiles(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no golden files found")
-	}
-	worlds := phaseCheckedGoldenWorlds()
-	golden := map[string]bool{}
-	for _, f := range files {
-		name := strings.TrimSuffix(filepath.Base(f), ".json")
-		if strings.HasPrefix(name, "algo2-") {
-			continue
-		}
-		golden[name] = true
-		if worlds[name] == nil {
-			t.Errorf("golden scenario %s has no phase-checked world", name)
-		}
-	}
-	for name := range worlds {
-		if !golden[name] {
-			t.Errorf("phase-checked world %s has no golden file", name)
-		}
-	}
-}
-
-// TestPhaseStructureGoldenWorlds runs the phase-structure check over the
-// golden parity suite's phase-based scenarios, each on the replay path it
-// takes in product and on the forced-dynamic path.
-func TestPhaseStructureGoldenWorlds(t *testing.T) {
-	for name, world := range phaseCheckedGoldenWorlds() {
-		for _, dynamic := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/dynamic=%v", name, dynamic), func(t *testing.T) {
-				spec := world()
-				spec.forceDynamic = dynamic
-				pc := checkPhaseStructure(t)
-				out, err := Run(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !out.OK() {
-					t.Errorf("consensus failed: %+v", out)
-				}
-				if pc.agreementPhases == 0 && (len(spec.Byzantine) == 0 || spec.FullBudget) {
-					// A faulty early-terminating run may decide before it
-					// reaches the phase of its faulty set.
-					t.Error("fact (i) was never asserted")
-				}
-			})
-		}
-	}
 }
 
 // TestPhaseStructureBatchLanes checks a mixed batch: benign lanes on one

@@ -99,62 +99,3 @@ func TestPoolKeySeparatesChurn(t *testing.T) {
 		t.Error("churn+crash shares churn-only pool key")
 	}
 }
-
-// TestPooledFaultShapeIsolationParity is the behavioral regression test:
-// it interleaves benign, crash-masked, and value-faulty sessions through
-// ONE warmed pool on one shared analysis and requires every recycled
-// run's trace to be byte-identical to the same spec's fresh-state trace.
-// Before the kind-marked pattern joined the pool key, state recycled
-// across these shapes would replay the wrong plan.
-func TestPooledFaultShapeIsolationParity(t *testing.T) {
-	g := gen.Figure1b()
-	n := g.N()
-	phaseLen := lbPhaseRounds(n)
-	inputs := make(map[graph.NodeID]sim.Value, n)
-	for u := 0; u < n; u++ {
-		inputs[graph.NodeID(u)] = sim.Value(u % 2)
-	}
-	mkSpecs := func() []Spec {
-		benign := Spec{G: g, F: 2, Algorithm: Algo1, Inputs: inputs}
-		crash := benign
-		crash.Byzantine = map[graph.NodeID]sim.Node{2: &adversary.SilentNode{Me: 2}, 6: &adversary.SilentNode{Me: 6}}
-		tamper := benign
-		tamper.Byzantine = map[graph.NodeID]sim.Node{2: adversary.NewTamper(g, 2, phaseLen, 11)}
-		mixed := benign
-		mixed.Byzantine = map[graph.NodeID]sim.Node{
-			2: adversary.NewTamper(g, 2, phaseLen, 11),
-			6: &adversary.SilentNode{Me: 6},
-		}
-		return []Spec{benign, crash, tamper, mixed}
-	}
-
-	fresh := make([]string, len(mkSpecs()))
-	for i, spec := range mkSpecs() {
-		fresh[i] = traceDigest(runTracedShared(t, spec, graph.NewAnalysis(g)))
-	}
-
-	topo := graph.NewAnalysis(g)
-	hits0, _ := ReadPoolStats()
-	for iter := 0; iter < poolParityIters/2; iter++ {
-		// Fresh specs every pass: the stateful adversaries must restart
-		// their RNG streams exactly as the fresh-state runs did. Each
-		// shape runs twice back-to-back so the second run recycles the
-		// first's state before GC can drop it from the pool; both traces
-		// are rendered only after the pair, since rendering the first in
-		// between allocates enough to collect the pooled state.
-		a, b := mkSpecs(), mkSpecs()
-		for i := range a {
-			recA, outA := runRecordedShared(t, a[i], topo)
-			recB, outB := runRecordedShared(t, b[i], topo)
-			if d := traceDigest(traceString(recA, outA)); d != fresh[i] {
-				t.Fatalf("iter %d spec %d: trace digest %s != fresh-state %s", iter, i, d, fresh[i])
-			}
-			if d := traceDigest(traceString(recB, outB)); d != fresh[i] {
-				t.Fatalf("iter %d spec %d: recycled-state trace digest %s != fresh-state %s", iter, i, d, fresh[i])
-			}
-		}
-	}
-	if hits1, _ := ReadPoolStats(); hits1 == hits0 {
-		t.Fatal("run pool never hit: fault-shape isolation was not exercised on recycled state")
-	}
-}

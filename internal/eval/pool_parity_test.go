@@ -34,57 +34,6 @@ func traceDigest(trace string) string {
 // a quarter of Puts.
 const poolParityIters = 12
 
-// TestPooledSessionTraceParity drives a replayable session repeatedly
-// through one warmed run pool and requires every recycled run's trace to
-// be byte-identical to the fresh-state trace, interleaving observer-free
-// runs whose outcomes must match the observed ones.
-func TestPooledSessionTraceParity(t *testing.T) {
-	g := gen.Figure1b()
-	inputs := make(map[graph.NodeID]sim.Value, g.N())
-	for u := 0; u < g.N(); u++ {
-		inputs[graph.NodeID(u)] = sim.Value(u % 2)
-	}
-	spec := Spec{G: g, F: 2, Algorithm: Algo1, Inputs: inputs}
-
-	// Fresh-state reference: a private analysis whose pool has never run.
-	fresh := traceDigest(runTracedShared(t, spec, graph.NewAnalysis(g)))
-
-	topo := graph.NewAnalysis(g)
-	hits0, _ := ReadPoolStats()
-	for i := 0; i < poolParityIters/3; i++ {
-		// Two observed runs back to back, then an observer-free run that
-		// floods phantom payloads on the same pooled state: each run can
-		// recycle its predecessor's state before GC drops it from the pool.
-		// The traces are rendered only after the three runs, since
-		// rendering one in between allocates enough to collect the pooled
-		// state.
-		recA, outA := runRecordedShared(t, spec, topo)
-		recB, outB := runRecordedShared(t, spec, topo)
-		s, err := newSessionShared(spec, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := traceDigest(traceString(recA, outA)); d != fresh {
-			t.Fatalf("iter %d: trace digest %s != fresh-state %s", i, d, fresh)
-		}
-		if d := traceDigest(traceString(recB, outB)); d != fresh {
-			t.Fatalf("iter %d: recycled-state trace digest %s != fresh-state %s", i, d, fresh)
-		}
-		// The observer-free run's judged outcome must match the observed
-		// runs'.
-		if got, want := fmt.Sprintf("%+v", out), fmt.Sprintf("%+v", outB); got != want {
-			t.Fatalf("iter %d: observer-free outcome diverges:\ngot:  %s\nwant: %s", i, got, want)
-		}
-	}
-	if hits1, _ := ReadPoolStats(); hits1 == hits0 {
-		t.Fatal("run pool never hit: recycling path was not exercised")
-	}
-}
-
 // TestPooledBatchMixedTraceParity is the batch analogue over the mixed
 // replay-parity scenario (a replaying vector lane group multiplexed with
 // two dynamic faulty instances): repeated runs through one warmed pool,

@@ -7,7 +7,6 @@ import (
 
 	"lbcast/internal/adversary"
 	"lbcast/internal/core"
-	"lbcast/internal/flood"
 	"lbcast/internal/graph"
 	"lbcast/internal/graph/gen"
 	"lbcast/internal/sim"
@@ -88,17 +87,6 @@ func TestSessionReplayParityRandomGraphs(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSessionReplayParityAlgo3 covers the hybrid algorithm's fault-free
-// replay (the other phase-based protocol).
-func TestSessionReplayParityAlgo3(t *testing.T) {
-	g, err := gen.Complete(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := map[graph.NodeID]sim.Value{0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
-	checkSessionReplayParity(t, Spec{G: g, F: 1, T: 1, Algorithm: Algo3, Inputs: inputs, Model: sim.Hybrid})
 }
 
 // TestMonteCarloReplayParityRareFaults replays a rare-fault Monte Carlo
@@ -214,93 +202,5 @@ func TestBatchMixedReplayParity(t *testing.T) {
 		if replayed != dynamic {
 			t.Fatalf("mixed batch (full budget %v): replayed and dynamic executions diverge", full)
 		}
-	}
-}
-
-// checkFaultySessionReplayParity is checkSessionReplayParity for stateful
-// adversaries: each side gets freshly-built Byzantine nodes so their RNG
-// streams restart identically.
-func checkFaultySessionReplayParity(t *testing.T, base Spec, mkByz func() map[graph.NodeID]sim.Node) {
-	t.Helper()
-	spec := base
-	spec.Byzantine = mkByz()
-	spec.forceDynamic = false
-	replayed := runTraced(t, spec)
-	spec.Byzantine = mkByz()
-	spec.forceDynamic = true
-	dynamic := runTraced(t, spec)
-	if replayed != dynamic {
-		t.Fatalf("replayed and dynamic executions diverge:\nreplayed:\n%s\ndynamic:\n%s", replayed, dynamic)
-	}
-}
-
-// TestSessionMaskedReplayParity drives crash-from-start fault patterns —
-// the shape masked plans compile — through the on/off parity check and
-// requires the masked path to actually fire: masked compiles and replay
-// sessions must both advance.
-func TestSessionMaskedReplayParity(t *testing.T) {
-	g := gen.Figure1b()
-	n := g.N()
-	inputs := make(map[graph.NodeID]sim.Value, n)
-	for u := 0; u < n; u++ {
-		inputs[graph.NodeID(u)] = sim.Value(u % 2)
-	}
-	base := Spec{G: g, F: 2, Algorithm: Algo1, Inputs: inputs}
-	before := flood.ReadPlanStats()
-	for _, crash := range [][]graph.NodeID{{2}, {6}, {2, 6}, {0, 5}} {
-		mkByz := func() map[graph.NodeID]sim.Node {
-			byz := make(map[graph.NodeID]sim.Node, len(crash))
-			for _, u := range crash {
-				byz[u] = &adversary.SilentNode{Me: u}
-			}
-			return byz
-		}
-		t.Run(fmt.Sprintf("crash%v", crash), func(t *testing.T) {
-			checkFaultySessionReplayParity(t, base, mkByz)
-		})
-	}
-	after := flood.ReadPlanStats()
-	if after.MaskedCompiles <= before.MaskedCompiles {
-		t.Error("no masked plans compiled: the crash patterns did not take the masked path")
-	}
-	if after.ReplaySessions <= before.ReplaySessions {
-		t.Error("no replay sessions recorded: masked runs did not replay")
-	}
-}
-
-// TestSessionDeltaReplayParity drives value-faulty patterns — tamper,
-// forge, and crash+tamper mixes, the shapes delta replay covers — through
-// the on/off parity check and requires delta replay sessions to advance.
-func TestSessionDeltaReplayParity(t *testing.T) {
-	g := gen.Figure1b()
-	n := g.N()
-	phaseLen := lbPhaseRounds(n)
-	inputs := make(map[graph.NodeID]sim.Value, n)
-	for u := 0; u < n; u++ {
-		inputs[graph.NodeID(u)] = sim.Value((u + 1) % 2)
-	}
-	base := Spec{G: g, F: 2, Algorithm: Algo1, Inputs: inputs}
-	before := flood.ReadPlanStats()
-	for name, mkByz := range map[string]func() map[graph.NodeID]sim.Node{
-		"tamper@3": func() map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{3: adversary.NewTamper(g, 3, phaseLen, 7)}
-		},
-		"forge@5": func() map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{5: adversary.NewForger(g, 5, phaseLen, 21)}
-		},
-		"tamper@2+crash@6": func() map[graph.NodeID]sim.Node {
-			return map[graph.NodeID]sim.Node{
-				2: adversary.NewTamper(g, 2, phaseLen, 13),
-				6: &adversary.SilentNode{Me: 6},
-			}
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			checkFaultySessionReplayParity(t, base, mkByz)
-		})
-	}
-	after := flood.ReadPlanStats()
-	if after.DeltaReplaySessions <= before.DeltaReplaySessions {
-		t.Error("no delta replay sessions recorded: the value-faulty patterns did not take the delta path")
 	}
 }

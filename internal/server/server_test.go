@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"lbcast/internal/eval"
 	"lbcast/internal/flood"
+	"lbcast/internal/worlds"
 )
 
 // newTestServer boots a Server on an httptest listener and registers a
@@ -234,6 +236,79 @@ func TestDecideParityConcurrentClients(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+}
+
+// TestDecideWorldCorpus posts every world of the corpus (testdata/worlds)
+// that the wire schema can express — no model, no equivocators — as
+// concurrent requests to one daemon, so the worlds that share batch
+// parameters pack into mixed batches. Each response must match the
+// world's golden file where it has one (decisions, the three properties,
+// rounds, and budget against round_budget: the pinned bytes recorded
+// before the message-identity refactor) and an independent Session
+// otherwise.
+func TestDecideWorldCorpus(t *testing.T) {
+	corpus, err := worlds.Load(filepath.Join("..", "..", "testdata", "worlds"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 4, Linger: 50 * time.Millisecond})
+	var reqs []DecideRequest
+	var names []string
+	for _, w := range corpus {
+		if w.Model != "" || len(w.Equivocators) > 0 {
+			continue
+		}
+		req := DecideRequest{Graph: w.Graph, F: w.F, T: w.T, Algorithm: w.Algorithm, Inputs: w.Inputs,
+			InputPattern: w.InputPattern, Rounds: w.Rounds, FullBudget: w.FullBudget}
+		for _, f := range w.Faults {
+			req.Faults = append(req.Faults, FaultSpec{Node: f.Node, Strategy: f.Strategy, Seed: f.Seed})
+		}
+		reqs, names = append(reqs, req), append(names, w.Name)
+	}
+	bodies := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body := postDecide(t, ts.URL, "corpus", reqs[i])
+			if status != http.StatusOK {
+				t.Errorf("%s: status %d: %s", names[i], status, body)
+			}
+			bodies[i] = body
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	packed := 0
+	for i, body := range bodies {
+		var resp DecideResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		packed = max(packed, resp.Batch.Size)
+		g, err := worlds.ReadGolden(filepath.Join("..", "..", "testdata", "golden"), names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want OutcomeJSON
+		if g != nil {
+			want = OutcomeJSON{Decisions: g.Decisions, Agreement: g.Agreement, Validity: g.Validity,
+				Termination: g.Termination, Rounds: g.Rounds, Budget: g.RoundBudget}
+		} else {
+			want = independentOutcome(t, reqs[i])
+		}
+		wantBytes, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if have := outcomeBytes(t, body); !bytes.Equal(have, wantBytes) {
+			t.Errorf("%s (golden file %v): daemon outcome diverges\n daemon: %s\n   want: %s", names[i], g != nil, have, wantBytes)
+		}
+	}
+	t.Logf("%d corpus worlds, largest packed batch %d", len(reqs), packed)
 }
 
 // TestPackingMergesCanonicalGraphs pins the packing key's canonicalization:
