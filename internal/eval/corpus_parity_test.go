@@ -38,7 +38,8 @@ import (
 // session outcome, the phase-structure facts at every phase end of every
 // run, and consensus wherever internal/check says the conditions hold.
 // Once per pass, the masked, replay and overlay paths and the run pool
-// must have been engaged. Algorithm 2 worlds stay on the root package's
+// must have been engaged (subtests engaged/masked, /replay, /overlay and
+// /pool). Algorithm 2 worlds stay on the root package's
 // golden Session path: no phase structure, and each costs about a second.
 func TestWorldCorpusParity(t *testing.T) {
 	corpus, err := worlds.Load(filepath.Join("..", "..", "testdata", "worlds"))
@@ -92,20 +93,25 @@ func TestWorldCorpusParity(t *testing.T) {
 
 	plans := flood.ReadPlanStats()
 	hits, _ := ReadPoolStats()
-	for _, c := range []struct {
-		engaged bool
-		what    string
-	}{
-		{plans.MaskedCompiles > plans0.MaskedCompiles, "no masked plans compiled: the crash worlds did not take the masked path"},
-		{plans.ReplaySessions > plans0.ReplaySessions, "no replay sessions recorded"},
-		{plans.DeltaReplaySessions > plans0.DeltaReplaySessions, "no overlay sessions recorded: the value-faulty worlds did not take the overlay"},
-		{hits > hits0, "run pool never hit over the pooled pass"},
-	} {
-		h.checks++
-		if !c.engaged {
-			t.Error(c.what)
+	t.Run("engaged", func(t *testing.T) {
+		for _, c := range []struct {
+			path    string
+			engaged bool
+			what    string
+		}{
+			{"masked", plans.MaskedCompiles > plans0.MaskedCompiles, "no masked plans compiled: the crash worlds did not take the masked path"},
+			{"replay", plans.ReplaySessions > plans0.ReplaySessions, "no replay sessions recorded"},
+			{"overlay", plans.DeltaReplaySessions > plans0.DeltaReplaySessions, "no overlay sessions recorded: the value-faulty worlds did not take the overlay"},
+			{"pool", hits > hits0, "run pool never hit over the pooled pass"},
+		} {
+			t.Run(c.path, func(t *testing.T) {
+				h.checks++
+				if !c.engaged {
+					t.Error(c.what)
+				}
+			})
 		}
-	}
+	})
 	t.Logf("%d (world, path, judge) checks over %d worlds", h.checks, len(cws))
 }
 
@@ -231,7 +237,7 @@ func (h *corpusHarness) sessionPaths(t *testing.T, cw *corpusWorld) {
 }
 
 // pooledPass runs every world three times back to back on its graph's
-// shared analysis, then judges the runs.
+// shared analysis, then judges each world's runs in a subtest of its own.
 func (h *corpusHarness) pooledPass(t *testing.T, cws []*corpusWorld) {
 	shared := map[*graph.Graph]*graph.Analysis{}
 	runs := make([][3]recorded, len(cws))
@@ -246,12 +252,14 @@ func (h *corpusHarness) pooledPass(t *testing.T, cws []*corpusWorld) {
 		}
 	}
 	for i, cw := range cws {
-		h.same(t, cw, "pooled run 1", runs[i][0])
-		h.same(t, cw, "pooled run 3", runs[i][2])
-		h.checks++
-		if got, want := fmt.Sprintf("%+v", runs[i][1].out), fmt.Sprintf("%+v", cw.want); got != want {
-			t.Errorf("%s: observer-free outcome diverges:\ngot:  %s\nwant: %s", cw.w.Name, got, want)
-		}
+		t.Run(cw.w.Name, func(t *testing.T) {
+			h.same(t, cw, "pooled run 1", runs[i][0])
+			h.same(t, cw, "pooled run 3", runs[i][2])
+			h.checks++
+			if got, want := fmt.Sprintf("%+v", runs[i][1].out), fmt.Sprintf("%+v", cw.want); got != want {
+				t.Errorf("%s: observer-free outcome diverges:\ngot:  %s\nwant: %s", cw.w.Name, got, want)
+			}
+		})
 	}
 }
 
